@@ -21,20 +21,21 @@
 //!
 //! # Read-mostly subscription index
 //!
-//! Matching never takes the broker's write lock. Writers maintain the
-//! master state under `inner`'s write lock and *publish* an immutable
-//! `IndexSnapshot` (swap-on-write, epoch-style): an `Arc` to an indexed
-//! base plus a bounded delta of recent ops. `publish`/`deliver` clone
+//! Matching never takes the broker's write lock. Writers change the
+//! master index under `inner`'s write lock and then *publish* a copy of it
+//! (swap-on-write, epoch-style) as one `Arc`; `publish`/`deliver` clone
 //! that `Arc` out of a momentary read lock and match against it, so a
 //! publish storm proceeds at full speed while subscribe/unsubscribe churn
-//! swaps snapshots underneath it. Every `DELTA_MATERIALIZE` ops a writer
-//! pays the O(subscriptions) cost of materializing a fresh base; between
-//! materializations writers only clone the bounded delta.
+//! swaps snapshots underneath it. The index is structurally shared (see
+//! [`crate::matcher`]): the copy is a handful of pointers, and the next
+//! write copies only the tree paths and the one bucket it changes, so no
+//! write costs O(subscriptions) however often snapshots are taken.
 
 use crate::error::BrokerError;
 use crate::event::{Event, EventId, PublishedEvent};
 use crate::filter::Filter;
 use crate::matcher::{IndexMatcher, MatchEngine, SubscriptionId};
+use crate::pmap::PMap;
 use crate::schema::Schema;
 use crate::stats::{BrokerStats, BrokerStatsSnapshot};
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
@@ -135,18 +136,12 @@ pub struct PublishOutcome {
     pub dropped: usize,
 }
 
+/// The master record of one subscriber.
 struct SubscriberEntry {
-    slot: Arc<QueueSlot>,
-}
-
-impl SubscriberEntry {
-    /// Cheap clone of the shared queue slot, so events can be offered
-    /// after the broker lock is released.
-    fn queue_handle(&self) -> QueueHandle {
-        QueueHandle {
-            slot: Arc::clone(&self.slot),
-        }
-    }
+    queue: QueueHandle,
+    /// The subscriptions it holds, so that deregistering it retires them
+    /// without searching the index for them.
+    subscriptions: HashSet<SubscriptionId>,
 }
 
 /// The channel endpoints of one live subscriber.
@@ -174,162 +169,36 @@ struct QueueHandle {
     slot: Arc<QueueSlot>,
 }
 
-/// How many delta ops a published [`IndexSnapshot`] may accumulate before
-/// a writer materializes a fresh base instead of growing the delta.
-///
-/// The trade: every writer below the threshold only clones the (bounded)
-/// delta vec, while every publish overlays at most this many ops on top
-/// of the indexed base — so the publish-side overlay scan stays O(256)
-/// however large the subscription set grows, and the O(n) matcher clone
-/// is paid once per 256 writes instead of on every write.
-const DELTA_MATERIALIZE: usize = 256;
-
-/// The immutable, indexed foundation of a published snapshot: a deep
-/// clone of the master matcher/owner/queue state as of the last
-/// materialization.
-struct IndexBase {
-    matcher: Box<dyn MatchEngine>,
-    owners: HashMap<SubscriptionId, SubscriberId>,
-    queues: HashMap<SubscriberId, QueueHandle>,
-}
-
-/// One writer mutation layered on top of an [`IndexBase`].
-///
-/// Subscriber and subscription ids are minted from monotonic counters and
-/// never reused, which keeps replay trivial: an id can be added at most
-/// once and removed at most once across base + delta, so the overlay
-/// needs no op ordering beyond "removed wins".
+/// Where a matching subscription's events go.
 #[derive(Clone)]
-enum IndexOp {
-    Register {
-        subscriber: SubscriberId,
-        queue: QueueHandle,
-    },
-    Deregister {
-        subscriber: SubscriberId,
-    },
-    Subscribe {
-        sub: SubscriptionId,
-        owner: SubscriberId,
-        filter: Filter,
-    },
-    Unsubscribe {
-        sub: SubscriptionId,
-    },
+struct Route {
+    owner: SubscriberId,
+    queue: QueueHandle,
 }
 
-/// The read-mostly subscription index: an immutable base plus a bounded
-/// delta of writer ops, published as one `Arc` that the hot paths
-/// (`publish`, `deliver`) clone out of a momentary read lock.
-///
-/// Writers (subscribe/unsubscribe/register/deregister) never mutate a
-/// published snapshot: they build the next one — swap-on-write,
-/// epoch-style — so matching proceeds against the old snapshot while the
-/// swap happens and never contends on the master write lock.
+/// The read-mostly subscription index: the matcher plus each
+/// subscription's route. The master copy lives in [`BrokerInner`]; after
+/// every write a clone of it is published as one `Arc` that the hot paths
+/// (`publish`, `deliver`) take out of a momentary read lock. Both tables
+/// are structurally shared, so the clone is shallow and the master's next
+/// write leaves every published snapshot as it was.
+#[derive(Clone, Default)]
 struct IndexSnapshot {
-    base: Arc<IndexBase>,
-    delta: Vec<IndexOp>,
+    matcher: IndexMatcher,
+    routes: PMap<SubscriptionId, Route>,
     /// Delivery observer, carried in the snapshot so the publish path
     /// reads exactly one lock for index *and* notifier.
     notifier: Option<Arc<dyn DeliveryNotifier>>,
 }
 
-/// The delta folded into lookup tables for one publish/deliver.
-struct DeltaView<'a> {
-    removed_subs: HashSet<SubscriptionId>,
-    added_subs: Vec<(SubscriptionId, SubscriberId, &'a Filter)>,
-    removed_subscribers: HashSet<SubscriberId>,
-    added_queues: HashMap<SubscriberId, &'a QueueHandle>,
-}
-
-impl<'a> DeltaView<'a> {
-    fn build(delta: &'a [IndexOp]) -> DeltaView<'a> {
-        let mut view = DeltaView {
-            removed_subs: HashSet::new(),
-            added_subs: Vec::new(),
-            removed_subscribers: HashSet::new(),
-            added_queues: HashMap::new(),
-        };
-        for op in delta {
-            match op {
-                IndexOp::Register { subscriber, queue } => {
-                    view.added_queues.insert(*subscriber, queue);
-                }
-                IndexOp::Deregister { subscriber } => {
-                    view.removed_subscribers.insert(*subscriber);
-                }
-                IndexOp::Subscribe { sub, owner, filter } => {
-                    view.added_subs.push((*sub, *owner, filter));
-                }
-                IndexOp::Unsubscribe { sub } => {
-                    view.removed_subs.insert(*sub);
-                }
-            }
-        }
-        view
-    }
-
-    /// The live queue of `owner`, checking the delta before the base;
-    /// `None` when the subscriber was deregistered in the delta.
-    fn queue_for(&self, owner: SubscriberId, base: &'a IndexBase) -> Option<&'a QueueHandle> {
-        if self.removed_subscribers.contains(&owner) {
-            return None;
-        }
-        self.added_queues
-            .get(&owner)
-            .copied()
-            .or_else(|| base.queues.get(&owner))
-    }
-}
-
 impl IndexSnapshot {
-    /// Every `(owner, queue)` the event must be offered to: the indexed
-    /// base matches overlaid with the delta (delta subscriptions are
-    /// filter-evaluated directly — the delta is bounded, so this is at
-    /// most [`DELTA_MATERIALIZE`] evaluations).
-    fn targets(&self, event: &Event) -> Vec<(SubscriberId, QueueHandle)> {
-        let view = DeltaView::build(&self.delta);
-        let mut out = Vec::new();
-        for sub in self.base.matcher.matches(event) {
-            if view.removed_subs.contains(&sub) {
-                continue;
-            }
-            let Some(owner) = self.base.owners.get(&sub).copied() else {
-                continue;
-            };
-            if let Some(queue) = view.queue_for(owner, &self.base) {
-                out.push((owner, queue.clone()));
-            }
-        }
-        for (sub, owner, filter) in &view.added_subs {
-            if view.removed_subs.contains(sub) || !filter.matches(event) {
-                continue;
-            }
-            if let Some(queue) = view.queue_for(*owner, &self.base) {
-                out.push((*owner, queue.clone()));
-            }
-        }
-        out
-    }
-
-    /// Resolve one subscription to its owner and queue (the `deliver`
-    /// path, which bypasses matching).
-    fn route(&self, sub: SubscriptionId) -> Result<(SubscriberId, QueueHandle), BrokerError> {
-        let view = DeltaView::build(&self.delta);
-        if view.removed_subs.contains(&sub) {
-            return Err(BrokerError::UnknownSubscription(sub));
-        }
-        let owner = view
-            .added_subs
-            .iter()
-            .find(|(s, _, _)| *s == sub)
-            .map(|(_, owner, _)| *owner)
-            .or_else(|| self.base.owners.get(&sub).copied())
-            .ok_or(BrokerError::UnknownSubscription(sub))?;
-        match view.queue_for(owner, &self.base) {
-            Some(queue) => Ok((owner, queue.clone())),
-            None => Err(BrokerError::UnknownSubscriber(owner)),
-        }
+    /// Every `(owner, queue)` the event must be offered to, one per
+    /// matching subscription.
+    fn targets(&self, event: &Event) -> impl Iterator<Item = &Route> {
+        self.matcher
+            .matches(event)
+            .into_iter()
+            .filter_map(|sub| self.routes.get(&sub))
     }
 }
 
@@ -346,10 +215,9 @@ enum Offer {
 }
 
 struct BrokerInner {
-    matcher: Box<dyn MatchEngine>,
+    /// The master index; every published snapshot is a clone of it.
+    index: IndexSnapshot,
     subscribers: HashMap<SubscriberId, SubscriberEntry>,
-    /// Owner of each subscription.
-    owners: HashMap<SubscriptionId, SubscriberId>,
 }
 
 /// A local publish-subscribe broker.
@@ -376,8 +244,7 @@ pub struct Broker {
     /// a momentary read lock; writers (already serialized by `inner`'s
     /// write lock) swap in a whole new snapshot.
     snapshot: RwLock<Arc<IndexSnapshot>>,
-    /// How many snapshots have been published (delta extensions and
-    /// materializations alike).
+    /// How many snapshots have been published.
     snapshot_swaps: AtomicU64,
     next_subscriber: AtomicU64,
     next_subscription: AtomicU64,
@@ -389,7 +256,7 @@ impl fmt::Debug for Broker {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Broker")
             .field("subscribers", &self.inner.read().subscribers.len())
-            .field("subscriptions", &self.inner.read().matcher.len())
+            .field("subscriptions", &self.inner.read().index.matcher.len())
             .field("schema", &self.schema.as_ref().map(Schema::name))
             .finish()
     }
@@ -430,29 +297,25 @@ impl Broker {
             _ => None,
         };
         let entry = SubscriberEntry {
-            slot: Arc::new(QueueSlot {
-                endpoints: RwLock::new(Some(QueueEndpoints {
-                    sender: tx,
-                    evictor,
-                })),
-            }),
+            queue: QueueHandle {
+                slot: Arc::new(QueueSlot {
+                    endpoints: RwLock::new(Some(QueueEndpoints {
+                        sender: tx,
+                        evictor,
+                    })),
+                }),
+            },
+            subscriptions: HashSet::new(),
         };
-        let queue = entry.queue_handle();
-        let mut inner = self.inner.write();
-        inner.subscribers.insert(id, entry);
-        self.swap_snapshot(
-            &inner,
-            [IndexOp::Register {
-                subscriber: id,
-                queue,
-            }],
-        );
-        drop(inner);
+        // Nothing routes to a subscriber without subscriptions, so the
+        // published index is still current.
+        self.inner.write().subscribers.insert(id, entry);
         (id, SubscriberHandle { id, receiver: rx })
     }
 
-    /// Remove a subscriber and all of its subscriptions. Returns how many
-    /// subscriptions were removed.
+    /// Remove a subscriber and all of its subscriptions, in one index
+    /// write and one snapshot swap. Returns how many subscriptions were
+    /// removed.
     ///
     /// # Errors
     ///
@@ -466,24 +329,16 @@ impl Broker {
         // Empty the shared slot now rather than waiting for published
         // snapshots to age out: dropping the sender disconnects the
         // channel, so a receiver parked on the queue wakes immediately.
-        *entry.slot.endpoints.write() = None;
-        let owned: Vec<SubscriptionId> = inner
-            .owners
-            .iter()
-            .filter(|(_, o)| **o == id)
-            .map(|(s, _)| *s)
-            .collect();
-        for sub in &owned {
-            inner.matcher.remove(*sub);
-            inner.owners.remove(sub);
+        *entry.queue.slot.endpoints.write() = None;
+        for sub in &entry.subscriptions {
+            inner.index.matcher.remove(*sub);
+            inner.index.routes.remove(sub);
             self.stats.record_unsubscribe();
         }
-        let ops = owned
-            .iter()
-            .map(|sub| IndexOp::Unsubscribe { sub: *sub })
-            .chain([IndexOp::Deregister { subscriber: id }]);
-        self.swap_snapshot(&inner, ops);
-        Ok(owned.len())
+        if !entry.subscriptions.is_empty() {
+            self.swap_snapshot(&inner);
+        }
+        Ok(entry.subscriptions.len())
     }
 
     /// Place a subscription on behalf of `subscriber`.
@@ -503,21 +358,19 @@ impl Broker {
             schema.validate_filter(&filter)?;
         }
         let mut inner = self.inner.write();
-        if !inner.subscribers.contains_key(&subscriber) {
+        let Some(entry) = inner.subscribers.get_mut(&subscriber) else {
             return Err(BrokerError::UnknownSubscriber(subscriber));
-        }
+        };
         let sub = SubscriptionId(self.next_subscription.fetch_add(1, Ordering::Relaxed));
-        inner.matcher.insert(sub, filter.clone());
-        inner.owners.insert(sub, subscriber);
+        entry.subscriptions.insert(sub);
+        let route = Route {
+            owner: subscriber,
+            queue: entry.queue.clone(),
+        };
+        inner.index.matcher.insert(sub, filter);
+        inner.index.routes.insert(sub, route);
         self.stats.record_subscribe();
-        self.swap_snapshot(
-            &inner,
-            [IndexOp::Subscribe {
-                sub,
-                owner: subscriber,
-                filter,
-            }],
-        );
+        self.swap_snapshot(&inner);
         Ok(sub)
     }
 
@@ -530,62 +383,37 @@ impl Broker {
     pub fn unsubscribe(&self, sub: SubscriptionId) -> Result<Filter, BrokerError> {
         let mut inner = self.inner.write();
         let filter = inner
+            .index
             .matcher
             .remove(sub)
             .ok_or(BrokerError::UnknownSubscription(sub))?;
-        inner.owners.remove(&sub);
+        if let Some(route) = inner.index.routes.remove(&sub) {
+            if let Some(entry) = inner.subscribers.get_mut(&route.owner) {
+                entry.subscriptions.remove(&sub);
+            }
+        }
         self.stats.record_unsubscribe();
-        self.swap_snapshot(&inner, [IndexOp::Unsubscribe { sub }]);
+        self.swap_snapshot(&inner);
         Ok(filter)
     }
 
-    /// Publish the next index snapshot: the current one plus `ops`, or a
-    /// freshly materialized base when the delta would cross
-    /// [`DELTA_MATERIALIZE`]. Must be called with the master write lock
-    /// held (`inner`), which serializes swaps.
-    fn swap_snapshot(&self, inner: &BrokerInner, ops: impl IntoIterator<Item = IndexOp>) {
-        let current = self.snapshot.read().clone();
-        let mut delta = current.delta.clone();
-        delta.extend(ops);
-        let next = if delta.len() >= DELTA_MATERIALIZE {
-            IndexSnapshot {
-                base: Arc::new(IndexBase {
-                    matcher: inner.matcher.clone_box(),
-                    owners: inner.owners.clone(),
-                    queues: inner
-                        .subscribers
-                        .iter()
-                        .map(|(id, entry)| (*id, entry.queue_handle()))
-                        .collect(),
-                }),
-                delta: Vec::new(),
-                notifier: current.notifier.clone(),
-            }
-        } else {
-            IndexSnapshot {
-                base: Arc::clone(&current.base),
-                delta,
-                notifier: current.notifier.clone(),
-            }
-        };
-        *self.snapshot.write() = Arc::new(next);
+    /// Publish the master index as the next snapshot. Must be called with
+    /// the master write lock held (`inner`), which serializes swaps.
+    fn swap_snapshot(&self, inner: &BrokerInner) {
+        let next = Arc::new(inner.index.clone());
+        let previous = std::mem::replace(&mut *self.snapshot.write(), next);
         self.snapshot_swaps.fetch_add(1, Ordering::Relaxed);
+        // Dropped here, outside the snapshot lock: if no publish still
+        // holds it, this frees the nodes only it referenced.
+        drop(previous);
     }
 
     /// Swap a snapshot that differs from the current one only in its
-    /// notifier (index base and delta are shared).
+    /// notifier.
     fn swap_notifier(&self, notifier: Option<Arc<dyn DeliveryNotifier>>) {
-        // The master write lock serializes this against index writers.
-        let inner = self.inner.write();
-        let current = self.snapshot.read().clone();
-        let next = IndexSnapshot {
-            base: Arc::clone(&current.base),
-            delta: current.delta.clone(),
-            notifier,
-        };
-        *self.snapshot.write() = Arc::new(next);
-        self.snapshot_swaps.fetch_add(1, Ordering::Relaxed);
-        drop(inner);
+        let mut inner = self.inner.write();
+        inner.index.notifier = notifier;
+        self.swap_snapshot(&inner);
     }
 
     /// Register an observer called (outside any broker lock) whenever a
@@ -642,7 +470,7 @@ impl Broker {
         // One subscriber may hold several matching subscriptions; deliver
         // one copy per matching *subscription*, as real brokers do (the
         // frontend can dedup if it wants to).
-        for (owner, queue) in &targets {
+        for Route { owner, queue } in targets {
             match self.offer(queue, Arc::clone(&published)) {
                 Offer::Delivered => delivered += 1,
                 Offer::DeliveredEvicting => {
@@ -726,13 +554,17 @@ impl Broker {
         // Resolve against the published snapshot, offer outside any lock
         // (see `publish` for why).
         let snap = self.snapshot.read().clone();
-        let (owner, queue) = snap.route(sub)?;
+        let Route { owner, queue } = snap
+            .routes
+            .get(&sub)
+            .ok_or(BrokerError::UnknownSubscription(sub))?;
+        let owner = *owner;
         let notify = |_: &Broker| {
             if let Some(notifier) = &snap.notifier {
                 notifier.notify(owner);
             }
         };
-        match self.offer(&queue, event.into()) {
+        match self.offer(queue, event.into()) {
             Offer::Delivered => {
                 self.stats.record_delivery(1);
                 notify(self);
@@ -815,7 +647,7 @@ impl Broker {
 
     /// Number of live subscriptions.
     pub fn subscription_count(&self) -> usize {
-        self.inner.read().matcher.len()
+        self.inner.read().index.matcher.len()
     }
 
     /// Number of registered subscribers.
@@ -825,7 +657,7 @@ impl Broker {
 
     /// The filter of a live subscription.
     pub fn subscription_filter(&self, sub: SubscriptionId) -> Option<Filter> {
-        self.inner.read().matcher.filter(sub).cloned()
+        self.inner.read().index.matcher.filter(sub).cloned()
     }
 
     /// Operation counters.
@@ -841,7 +673,6 @@ pub struct BrokerBuilder {
     queue_capacity: Option<usize>,
     overflow: OverflowPolicy,
     block_timeout: Option<Duration>,
-    matcher: Option<Box<dyn MatchEngine>>,
 }
 
 impl fmt::Debug for BrokerBuilder {
@@ -880,39 +711,19 @@ impl BrokerBuilder {
         self
     }
 
-    /// Use a custom matching engine (defaults to [`IndexMatcher`]).
-    pub fn matcher(mut self, matcher: Box<dyn MatchEngine>) -> Self {
-        self.matcher = Some(matcher);
-        self
-    }
-
     /// Build the broker.
     pub fn build(self) -> Broker {
-        let matcher = self
-            .matcher
-            .unwrap_or_else(|| Box::new(IndexMatcher::new()));
-        // The first published snapshot is the empty master state.
-        let snapshot = IndexSnapshot {
-            base: Arc::new(IndexBase {
-                matcher: matcher.clone_box(),
-                owners: HashMap::new(),
-                queues: HashMap::new(),
-            }),
-            delta: Vec::new(),
-            notifier: None,
-        };
         Broker {
             inner: RwLock::new(BrokerInner {
-                matcher,
+                index: IndexSnapshot::default(),
                 subscribers: HashMap::new(),
-                owners: HashMap::new(),
             }),
             schema: self.schema,
             queue_capacity: self.queue_capacity,
             overflow: self.overflow,
             block_timeout: self.block_timeout.unwrap_or(DEFAULT_BLOCK_TIMEOUT),
             stats: BrokerStats::default(),
-            snapshot: RwLock::new(Arc::new(snapshot)),
+            snapshot: RwLock::new(Arc::new(IndexSnapshot::default())),
             snapshot_swaps: AtomicU64::new(0),
             next_subscriber: AtomicU64::new(0),
             next_subscription: AtomicU64::new(0),
@@ -1220,37 +1031,95 @@ mod tests {
     }
 
     #[test]
-    fn delta_materializes_into_a_fresh_base() {
-        // Cross the DELTA_MATERIALIZE threshold several times over and
-        // verify matching stays exact on both sides of each swap.
+    fn a_published_snapshot_is_untouched_by_later_writes() {
+        // The index is shared structurally between the master and every
+        // snapshot; a publish that took its snapshot before a write must
+        // keep seeing exactly what was subscribed then.
         let broker = Broker::new();
         let (a, ha) = broker.register();
-        let mut subs = Vec::new();
-        for i in 0..(3 * DELTA_MATERIALIZE as i64) {
-            subs.push(
+        let subs: Vec<SubscriptionId> = (0..600i64)
+            .map(|i| {
                 broker
-                    .subscribe(a, Filter::new().and("i", Op::Eq, i))
-                    .unwrap(),
-            );
-        }
-        let out = broker
-            .publish(Event::builder().attr("i", 5i64).build())
-            .unwrap();
-        assert_eq!(out.delivered, 1);
-        assert_eq!(ha.drain().len(), 1);
-        assert!(broker.snapshot_swaps() >= 3 * DELTA_MATERIALIZE as u64);
-        // Unsubscribe half and re-check: removals must be visible too.
+                    .subscribe(a, Filter::new().and("i", Op::Eq, i % 300))
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(broker.snapshot_swaps(), 600, "one swap per write");
+        let before = broker.snapshot.read().clone();
+        let event = |i: i64| Event::builder().attr("i", i).build();
         for sub in subs.iter().step_by(2) {
             broker.unsubscribe(*sub).unwrap();
         }
-        let even = broker
-            .publish(Event::builder().attr("i", 4i64).build())
+        let late = broker
+            .subscribe(a, Filter::new().and("i", Op::Eq, 4i64))
             .unwrap();
-        assert_eq!(even.delivered, 0, "even-indexed filters were removed");
-        let odd = broker
-            .publish(Event::builder().attr("i", 5i64).build())
+        assert_eq!(broker.snapshot_swaps(), 901);
+        for i in [4, 5, 299] {
+            assert_eq!(
+                before.targets(&event(i)).count(),
+                2,
+                "old snapshot, i = {i}"
+            );
+        }
+        assert!(before.routes.get(&late).is_none());
+        // Even-numbered subscriptions held even `i`: 4 lost both copies
+        // and gained the late one, 5 kept both.
+        assert_eq!(broker.publish(event(4)).unwrap().delivered, 1);
+        assert_eq!(broker.publish(event(5)).unwrap().delivered, 2);
+        assert_eq!(ha.drain().len(), 3);
+    }
+
+    #[test]
+    fn deregister_retires_every_subscription_in_one_swap() {
+        let broker = Broker::new();
+        let (big, big_handle) = broker.register();
+        let (other, other_handle) = broker.register();
+        let (idle, _idle_handle) = broker.register();
+        assert_eq!(broker.snapshot_swaps(), 0, "registering changes no index");
+        // 3000 subscriptions over 1000 distinct filters, each of which
+        // the other subscriber holds too.
+        let mut held = Vec::new();
+        for i in 0..3000i64 {
+            held.push(
+                broker
+                    .subscribe(big, Filter::new().and("i", Op::Eq, i % 1000))
+                    .unwrap(),
+            );
+        }
+        for i in 0..1000i64 {
+            broker
+                .subscribe(other, Filter::new().and("i", Op::Eq, i))
+                .unwrap();
+        }
+        broker.unsubscribe(held[0]).unwrap();
+        let swaps = broker.snapshot_swaps();
+        assert_eq!(broker.deregister(big).unwrap(), 2999);
+        assert_eq!(broker.snapshot_swaps(), swaps + 1);
+        assert_eq!(broker.subscription_count(), 1000);
+        assert_eq!(broker.subscriber_count(), 2);
+        assert_eq!(broker.stats().unsubscribes, 3000);
+        assert!(big_handle.recv_timeout(Duration::from_millis(1)).is_none());
+        for sub in [held[0], held[1], held[2999]] {
+            assert!(matches!(
+                broker.unsubscribe(sub),
+                Err(BrokerError::UnknownSubscription(_))
+            ));
+            assert!(broker.subscription_filter(sub).is_none());
+        }
+        assert!(matches!(
+            broker.deregister(big),
+            Err(BrokerError::UnknownSubscriber(_))
+        ));
+        // The filters the two shared are still live for the survivor.
+        let out = broker
+            .publish(Event::builder().attr("i", 7i64).build())
             .unwrap();
-        assert_eq!(odd.delivered, 1);
+        assert_eq!((out.delivered, out.dropped), (1, 0));
+        assert_eq!(other_handle.drain().len(), 1);
+        // A subscriber without subscriptions leaves the index alone.
+        let swaps = broker.snapshot_swaps();
+        assert_eq!(broker.deregister(idle).unwrap(), 0);
+        assert_eq!(broker.snapshot_swaps(), swaps);
     }
 
     #[test]

@@ -8,13 +8,13 @@
 //! and comparisons over arbitrary attributes).
 
 use crate::event::{Event, TOPIC_ATTR};
-use crate::value::{Value, ValueType};
+use crate::value::{Value, ValueKey, ValueType};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
 /// Comparison operator of a [`Predicate`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum Op {
     /// Attribute equals operand (numeric equality crosses int/float).
     Eq,
@@ -362,6 +362,66 @@ impl FromIterator<Predicate> for Filter {
     }
 }
 
+/// One predicate of a [`FilterKey`]: the attribute, the operator and the
+/// operand's canonical [`ValueKey`].
+///
+/// The operand is `None` where it cannot distinguish two predicates: for
+/// `Exists`, which ignores it, and for `NaN`, which has no key — every
+/// `NaN` compares alike (unequal to everything, unordered with
+/// everything), whatever its bit pattern.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+struct PredicateKey {
+    attr: String,
+    op: Op,
+    operand: Option<ValueKey<'static>>,
+}
+
+/// The canonical, hashable identity of a [`Filter`].
+///
+/// Two filters with equal keys match exactly the same events: predicates
+/// are sorted and deduplicated (a conjunction is a set), and operands are
+/// compared as the matchers compare them — `Int(3)` and `Float(3.0)`, or
+/// `0.0` and `-0.0`, are one operand. The converse does not hold: `x > 3`
+/// and `x > 3 ∧ x > 2` are equivalent filters with different keys.
+///
+/// The index matcher collapses subscriptions with equal keys into one
+/// posting, and a federation advertises them to its peers once.
+///
+/// # Examples
+///
+/// ```
+/// use reef_pubsub::{Filter, FilterKey, Op};
+///
+/// let a = Filter::new().and("sym", Op::Eq, "ACME").and("px", Op::Ge, 3);
+/// let b = Filter::new().and("px", Op::Ge, 3.0).and("sym", Op::Eq, "ACME");
+/// assert_eq!(FilterKey::of(&a), FilterKey::of(&b));
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct FilterKey {
+    predicates: Vec<PredicateKey>,
+}
+
+impl FilterKey {
+    /// The key of `filter`.
+    pub fn of(filter: &Filter) -> FilterKey {
+        let mut predicates: Vec<PredicateKey> = filter
+            .predicates
+            .iter()
+            .map(|p| PredicateKey {
+                attr: p.attr.clone(),
+                op: p.op,
+                operand: match p.op {
+                    Op::Exists => None,
+                    _ => ValueKey::of(&p.operand).map(ValueKey::into_owned),
+                },
+            })
+            .collect();
+        predicates.sort_unstable();
+        predicates.dedup();
+        FilterKey { predicates }
+    }
+}
+
 /// Expected type of the operand for predicates on an attribute of type `ty`
 /// under operator `op`. Used by [`crate::Schema`] validation.
 pub fn expected_operand_type(ty: ValueType, op: Op) -> ValueType {
@@ -517,6 +577,55 @@ mod tests {
         assert!(f.validate_operands().is_err());
         let f = Filter::new().and("x", Op::Prefix, "a").and("y", Op::Lt, 3);
         assert!(f.validate_operands().is_ok());
+    }
+
+    #[test]
+    fn filter_key_ignores_order_duplicates_and_numeric_type() {
+        let a = Filter::new()
+            .and("sym", Op::Eq, "A")
+            .and("px", Op::Lt, 5)
+            .and("px", Op::Lt, 5.0)
+            .and_exists("venue");
+        let b = Filter::new()
+            .and("venue", Op::Exists, "ignored")
+            .and("px", Op::Lt, 5.0)
+            .and("sym", Op::Eq, "A");
+        assert_eq!(FilterKey::of(&a), FilterKey::of(&b));
+        assert_eq!(
+            FilterKey::of(&Filter::new().and("z", Op::Eq, 0.0)),
+            FilterKey::of(&Filter::new().and("z", Op::Eq, -0.0))
+        );
+        assert_eq!(FilterKey::of(&Filter::new()), FilterKey::of(&Filter::new()));
+    }
+
+    #[test]
+    fn filter_key_separates_what_matches_differently() {
+        let base = Filter::new().and("px", Op::Lt, 5);
+        for other in [
+            Filter::new().and("px", Op::Le, 5),
+            Filter::new().and("px", Op::Lt, 6),
+            Filter::new().and("qx", Op::Lt, 5),
+            Filter::new().and("px", Op::Lt, "5"),
+            Filter::new().and("px", Op::Lt, 5).and_exists("sym"),
+            Filter::new(),
+        ] {
+            assert_ne!(FilterKey::of(&base), FilterKey::of(&other), "{other}");
+        }
+    }
+
+    #[test]
+    fn filter_key_gives_every_nan_one_identity() {
+        let quiet = Filter::new().and("x", Op::Ne, f64::NAN);
+        let other_bits = Filter::new().and("x", Op::Ne, f64::from_bits(0x7ff8_0000_0000_0001));
+        assert_eq!(FilterKey::of(&quiet), FilterKey::of(&other_bits));
+        assert_ne!(
+            FilterKey::of(&quiet),
+            FilterKey::of(&Filter::new().and("x", Op::Eq, f64::NAN))
+        );
+        assert_ne!(
+            FilterKey::of(&quiet),
+            FilterKey::of(&Filter::new().and_exists("x"))
+        );
     }
 
     #[test]

@@ -11,8 +11,12 @@
 //! * **schemas** describing "valid name-value pairs" of a pub/sub
 //!   interface ([`Schema`]), the contract the attention parser matches
 //!   tokens against (paper §2.1);
-//! * two **matching engines** ([`NaiveMatcher`], [`IndexMatcher`]) behind
-//!   a common trait ([`MatchEngine`]);
+//! * the **matching index** ([`IndexMatcher`]): one posting per distinct
+//!   filter, reached through an equality access key or by counting, with
+//!   structural sharing between snapshots — the one engine the broker and
+//!   the routing core run. [`NaiveMatcher`], a linear scan behind the same
+//!   [`MatchEngine`] trait, is kept only as the oracle tests and
+//!   benchmarks compare it with; nothing at run time can select it;
 //! * a thread-safe single-node **broker** ([`Broker`]) with per-subscriber
 //!   delivery queues;
 //! * a sans-io **broker routing core** ([`BrokerNode`]) — subscription
@@ -49,6 +53,7 @@ pub mod matcher;
 pub mod net;
 pub mod overlay;
 pub mod parse;
+mod pmap;
 pub mod routing;
 pub mod schema;
 pub mod stats;
@@ -61,7 +66,7 @@ pub use broker::{
 pub use clock::{Clock, ManualClock, SystemClock};
 pub use error::{BrokerError, OverlayError, SchemaError};
 pub use event::{Event, EventBuilder, EventId, PublishedEvent, TOPIC_ATTR};
-pub use filter::{Filter, Op, Predicate};
+pub use filter::{Filter, FilterKey, Op, Predicate};
 pub use matcher::{IndexMatcher, MatchEngine, NaiveMatcher, SubscriptionId};
 pub use net::{NetStats, NodeId, SimTransport, Transport, TransportDelivery};
 pub use overlay::{BrokerNode, ClientId, GlobalSubId, NodeOutput, Overlay, PeerMsg, MAX_HOPS};

@@ -1,25 +1,72 @@
 //! Matching engines: deciding which subscriptions an event satisfies.
 //!
-//! Two engines are provided behind the [`MatchEngine`] trait:
+//! [`IndexMatcher`] is the engine everything runs on — the broker, the
+//! routing core ([`crate::BrokerNode`]) and through it the federation.
+//! [`NaiveMatcher`] evaluates every filter against every event; it is the
+//! oracle the tests and benchmarks hold the index against, and nothing at
+//! run time can select it. Both implement [`MatchEngine`].
 //!
-//! * [`NaiveMatcher`] — evaluates every registered filter against every
-//!   event. Simple, and fastest for very small subscription sets.
-//! * [`IndexMatcher`] — the counting algorithm used by scalable
-//!   content-based systems (Gryphon's matching tree and Siena's forwarding
-//!   tables are refinements of it): predicates are indexed so that an event
-//!   only touches predicates over attributes it actually carries, and a
-//!   filter matches when its per-event satisfied-predicate count reaches its
-//!   total predicate count.
+//! # What the index stores
 //!
-//! Benchmark **B1** (`cargo bench -p reef-bench --bench matcher`) compares
-//! the two across subscription-set sizes.
+//! The paper's loop turns every reader's clicks into subscriptions, so a
+//! broker's population grows with users × interests and is heavily
+//! duplicated. The index therefore keeps one **slot** per *distinct*
+//! filter (distinct by [`FilterKey`]) with the list of subscriptions that
+//! own it, and an event is matched against slots; a matching slot
+//! contributes all of its owners. Each slot falls in one of three classes:
+//!
+//! 1. **Keyed** — the filter has an `Eq` predicate with a keyable operand
+//!    (anything but `NaN`). The slot is posted *once*, under the access
+//!    key `(attribute, value)` of one such predicate (the one whose bucket
+//!    is smallest when the slot is created). An event probes one bucket
+//!    per attribute it carries and verifies the slot's remaining
+//!    predicates directly on the few candidates found there. Cost per
+//!    event: O(attributes) hash probes + O(candidates × predicates);
+//!    filters keyed on values the event does not carry are never looked
+//!    at. Topic subscriptions and `sym = … ∧ px …` filters live here.
+//! 2. **Counted** — no keyable equality. Every predicate is indexed under
+//!    its attribute: `Lt`/`Le`/`Gt`/`Ge` with numeric operands in four
+//!    arrays sorted by operand, where the predicates an event value
+//!    satisfies form a prefix or suffix found by binary search; `Exists`
+//!    in a list satisfied by presence; everything else (`Ne`, string
+//!    operators, ordering against strings or booleans, `Eq NaN`) in a
+//!    scan list evaluated one by one. Each satisfied predicate bumps its
+//!    slot's counter in a per-thread, generation-stamped array, and the
+//!    slot matches when the counter reaches its predicate count. Cost per
+//!    event: O(log n + satisfied predicates + scan-list length) per
+//!    attribute. Keyword subscriptions (`body =~ …`) live here.
+//! 3. **Match-all** — the empty filter: one slot, contributed to every
+//!    event.
+//!
+//! A match allocates nothing but its result: probes borrow the event's
+//! strings ([`ValueKey`]) and the counters are reused across events.
+//!
+//! # Sharing
+//!
+//! Every table is a persistent map (see `pmap.rs`) or sits behind an
+//! [`Arc`] inside one: the subscription table, the slot table, the
+//! key-to-slot table, one shard per attribute holding its buckets and its
+//! counted arrays, and each slot's owner list. Cloning an index — which is
+//! how the broker publishes a snapshot after every write — copies a
+//! handful of pointers. A write to an index whose clone is still alive
+//! copies the tree paths it walks (O(log n)) plus the one bucket, owner
+//! list or counted shard it changes: inserting or removing a keyed filter
+//! costs O(log n + bucket), adding or removing a duplicate O(log n +
+//! owners of that filter), and a counted filter O(counted predicates on
+//! its attributes). No write is O(subscriptions).
+//!
+//! Benchmark **B1** (`cargo bench -p reef-bench --bench matcher`) measures
+//! match, insert, remove and clone against [`NaiveMatcher`].
 
 use crate::event::Event;
-use crate::filter::{Filter, Op, Predicate};
-use crate::value::ValueKey;
+use crate::filter::{Filter, FilterKey, Op, Predicate};
+use crate::pmap::PMap;
+use crate::value::{Value, ValueKey};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a subscription within one matcher/broker.
 #[derive(
@@ -37,7 +84,7 @@ impl fmt::Display for SubscriptionId {
 /// filters they satisfy.
 ///
 /// Engines are deterministic: [`MatchEngine::matches`] returns ids sorted
-/// ascending.
+/// ascending, one per matching subscription.
 pub trait MatchEngine: fmt::Debug + Send + Sync {
     /// Register a filter under an id. Ids must be unique; re-inserting an
     /// existing id replaces its filter.
@@ -61,14 +108,15 @@ pub trait MatchEngine: fmt::Debug + Send + Sync {
     /// Look up the filter registered under `id`.
     fn filter(&self, id: SubscriptionId) -> Option<&Filter>;
 
-    /// Deep-copy the engine behind a fresh box. Read-mostly callers (the
-    /// broker's snapshot index) clone the engine to build an immutable
-    /// published view, so matching never has to share a lock with
-    /// writers.
+    /// Copy the engine behind a fresh box. For [`IndexMatcher`] the copy
+    /// shares its tables with the original (see the module notes).
     fn clone_box(&self) -> Box<dyn MatchEngine>;
 }
 
 /// Linear-scan matcher: evaluates every filter per event.
+///
+/// This is the reference the index is tested and benchmarked against; the
+/// broker and the routing core always run [`IndexMatcher`].
 #[derive(Debug, Default, Clone)]
 pub struct NaiveMatcher {
     filters: HashMap<SubscriptionId, Filter>,
@@ -114,43 +162,196 @@ impl MatchEngine for NaiveMatcher {
     }
 }
 
-/// Internal record of one indexed predicate: which filter it belongs to.
-#[derive(Debug, Clone)]
-struct PredEntry {
-    id: SubscriptionId,
-    pred: Predicate,
+/// Dense id of a distinct filter; indexes the per-thread counters.
+type SlotId = u32;
+
+/// One subscription: the slot of its filter, and the filter as given.
+#[derive(Clone)]
+struct Sub {
+    slot: SlotId,
+    filter: Arc<Filter>,
 }
 
-/// Counting-based index matcher.
-///
-/// Predicates are partitioned by attribute name, and within an attribute by
-/// class:
-///
-/// * equality predicates live in a hash map keyed by the canonical
-///   [`ValueKey`] of the operand — an event attribute probes one bucket;
-/// * existence predicates live in a per-attribute list satisfied by
-///   presence alone;
-/// * all other predicates (ordered and string operators) live in a
-///   per-attribute list evaluated against the event's value for that
-///   attribute only.
-///
-/// A per-event counter per candidate filter tracks how many of its
-/// predicates were satisfied; a filter matches when the counter reaches the
-/// filter's predicate count. Empty (match-all) filters are tracked
-/// separately and match every event.
-#[derive(Debug, Default, Clone)]
+/// How events reach a slot — its class in the module notes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Access {
+    /// Posted in the bucket of this predicate (an index into the slot's
+    /// filter); the other predicates are verified on the event.
+    Keyed(usize),
+    /// Every predicate is indexed and counted.
+    Counted,
+    /// The empty filter.
+    All,
+}
+
+/// One distinct filter and the subscriptions that hold it.
+#[derive(Clone)]
+struct Slot {
+    key: Arc<FilterKey>,
+    /// The filter of the subscription that created the slot; predicates
+    /// are evaluated through it.
+    filter: Arc<Filter>,
+    access: Access,
+    /// Sorted ascending. Behind its own `Arc` so that copying a leaf of
+    /// the slot table does not copy its neighbours' owner lists.
+    owners: Arc<Vec<SubscriptionId>>,
+}
+
+/// An entry of the slot table. Freed ids are chained through the table
+/// itself, so the free list is shared and copied like everything else.
+#[derive(Clone)]
+enum SlotEntry {
+    Live(Slot),
+    Free { next: Option<SlotId> },
+}
+
+/// The slot a counted predicate belongs to, and how many satisfied
+/// predicates make that slot match.
+#[derive(Debug, Clone, Copy)]
+struct Target {
+    slot: SlotId,
+    need: u32,
+}
+
+/// A counted predicate that has to be evaluated: predicate `pred` of
+/// `filter`.
+#[derive(Clone)]
+struct ScanEntry {
+    target: Target,
+    filter: Arc<Filter>,
+    pred: usize,
+}
+
+/// The counted predicates on one attribute.
+#[derive(Clone, Default)]
+struct Counted {
+    exists: Vec<Target>,
+    /// `Lt`, `Le`, `Gt`, `Ge` with numeric operands, each sorted by
+    /// operand.
+    ordered: [Vec<(f64, Target)>; 4],
+    scan: Vec<ScanEntry>,
+}
+
+/// Where a counted predicate is filed.
+enum Place {
+    Exists,
+    /// Index into [`Counted::ordered`] and the operand (never `NaN`).
+    Ordered(usize, f64),
+    Scan,
+}
+
+impl Place {
+    fn of(pred: &Predicate) -> Place {
+        let which = match pred.op {
+            Op::Exists => return Place::Exists,
+            Op::Lt => 0,
+            Op::Le => 1,
+            Op::Gt => 2,
+            Op::Ge => 3,
+            _ => return Place::Scan,
+        };
+        match pred.operand.as_f64() {
+            Some(operand) if !operand.is_nan() => Place::Ordered(which, operand),
+            _ => Place::Scan,
+        }
+    }
+}
+
+/// Everything indexed under one attribute name.
+#[derive(Clone, Default)]
+struct AttrShard {
+    /// Access keys: operand → the keyed slots posted under
+    /// `attribute = operand`.
+    buckets: PMap<ValueKey<'static>, Arc<Vec<SlotId>>>,
+    counted: Arc<Counted>,
+}
+
+impl AttrShard {
+    fn bucket(&self, value: &Value) -> &[SlotId] {
+        if self.buckets.is_empty() {
+            return &[];
+        }
+        let Some(probe) = ValueKey::of(value) else {
+            return &[];
+        };
+        self.buckets
+            .get_with(self.buckets.hash_of(&probe), |key| *key == probe)
+            .map_or(&[], |bucket| bucket.as_slice())
+    }
+
+    fn is_empty(&self) -> bool {
+        let counted = &self.counted;
+        self.buckets.is_empty()
+            && counted.exists.is_empty()
+            && counted.scan.is_empty()
+            && counted.ordered.iter().all(Vec::is_empty)
+    }
+}
+
+/// Per-thread counters of the counted class, indexed by slot. A cell
+/// belongs to the current event only if its stamp is the current
+/// generation, so nothing is cleared between events.
+#[derive(Default)]
+struct Counters {
+    generation: u32,
+    cells: Vec<(u32, u32)>,
+}
+
+thread_local! {
+    static COUNTERS: RefCell<Counters> = RefCell::default();
+}
+
+impl Counters {
+    fn next_event(&mut self) {
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            self.cells.fill((0, 0));
+            self.generation = 1;
+        }
+    }
+
+    /// Count one satisfied predicate; `true` when its slot now matches.
+    fn bump(&mut self, target: Target) -> bool {
+        let at = target.slot as usize;
+        if at >= self.cells.len() {
+            self.cells.resize(at + 1, (0, 0));
+        }
+        let cell = &mut self.cells[at];
+        if cell.0 != self.generation {
+            *cell = (self.generation, 0);
+        }
+        cell.1 += 1;
+        cell.1 == target.need
+    }
+}
+
+/// The subscription index: one slot per distinct filter, reached through
+/// an equality access key where the filter has one and by counting where
+/// it does not, with every table shared between clones. See the module
+/// notes for the classes, the cost of an event in each, and the sharing
+/// scheme.
+#[derive(Clone, Default)]
 pub struct IndexMatcher {
-    filters: HashMap<SubscriptionId, Filter>,
-    /// Predicate counts per filter (cached from `filters`).
-    arity: HashMap<SubscriptionId, usize>,
-    /// attr -> operand key -> subscriptions with `attr = operand`.
-    eq_index: HashMap<String, HashMap<ValueKey, Vec<SubscriptionId>>>,
-    /// attr -> subscriptions with `attr exists`.
-    exists_index: HashMap<String, Vec<SubscriptionId>>,
-    /// attr -> other predicates on that attribute, scanned per event-attr.
-    scan_index: HashMap<String, Vec<PredEntry>>,
-    /// Subscriptions whose filter is empty (match-all).
-    match_all: Vec<SubscriptionId>,
+    subs: PMap<SubscriptionId, Sub>,
+    /// Duplicate collapsing: canonical filter → its slot.
+    by_key: PMap<Arc<FilterKey>, SlotId>,
+    slots: PMap<SlotId, SlotEntry>,
+    /// Head of the chain of freed slot ids.
+    free: Option<SlotId>,
+    /// Slot ids handed out so far (live or freed).
+    slot_count: SlotId,
+    attrs: PMap<String, AttrShard>,
+    /// The slot of the empty filter, if anyone holds it.
+    match_all: Option<SlotId>,
+}
+
+impl fmt::Debug for IndexMatcher {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("IndexMatcher")
+            .field("subscriptions", &self.subs.len())
+            .field("distinct_filters", &self.by_key.len())
+            .finish()
+    }
 }
 
 impl IndexMatcher {
@@ -159,162 +360,298 @@ impl IndexMatcher {
         Self::default()
     }
 
-    fn index_predicate(&mut self, id: SubscriptionId, pred: &Predicate) {
-        match pred.op {
-            Op::Eq => {
-                if let Some(key) = ValueKey::of(&pred.operand) {
-                    self.eq_index
-                        .entry(pred.attr.clone())
-                        .or_default()
-                        .entry(key)
-                        .or_default()
-                        .push(id);
-                } else {
-                    // Unkeyable operand (NaN): keep correct by scanning.
-                    self.scan_index
-                        .entry(pred.attr.clone())
-                        .or_default()
-                        .push(PredEntry {
-                            id,
-                            pred: pred.clone(),
-                        });
+    fn live(&self, slot: SlotId) -> &Slot {
+        match self.slots.get(&slot) {
+            Some(SlotEntry::Live(slot)) => slot,
+            _ => unreachable!("slot {slot} is posted but not live"),
+        }
+    }
+
+    fn shard_mut(&mut self, attr: &str) -> &mut AttrShard {
+        if self.attrs.get(attr).is_none() {
+            self.attrs.insert(attr.to_owned(), AttrShard::default());
+        }
+        self.attrs.get_mut(attr).expect("shard exists")
+    }
+
+    /// The class of a new slot. Of several keyable equalities the one with
+    /// the smallest bucket becomes the access key, so that a population
+    /// sharing one equality (`kind = quote ∧ sym = …`) is spread over the
+    /// other.
+    fn choose_access(&self, filter: &Filter) -> Access {
+        if filter.is_empty() {
+            return Access::All;
+        }
+        filter
+            .predicates()
+            .iter()
+            .enumerate()
+            .filter(|(_, pred)| pred.op == Op::Eq && ValueKey::of(&pred.operand).is_some())
+            .min_by_key(|(_, pred)| {
+                self.attrs
+                    .get(pred.attr.as_str())
+                    .map_or(0, |shard| shard.bucket(&pred.operand).len())
+            })
+            .map_or(Access::Counted, |(at, _)| Access::Keyed(at))
+    }
+
+    fn post(&mut self, slot: SlotId, filter: &Arc<Filter>, access: Access) {
+        match access {
+            Access::All => self.match_all = Some(slot),
+            Access::Keyed(at) => {
+                let pred = &filter.predicates()[at];
+                let key = ValueKey::of(&pred.operand)
+                    .expect("access predicate is keyable")
+                    .into_owned();
+                let shard = self.shard_mut(&pred.attr);
+                match shard.buckets.get_mut(&key) {
+                    Some(bucket) => Arc::make_mut(bucket).push(slot),
+                    None => {
+                        shard.buckets.insert(key, Arc::new(vec![slot]));
+                    }
                 }
             }
-            Op::Exists => {
-                self.exists_index
-                    .entry(pred.attr.clone())
-                    .or_default()
-                    .push(id);
-            }
-            _ => {
-                self.scan_index
-                    .entry(pred.attr.clone())
-                    .or_default()
-                    .push(PredEntry {
-                        id,
-                        pred: pred.clone(),
-                    });
+            Access::Counted => {
+                let need = u32::try_from(filter.len()).expect("predicate count fits u32");
+                let target = Target { slot, need };
+                for (at, pred) in filter.predicates().iter().enumerate() {
+                    let counted = Arc::make_mut(&mut self.shard_mut(&pred.attr).counted);
+                    match Place::of(pred) {
+                        Place::Exists => counted.exists.push(target),
+                        Place::Ordered(which, operand) => {
+                            let list = &mut counted.ordered[which];
+                            let before = list.partition_point(|(o, _)| *o < operand);
+                            list.insert(before, (operand, target));
+                        }
+                        Place::Scan => counted.scan.push(ScanEntry {
+                            target,
+                            filter: Arc::clone(filter),
+                            pred: at,
+                        }),
+                    }
+                }
             }
         }
     }
 
-    fn unindex_subscription(&mut self, id: SubscriptionId, filter: &Filter) {
-        for pred in filter.predicates() {
-            match pred.op {
-                Op::Eq => {
-                    if let Some(key) = ValueKey::of(&pred.operand) {
-                        if let Some(by_val) = self.eq_index.get_mut(&pred.attr) {
-                            if let Some(ids) = by_val.get_mut(&key) {
-                                ids.retain(|x| *x != id);
-                                if ids.is_empty() {
-                                    by_val.remove(&key);
-                                }
-                            }
-                            if by_val.is_empty() {
-                                self.eq_index.remove(&pred.attr);
-                            }
-                        }
-                        continue;
-                    }
-                    // NaN-keyed equality went to the scan index.
-                    if let Some(list) = self.scan_index.get_mut(&pred.attr) {
-                        list.retain(|e| e.id != id);
-                        if list.is_empty() {
-                            self.scan_index.remove(&pred.attr);
-                        }
-                    }
+    /// Undo [`IndexMatcher::post`], dropping buckets and shards it leaves
+    /// empty.
+    fn unpost(&mut self, slot: SlotId, filter: &Filter, access: Access) {
+        const POSTED: &str = "slot was posted here";
+        match access {
+            Access::All => self.match_all = None,
+            Access::Keyed(at) => {
+                let pred = &filter.predicates()[at];
+                let key = ValueKey::of(&pred.operand)
+                    .expect("access predicate is keyable")
+                    .into_owned();
+                let shard = self.attrs.get_mut(pred.attr.as_str()).expect(POSTED);
+                let bucket = Arc::make_mut(shard.buckets.get_mut(&key).expect(POSTED));
+                let at = bucket.iter().position(|s| *s == slot).expect(POSTED);
+                bucket.swap_remove(at);
+                if bucket.is_empty() {
+                    shard.buckets.remove(&key);
                 }
-                Op::Exists => {
-                    if let Some(ids) = self.exists_index.get_mut(&pred.attr) {
-                        ids.retain(|x| *x != id);
-                        if ids.is_empty() {
-                            self.exists_index.remove(&pred.attr);
+            }
+            Access::Counted => {
+                for (at, pred) in filter.predicates().iter().enumerate() {
+                    let shard = self.attrs.get_mut(pred.attr.as_str()).expect(POSTED);
+                    let counted = Arc::make_mut(&mut shard.counted);
+                    match Place::of(pred) {
+                        Place::Exists => {
+                            let list = &mut counted.exists;
+                            let at = list.iter().position(|t| t.slot == slot).expect(POSTED);
+                            list.swap_remove(at);
                         }
-                    }
-                }
-                _ => {
-                    if let Some(list) = self.scan_index.get_mut(&pred.attr) {
-                        list.retain(|e| e.id != id);
-                        if list.is_empty() {
-                            self.scan_index.remove(&pred.attr);
+                        Place::Ordered(which, operand) => {
+                            let list = &mut counted.ordered[which];
+                            let from = list.partition_point(|(o, _)| *o < operand);
+                            let at = list[from..]
+                                .iter()
+                                .position(|(_, t)| t.slot == slot)
+                                .expect(POSTED);
+                            list.remove(from + at);
+                        }
+                        Place::Scan => {
+                            let list = &mut counted.scan;
+                            let at = list
+                                .iter()
+                                .position(|e| e.target.slot == slot && e.pred == at)
+                                .expect(POSTED);
+                            list.swap_remove(at);
                         }
                     }
                 }
             }
         }
-        self.match_all.retain(|x| *x != id);
+        for pred in filter.predicates() {
+            if self
+                .attrs
+                .get(pred.attr.as_str())
+                .is_some_and(AttrShard::is_empty)
+            {
+                self.attrs.remove(pred.attr.as_str());
+            }
+        }
+    }
+
+    /// File a new distinct filter under a fresh or recycled slot id.
+    fn allocate(&mut self, slot: Slot) -> SlotId {
+        let id = match self.free {
+            Some(id) => {
+                let Some(SlotEntry::Free { next }) = self.slots.get(&id) else {
+                    unreachable!("slot {id} is on the free chain but live");
+                };
+                self.free = *next;
+                id
+            }
+            None => {
+                let id = self.slot_count;
+                self.slot_count = id.checked_add(1).expect("fewer than 2^32 distinct filters");
+                id
+            }
+        };
+        self.slots.insert(id, SlotEntry::Live(slot));
+        id
     }
 }
 
 impl MatchEngine for IndexMatcher {
     fn insert(&mut self, id: SubscriptionId, filter: Filter) {
-        if let Some(old) = self.filters.remove(&id) {
-            self.unindex_subscription(id, &old);
+        if self.subs.get(&id).is_some() {
+            self.remove(id);
         }
-        if filter.is_empty() {
-            self.match_all.push(id);
-        } else {
-            // A filter may constrain the same attribute more than once
-            // (e.g. 3 < x < 7); each predicate is indexed and counted
-            // separately, so duplicates are handled naturally.
-            let preds: Vec<Predicate> = filter.predicates().to_vec();
-            for pred in &preds {
-                self.index_predicate(id, pred);
+        let key = FilterKey::of(&filter);
+        let sub = match self.by_key.get(&key).copied() {
+            Some(slot) => {
+                let Some(SlotEntry::Live(held)) = self.slots.get_mut(&slot) else {
+                    unreachable!("slot {slot} is keyed but not live");
+                };
+                let owners = Arc::make_mut(&mut held.owners);
+                let before = owners.partition_point(|owner| *owner < id);
+                owners.insert(before, id);
+                // An exact duplicate shares the slot's copy of the filter.
+                let filter = if *held.filter == filter {
+                    Arc::clone(&held.filter)
+                } else {
+                    Arc::new(filter)
+                };
+                Sub { slot, filter }
             }
-        }
-        self.arity.insert(id, filter.len());
-        self.filters.insert(id, filter);
+            None => {
+                let key = Arc::new(key);
+                let filter = Arc::new(filter);
+                let access = self.choose_access(&filter);
+                let slot = self.allocate(Slot {
+                    key: Arc::clone(&key),
+                    filter: Arc::clone(&filter),
+                    access,
+                    owners: Arc::new(vec![id]),
+                });
+                self.post(slot, &filter, access);
+                self.by_key.insert(key, slot);
+                Sub { slot, filter }
+            }
+        };
+        self.subs.insert(id, sub);
     }
 
     fn remove(&mut self, id: SubscriptionId) -> Option<Filter> {
-        let filter = self.filters.remove(&id)?;
-        self.unindex_subscription(id, &filter);
-        self.arity.remove(&id);
-        Some(filter)
+        let sub = self.subs.remove(&id)?;
+        let entry = self
+            .slots
+            .get_mut(&sub.slot)
+            .expect("a subscription's slot is in the table");
+        match entry {
+            SlotEntry::Live(held) if held.owners.len() > 1 => {
+                let owners = Arc::make_mut(&mut held.owners);
+                let at = owners
+                    .binary_search(&id)
+                    .expect("subscription owns its slot");
+                owners.remove(at);
+            }
+            _ => {
+                // The last owner: the filter leaves the index, and its
+                // slot id goes onto the free chain.
+                let freed = SlotEntry::Free { next: self.free };
+                let SlotEntry::Live(held) = std::mem::replace(entry, freed) else {
+                    unreachable!("slot {} has an owner but is not live", sub.slot);
+                };
+                self.free = Some(sub.slot);
+                self.unpost(sub.slot, &held.filter, held.access);
+                self.by_key.remove(&*held.key);
+            }
+        }
+        Some(Arc::unwrap_or_clone(sub.filter))
     }
 
     fn matches(&self, event: &Event) -> Vec<SubscriptionId> {
-        let mut counts: HashMap<SubscriptionId, usize> = HashMap::new();
-        for (attr, value) in event.iter() {
-            if let Some(by_val) = self.eq_index.get(attr) {
-                if let Some(key) = ValueKey::of(value) {
-                    if let Some(ids) = by_val.get(&key) {
-                        for id in ids {
-                            *counts.entry(*id).or_insert(0) += 1;
-                        }
-                    }
-                }
-            }
-            if let Some(ids) = self.exists_index.get(attr) {
-                for id in ids {
-                    *counts.entry(*id).or_insert(0) += 1;
-                }
-            }
-            if let Some(entries) = self.scan_index.get(attr) {
-                for e in entries {
-                    if e.pred.eval(value) {
-                        *counts.entry(e.id).or_insert(0) += 1;
-                    }
-                }
-            }
+        let mut out: Vec<SubscriptionId> = Vec::new();
+        if let Some(slot) = self.match_all {
+            out.extend_from_slice(&self.live(slot).owners);
         }
-        let mut out: Vec<SubscriptionId> = counts
-            .into_iter()
-            .filter(|(id, n)| self.arity.get(id).is_some_and(|a| n == a))
-            .map(|(id, _)| id)
-            .collect();
-        out.extend(self.match_all.iter().copied());
+        COUNTERS.with_borrow_mut(|counters| {
+            counters.next_event();
+            for (attr, value) in event.iter() {
+                let Some(shard) = self.attrs.get(attr) else {
+                    continue;
+                };
+                for &candidate in shard.bucket(value) {
+                    let slot = self.live(candidate);
+                    let Access::Keyed(key) = slot.access else {
+                        unreachable!("slot {candidate} is in a bucket but not keyed");
+                    };
+                    let rest_holds = slot
+                        .filter
+                        .predicates()
+                        .iter()
+                        .enumerate()
+                        .all(|(at, pred)| at == key || pred.matches(event));
+                    if rest_holds {
+                        out.extend_from_slice(&slot.owners);
+                    }
+                }
+                let counted = &*shard.counted;
+                let mut satisfied = |target: Target| {
+                    if counters.bump(target) {
+                        out.extend_from_slice(&self.live(target.slot).owners);
+                    }
+                };
+                counted.exists.iter().for_each(|t| satisfied(*t));
+                if let Some(v) = value.as_f64().filter(|v| !v.is_nan()) {
+                    // `attr < c` holds for the operands above v, `attr > c`
+                    // for those below: a suffix and a prefix of each array.
+                    let [lt, le, gt, ge] = &counted.ordered;
+                    let ranges = [
+                        &lt[lt.partition_point(|(c, _)| *c <= v)..],
+                        &le[le.partition_point(|(c, _)| *c < v)..],
+                        &gt[..gt.partition_point(|(c, _)| *c < v)],
+                        &ge[..ge.partition_point(|(c, _)| *c <= v)],
+                    ];
+                    ranges
+                        .into_iter()
+                        .flatten()
+                        .for_each(|(_, t)| satisfied(*t));
+                }
+                for entry in &counted.scan {
+                    if entry.filter.predicates()[entry.pred].eval(value) {
+                        satisfied(entry.target);
+                    }
+                }
+            }
+        });
+        // A subscription sits in exactly one slot and a slot is reached at
+        // most once per event, so there is nothing to deduplicate.
         out.sort_unstable();
-        out.dedup();
         out
     }
 
     fn len(&self) -> usize {
-        self.filters.len()
+        self.subs.len()
     }
 
     fn filter(&self, id: SubscriptionId) -> Option<&Filter> {
-        self.filters.get(&id)
+        self.subs.get(&id).map(|sub| &*sub.filter)
     }
 
     fn clone_box(&self) -> Box<dyn MatchEngine> {
@@ -325,7 +662,6 @@ impl MatchEngine for IndexMatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::Value;
 
     fn engines() -> Vec<Box<dyn MatchEngine>> {
         vec![Box::new(NaiveMatcher::new()), Box::new(IndexMatcher::new())]
@@ -336,6 +672,10 @@ mod tests {
             .iter()
             .map(|(k, v)| ((*k).to_owned(), v.clone()))
             .collect()
+    }
+
+    fn ids(raw: &[u64]) -> Vec<SubscriptionId> {
+        raw.iter().copied().map(SubscriptionId).collect()
     }
 
     #[test]
@@ -497,5 +837,155 @@ mod tests {
             }
             assert_eq!(naive.matches(&e), index.matches(&e), "event {e}");
         }
+    }
+
+    #[test]
+    fn duplicates_share_one_slot_and_expand_to_every_owner() {
+        let mut m = IndexMatcher::new();
+        let quote = || Filter::new().and("sym", Op::Eq, "A").and("px", Op::Ge, 3);
+        m.insert(SubscriptionId(5), quote());
+        m.insert(SubscriptionId(2), quote());
+        // The same conjunction, written differently.
+        m.insert(
+            SubscriptionId(9),
+            Filter::new().and("px", Op::Ge, 3.0).and("sym", Op::Eq, "A"),
+        );
+        assert_eq!(m.len(), 3);
+        assert_eq!(m.by_key.len(), 1);
+        assert_eq!(m.slot_count, 1);
+        let e = ev(&[("sym", Value::from("A")), ("px", Value::from(4))]);
+        assert_eq!(m.matches(&e), ids(&[2, 5, 9]));
+        // Each subscription keeps the filter it was given.
+        assert_eq!(
+            m.remove(SubscriptionId(9)).unwrap().predicates()[0].attr,
+            "px"
+        );
+        assert_eq!(m.matches(&e), ids(&[2, 5]));
+        // The slot outlives the subscription that created it.
+        assert_eq!(m.remove(SubscriptionId(5)), Some(quote()));
+        assert_eq!(m.matches(&e), ids(&[2]));
+    }
+
+    #[test]
+    fn removing_the_last_owner_frees_the_slot_and_its_access_key() {
+        let mut m = IndexMatcher::new();
+        m.insert(SubscriptionId(1), Filter::topic("a"));
+        m.insert(SubscriptionId(2), Filter::topic("a"));
+        m.insert(SubscriptionId(3), Filter::topic("b"));
+        assert_eq!(m.attrs.get("topic").unwrap().buckets.len(), 2);
+        m.remove(SubscriptionId(1));
+        assert_eq!(m.by_key.len(), 2, "another owner still holds topic a");
+        assert_eq!(m.free, None);
+        m.remove(SubscriptionId(2));
+        assert_eq!(m.by_key.len(), 1);
+        assert_eq!(m.attrs.get("topic").unwrap().buckets.len(), 1);
+        assert_eq!(m.free, Some(0));
+        assert!(m.matches(&Event::topical("a", "")).is_empty());
+        // The freed id is the next one handed out.
+        m.insert(SubscriptionId(4), Filter::topic("c"));
+        assert_eq!(m.free, None);
+        assert_eq!(m.slot_count, 2);
+        assert_eq!(m.matches(&Event::topical("c", "")), ids(&[4]));
+        for id in [3, 4] {
+            m.remove(SubscriptionId(id));
+        }
+        assert!(m.attrs.is_empty(), "the emptied shard is dropped");
+        assert!(m.by_key.is_empty() && m.subs.is_empty());
+        assert_eq!(m.slot_count, 2, "ids are recycled, not forgotten");
+    }
+
+    #[test]
+    fn counted_slots_are_unposted_from_every_list() {
+        let mut m = IndexMatcher::new();
+        let f = Filter::new()
+            .and("px", Op::Gt, 1)
+            .and("px", Op::Le, 9.5)
+            .and("px", Op::Ne, 4)
+            .and("venue", Op::Prefix, "ny")
+            .and_exists("sym");
+        m.insert(SubscriptionId(1), f.clone());
+        m.insert(SubscriptionId(2), Filter::new().and("px", Op::Gt, 1));
+        let e = ev(&[
+            ("px", Value::from(5)),
+            ("venue", Value::from("nyse")),
+            ("sym", Value::from("A")),
+        ]);
+        assert_eq!(m.matches(&e), ids(&[1, 2]));
+        assert_eq!(m.remove(SubscriptionId(1)), Some(f));
+        assert_eq!(m.matches(&e), ids(&[2]));
+        assert!(m.attrs.get("venue").is_none() && m.attrs.get("sym").is_none());
+        let px = &m.attrs.get("px").unwrap().counted;
+        assert_eq!(px.ordered.iter().map(Vec::len).sum::<usize>(), 1);
+        assert!(px.scan.is_empty());
+        m.remove(SubscriptionId(2));
+        assert!(m.attrs.is_empty());
+    }
+
+    #[test]
+    fn ordered_arrays_respect_strict_and_inclusive_bounds() {
+        let mut m = IndexMatcher::new();
+        for (id, op) in [(1, Op::Lt), (2, Op::Le), (3, Op::Gt), (4, Op::Ge)] {
+            m.insert(SubscriptionId(id), Filter::new().and("x", op, 5));
+        }
+        let at = |v: Value| m.matches(&ev(&[("x", v)]));
+        assert_eq!(at(Value::from(4)), ids(&[1, 2]));
+        assert_eq!(at(Value::from(5.0)), ids(&[2, 4]));
+        assert_eq!(at(Value::from(6)), ids(&[3, 4]));
+        assert!(at(Value::from("5")).is_empty(), "no order across types");
+        assert!(at(Value::Float(f64::NAN)).is_empty());
+    }
+
+    #[test]
+    fn the_access_key_is_the_equality_with_the_smallest_bucket() {
+        let mut m = IndexMatcher::new();
+        for (id, sym) in ["A", "B", "C"].into_iter().enumerate() {
+            m.insert(
+                SubscriptionId(id as u64),
+                Filter::new()
+                    .and("kind", Op::Eq, "quote")
+                    .and("sym", Op::Eq, sym),
+            );
+        }
+        // The first filter found both buckets empty and took `kind`; the
+        // others avoid the bucket it sits in.
+        assert_eq!(m.attrs.get("kind").unwrap().buckets.len(), 1);
+        assert_eq!(m.attrs.get("sym").unwrap().buckets.len(), 2);
+        let e = ev(&[("kind", Value::from("quote")), ("sym", Value::from("B"))]);
+        assert_eq!(m.matches(&e), ids(&[1]));
+    }
+
+    #[test]
+    fn equality_on_nan_is_counted_and_never_matches() {
+        let mut m = IndexMatcher::new();
+        m.insert(SubscriptionId(1), Filter::new().and("x", Op::Eq, f64::NAN));
+        m.insert(SubscriptionId(2), Filter::new().and("x", Op::Ne, f64::NAN));
+        assert!(m.attrs.get("x").unwrap().buckets.is_empty());
+        for v in [Value::Float(f64::NAN), Value::from(1), Value::from("s")] {
+            assert_eq!(m.matches(&ev(&[("x", v)])), ids(&[2]));
+        }
+    }
+
+    #[test]
+    fn a_clone_answers_from_its_own_contents() {
+        let mut m = IndexMatcher::new();
+        for id in 0..500u64 {
+            m.insert(SubscriptionId(id), Filter::topic(&format!("t{}", id % 50)));
+        }
+        m.insert(SubscriptionId(500), Filter::new().and("n", Op::Gt, 0));
+        let frozen = m.clone();
+        for id in 0..500u64 {
+            if id % 2 == 0 {
+                m.remove(SubscriptionId(id));
+            } else {
+                m.insert(SubscriptionId(id), Filter::new().and("n", Op::Gt, 1));
+            }
+        }
+        m.insert(SubscriptionId(501), Filter::topic("t0"));
+        let on_t0: Vec<u64> = (0..500).filter(|id| id % 50 == 0).collect();
+        assert_eq!(frozen.len(), 501);
+        assert_eq!(frozen.matches(&Event::topical("t0", "")), ids(&on_t0));
+        assert_eq!(frozen.matches(&ev(&[("n", Value::from(2))])), ids(&[500]));
+        assert_eq!(m.matches(&Event::topical("t0", "")), ids(&[501]));
+        assert_eq!(m.matches(&ev(&[("n", Value::from(2))])).len(), 251);
     }
 }

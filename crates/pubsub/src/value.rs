@@ -1,6 +1,7 @@
 //! Attribute values carried by events and compared by filters.
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -229,21 +230,28 @@ impl fmt::Display for ValueType {
 /// Floats are keyed by their bit pattern of the canonicalized `f64`
 /// representation (ints widen first), so `Int(3)` and `Float(3.0)` land in
 /// the same bucket, consistent with [`Value::eq_value`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum ValueKey {
+///
+/// A key *borrows* the string of the value it was built from, so probing
+/// an index with an event's value allocates nothing; keys stored in an
+/// index are `ValueKey<'static>` (see [`ValueKey::into_owned`]). Borrowed
+/// and owned keys of the same value are equal and hash alike.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum ValueKey<'a> {
     /// String key.
-    Str(String),
+    Str(Cow<'a, str>),
     /// Canonical numeric key (bit pattern of the `f64` value).
     Num(u64),
     /// Boolean key.
     Bool(bool),
 }
 
-impl ValueKey {
-    /// Build the canonical key for a value. Returns `None` for `NaN`.
-    pub fn of(value: &Value) -> Option<ValueKey> {
+impl<'a> ValueKey<'a> {
+    /// Build the canonical key for a value, borrowing its string if it
+    /// has one. Returns `None` for `NaN`, which equals nothing — not even
+    /// itself — and so has no bucket.
+    pub fn of(value: &'a Value) -> Option<ValueKey<'a>> {
         match value {
-            Value::Str(s) => Some(ValueKey::Str(s.clone())),
+            Value::Str(s) => Some(ValueKey::Str(Cow::Borrowed(s))),
             Value::Bool(b) => Some(ValueKey::Bool(*b)),
             v => {
                 let f = v.as_f64()?;
@@ -254,6 +262,15 @@ impl ValueKey {
                 let f = if f == 0.0 { 0.0 } else { f };
                 Some(ValueKey::Num(f.to_bits()))
             }
+        }
+    }
+
+    /// Detach the key from the value it borrows from, for storing.
+    pub fn into_owned(self) -> ValueKey<'static> {
+        match self {
+            ValueKey::Str(s) => ValueKey::Str(Cow::Owned(s.into_owned())),
+            ValueKey::Num(bits) => ValueKey::Num(bits),
+            ValueKey::Bool(b) => ValueKey::Bool(b),
         }
     }
 }
@@ -311,6 +328,18 @@ mod tests {
             ValueKey::of(&Value::Float(-0.0)),
             ValueKey::of(&Value::Float(0.0))
         );
+    }
+
+    #[test]
+    fn borrowed_and_owned_keys_are_interchangeable() {
+        use std::hash::{BuildHasher, RandomState};
+        let value = Value::from("nyse");
+        let borrowed = ValueKey::of(&value).unwrap();
+        let owned = borrowed.clone().into_owned();
+        assert!(matches!(borrowed, ValueKey::Str(Cow::Borrowed(_))));
+        assert_eq!(borrowed, owned);
+        let hasher = RandomState::new();
+        assert_eq!(hasher.hash_one(&borrowed), hasher.hash_one(&owned));
     }
 
     #[test]

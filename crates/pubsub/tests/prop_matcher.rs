@@ -1,9 +1,14 @@
 //! Property-based tests for the matching engines and the covering relation.
+//!
+//! The first block is the differential suite: [`IndexMatcher`] against the
+//! [`NaiveMatcher`] oracle over interleaved writes, duplicates, snapshots
+//! and threads. A failure prints the `REEF_TEST_SEED` that replays it.
 
 use proptest::prelude::*;
 use reef_pubsub::{
     Event, Filter, IndexMatcher, MatchEngine, NaiveMatcher, Op, SubscriptionId, Value,
 };
+use std::sync::Barrier;
 
 /// Small attribute universe so filters and events actually collide.
 const ATTRS: [&str; 4] = ["alpha", "beta", "gamma", "delta"];
@@ -14,11 +19,23 @@ fn arb_value() -> impl Strategy<Value = Value> {
         (-5i64..5).prop_map(|i| Value::Float(i as f64 / 2.0)),
         "[a-c]{0,3}".prop_map(Value::from),
         any::<bool>().prop_map(Value::from),
+        Just(Value::Float(-0.0)),
+    ]
+}
+
+/// Operands may also be `NaN`, which no event value equals or orders with.
+fn arb_operand() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        arb_value(),
+        arb_value(),
+        arb_value(),
+        Just(Value::Float(f64::NAN)),
     ]
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
+        Just(Op::Eq),
         Just(Op::Eq),
         Just(Op::Ne),
         Just(Op::Lt),
@@ -32,16 +49,11 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
-prop_compose! {
-    fn arb_predicate()(attr in 0usize..4, op in arb_op(), operand in arb_value())
-        -> (String, Op, Value)
-    {
-        (ATTRS[attr].to_owned(), op, operand)
-    }
-}
-
-fn arb_filter() -> impl Strategy<Value = Filter> {
-    prop::collection::vec(arb_predicate(), 0..4).prop_map(|preds| {
+/// Anything the algebra allows: empty filters, several equalities, none,
+/// the same attribute constrained twice.
+fn filter_over(operands: impl Strategy<Value = Value>) -> impl Strategy<Value = Filter> {
+    let predicate = (0usize..4, arb_op(), operands);
+    prop::collection::vec(predicate, 0..4).prop_map(|preds| {
         let mut f = Filter::new();
         for (attr, op, operand) in preds {
             // String ops need string operands to be valid; coerce.
@@ -50,10 +62,15 @@ fn arb_filter() -> impl Strategy<Value = Filter> {
             } else {
                 operand
             };
-            f = f.and(attr, op, operand);
+            f = f.and(ATTRS[attr], op, operand);
         }
         f
     })
+}
+
+/// Filters a schema would accept (no `NaN`: it breaks `Filter`'s `==`).
+fn arb_filter() -> impl Strategy<Value = Filter> {
+    filter_over(arb_value())
 }
 
 fn arb_event() -> impl Strategy<Value = Event> {
@@ -68,43 +85,221 @@ fn arb_event() -> impl Strategy<Value = Event> {
     })
 }
 
-proptest! {
-    /// The index matcher and the naive matcher agree on every workload.
-    #[test]
-    fn engines_are_equivalent(filters in prop::collection::vec(arb_filter(), 0..25),
-                              events in prop::collection::vec(arb_event(), 0..25)) {
-        let mut naive = NaiveMatcher::new();
-        let mut index = IndexMatcher::new();
-        for (i, f) in filters.iter().enumerate() {
-            naive.insert(SubscriptionId(i as u64), f.clone());
-            index.insert(SubscriptionId(i as u64), f.clone());
+const VENUES: [&str; 3] = ["nyse", "arca", "bats"];
+
+/// The shapes of the ledger's `selective` population, on a grid coarse
+/// enough that equal filters recur: an equality on `sym`, a `px` band or
+/// floor, or a `venue` string operator with a `px` ceiling.
+fn quote_filter() -> impl Strategy<Value = Filter> {
+    (0u32..6, 0u32..5, 1u32..3, 0u32..3, 0usize..3, 0u32..3).prop_map(
+        |(sym, low, width, shape, venue, string_op)| {
+            let base = Filter::new().and("sym", Op::Eq, format!("S{sym}"));
+            let low = f64::from(low * 100);
+            match shape {
+                0 => base
+                    .and("px", Op::Ge, low)
+                    .and("px", Op::Lt, low + f64::from(width * 100)),
+                1 => base.and("px", Op::Gt, low),
+                _ => {
+                    let venue = VENUES[venue];
+                    let (op, operand) = match string_op {
+                        0 => (Op::Prefix, &venue[..2]),
+                        1 => (Op::Suffix, &venue[2..]),
+                        _ => (Op::Contains, &venue[1..3]),
+                    };
+                    base.and("venue", op, operand)
+                        .and("px", Op::Lt, low + 100.0)
+                }
+            }
+        },
+    )
+}
+
+/// A quote; symbols `S6` and `S7` are ones no filter names.
+fn quote_event() -> impl Strategy<Value = Event> {
+    (0u32..8, 0u32..12, 0usize..3).prop_map(|(sym, px, venue)| {
+        Event::builder()
+            .attr("sym", format!("S{sym}"))
+            .attr("px", f64::from(px * 50))
+            .attr("venue", VENUES[venue])
+            .build()
+    })
+}
+
+fn any_filter() -> impl Strategy<Value = Filter> {
+    prop_oneof![filter_over(arb_operand()), quote_filter()]
+}
+
+/// `Filter` equality that holds for `NaN` operands too.
+fn shown(filter: Option<&Filter>) -> Option<String> {
+    filter.map(|f| format!("{f:?}"))
+}
+
+fn any_event() -> impl Strategy<Value = Event> {
+    prop_oneof![arb_event(), quote_event()]
+}
+
+/// One step of a write sequence. Ids and filters come from small ranges,
+/// so the same id is inserted again and many ids hold the same filter.
+#[derive(Debug, Clone)]
+enum Step {
+    Insert { id: u64, filter: usize },
+    Remove { id: u64 },
+    Snapshot,
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        (0u64..24, 0usize..64).prop_map(|(id, filter)| Step::Insert { id, filter }),
+        (0u64..24, 0usize..64).prop_map(|(id, filter)| Step::Insert { id, filter }),
+        (0u64..24).prop_map(|id| Step::Remove { id }),
+        Just(Step::Snapshot),
+    ]
+}
+
+/// Both engines under the same writes.
+#[derive(Clone, Default)]
+struct Pair {
+    naive: NaiveMatcher,
+    index: IndexMatcher,
+}
+
+impl Pair {
+    fn apply(&mut self, step: &Step, pool: &[Filter]) -> Result<(), TestCaseError> {
+        match step {
+            Step::Insert { id, filter } => {
+                let filter = &pool[filter % pool.len()];
+                self.naive.insert(SubscriptionId(*id), filter.clone());
+                self.index.insert(SubscriptionId(*id), filter.clone());
+                prop_assert_eq!(
+                    shown(self.index.filter(SubscriptionId(*id))),
+                    shown(Some(filter))
+                );
+            }
+            Step::Remove { id } => {
+                prop_assert_eq!(
+                    shown(self.naive.remove(SubscriptionId(*id)).as_ref()),
+                    shown(self.index.remove(SubscriptionId(*id)).as_ref())
+                );
+                prop_assert_eq!(self.index.filter(SubscriptionId(*id)), None);
+            }
+            Step::Snapshot => {}
         }
-        for ev in &events {
-            prop_assert_eq!(naive.matches(ev), index.matches(ev));
-        }
+        prop_assert_eq!(self.naive.len(), self.index.len());
+        Ok(())
     }
 
-    /// Removing half the filters keeps the engines equivalent.
-    #[test]
-    fn engines_equivalent_after_removal(filters in prop::collection::vec(arb_filter(), 1..20),
-                                        events in prop::collection::vec(arb_event(), 0..15)) {
-        let mut naive = NaiveMatcher::new();
-        let mut index = IndexMatcher::new();
-        for (i, f) in filters.iter().enumerate() {
-            naive.insert(SubscriptionId(i as u64), f.clone());
-            index.insert(SubscriptionId(i as u64), f.clone());
-        }
-        for i in (0..filters.len()).step_by(2) {
+    fn agree_on(&self, events: &[Event]) -> Result<(), TestCaseError> {
+        for ev in events {
             prop_assert_eq!(
-                naive.remove(SubscriptionId(i as u64)),
-                index.remove(SubscriptionId(i as u64))
+                self.naive.matches(ev),
+                self.index.matches(ev),
+                "event {}",
+                ev
             );
         }
-        for ev in &events {
-            prop_assert_eq!(naive.matches(ev), index.matches(ev));
+        Ok(())
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// The index matcher and the naive matcher agree on every workload.
+    #[test]
+    fn engines_are_equivalent(filters in prop::collection::vec(any_filter(), 0..25),
+                              events in prop::collection::vec(any_event(), 0..25)) {
+        let mut pair = Pair::default();
+        for (i, f) in filters.iter().enumerate() {
+            pair.naive.insert(SubscriptionId(i as u64), f.clone());
+            pair.index.insert(SubscriptionId(i as u64), f.clone());
         }
+        pair.agree_on(&events)?;
     }
 
+    /// Interleaved insert / remove / re-insert under the same id, with a
+    /// few filters shared by many ids: the engines agree after every
+    /// write, and every snapshot taken along the way still answers from
+    /// what it held when it was taken.
+    #[test]
+    fn engines_agree_through_interleaved_writes_and_snapshots(
+        pool in prop::collection::vec(any_filter(), 1..8),
+        steps in prop::collection::vec(arb_step(), 0..80),
+        events in prop::collection::vec(any_event(), 1..12),
+    ) {
+        let mut pair = Pair::default();
+        let mut snapshots: Vec<Pair> = Vec::new();
+        for (n, step) in steps.iter().enumerate() {
+            if matches!(step, Step::Snapshot) {
+                snapshots.push(pair.clone());
+            }
+            pair.apply(step, &pool)?;
+            pair.agree_on(&events[n % events.len()..][..1])?;
+        }
+        pair.agree_on(&events)?;
+        for snapshot in &snapshots {
+            prop_assert_eq!(snapshot.naive.len(), snapshot.index.len());
+            snapshot.agree_on(&events)?;
+        }
+        // Emptied, the index has let go of everything and starts over.
+        for id in 0..24 {
+            pair.apply(&Step::Remove { id }, &pool)?;
+        }
+        prop_assert!(pair.index.is_empty());
+        pair.agree_on(&events)?;
+        pair.apply(&Step::Insert { id: 0, filter: 0 }, &pool)?;
+        pair.agree_on(&events)?;
+    }
+
+    /// Several threads match on one shared snapshot while the matcher it
+    /// was cloned from keeps changing: each thread's answers equal the
+    /// oracle's for the snapshot (the counters are per thread, the shared
+    /// tables are never written through).
+    #[test]
+    fn threads_sharing_a_snapshot_agree_with_the_oracle(
+        pool in prop::collection::vec(any_filter(), 1..10),
+        held in prop::collection::vec(0usize..64, 1..40),
+        later in prop::collection::vec(arb_step(), 0..40),
+        events in prop::collection::vec(any_event(), 1..16),
+    ) {
+        const THREADS: usize = 3;
+        let mut pair = Pair::default();
+        for (id, filter) in held.iter().enumerate() {
+            pair.apply(&Step::Insert { id: id as u64, filter: *filter }, &pool)?;
+        }
+        let expected: Vec<Vec<SubscriptionId>> =
+            events.iter().map(|ev| pair.naive.matches(ev)).collect();
+        let snapshot = pair.index.clone();
+        let start = Barrier::new(THREADS + 1);
+        let answers: Vec<Vec<Vec<SubscriptionId>>> = std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        (0..3)
+                            .flat_map(|_| events.iter().map(|ev| snapshot.matches(ev)))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            start.wait();
+            let written = later.iter().try_for_each(|step| pair.apply(step, &pool));
+            let answers = readers
+                .into_iter()
+                .map(|reader| reader.join().expect("reader thread"))
+                .collect();
+            written.map(|()| answers)
+        })?;
+        for answer in &answers {
+            for (n, got) in answer.iter().enumerate() {
+                prop_assert_eq!(got, &expected[n % events.len()]);
+            }
+        }
+        pair.agree_on(&events)?;
+    }
+}
+
+proptest! {
     /// Covering soundness: if `wide.covers(narrow)`, then every event
     /// matched by `narrow` is matched by `wide`.
     #[test]

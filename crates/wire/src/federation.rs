@@ -41,8 +41,10 @@
 //!
 //! # Duplicate-subscription aggregation
 //!
-//! Identical filters from many local clients collapse into **one**
-//! routing-core entry with a reference count: the first subscription
+//! Identical filters from many local clients — identical by
+//! [`FilterKey`], so whatever the order of their predicates or the numeric
+//! type of their operands — collapse into **one** routing-core entry with
+//! a reference count: the first subscription
 //! advertises the filter to peers, later identical ones only bump the
 //! count (counted as `subs_aggregated`), and the advertisement is
 //! withdrawn only when the count returns to zero. Remote events matching
@@ -59,7 +61,7 @@ use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::Mutex;
 use reef_pubsub::net::TransportDelivery;
 use reef_pubsub::{
-    Broker, BrokerNode, ClientId, Clock, Event, Filter, GlobalSubId, NodeId, PeerMsg,
+    Broker, BrokerNode, ClientId, Clock, Event, Filter, FilterKey, GlobalSubId, NodeId, PeerMsg,
     PublishOutcome, PublishedEvent, SubscriptionId, SystemClock, Transport,
 };
 use std::collections::HashMap;
@@ -354,8 +356,8 @@ pub struct Federation {
 /// One advertised filter shared by every local subscription with an
 /// identical filter.
 struct AggGroup {
-    /// Canonical serialized form of the filter (the aggregation key).
-    key: String,
+    /// The filter's canonical identity (the aggregation key).
+    key: Arc<FilterKey>,
     /// Local wire subscriptions sharing the filter; remote deliveries
     /// fan out to each.
     members: Vec<SubscriptionId>,
@@ -366,15 +368,9 @@ struct AggGroup {
 /// last member unsubscribes.
 #[derive(Default)]
 struct SubAggregation {
-    by_filter: HashMap<String, GlobalSubId>,
+    by_filter: HashMap<Arc<FilterKey>, GlobalSubId>,
     groups: HashMap<GlobalSubId, AggGroup>,
     by_sub: HashMap<SubscriptionId, GlobalSubId>,
-}
-
-/// Canonical aggregation key for a filter: its serialized form, which is
-/// deterministic (predicates keep their order, values their type tags).
-fn filter_key(filter: &Filter) -> String {
-    serde_json::to_string(filter).unwrap_or_else(|_| filter.to_string())
 }
 
 impl std::fmt::Debug for Federation {
@@ -778,7 +774,7 @@ impl Federation {
     /// given filter enters the routing core (and is advertised); later
     /// ones join its group and merely bump the reference count.
     pub fn local_subscribe(&self, sub: SubscriptionId, filter: Filter) {
-        let key = filter_key(&filter);
+        let key = Arc::new(FilterKey::of(&filter));
         {
             let mut agg = self.agg.lock();
             if let Some(&gsub) = agg.by_filter.get(&key) {
@@ -791,7 +787,7 @@ impl Federation {
             let gsub = GlobalSubId(
                 ((self.broker_id as u64) << 32) | (self.next_sub.fetch_add(1, Ordering::Relaxed)),
             );
-            agg.by_filter.insert(key.clone(), gsub);
+            agg.by_filter.insert(Arc::clone(&key), gsub);
             agg.groups.insert(
                 gsub,
                 AggGroup {
@@ -827,7 +823,7 @@ impl Federation {
             if !group.members.is_empty() {
                 return;
             }
-            let key = group.key.clone();
+            let key = Arc::clone(&group.key);
             agg.groups.remove(&gsub);
             agg.by_filter.remove(&key);
             gsub

@@ -423,9 +423,9 @@ pub struct WireStatsSnapshot {
     pub autosub_retired: u64,
     /// Duration of the engine's last refresh pass, in microseconds.
     pub autosub_last_refresh_us: u64,
-    /// Matcher snapshots the broker published (one per subscribe /
-    /// unsubscribe / register / deregister batch; the read-mostly index's
-    /// swap-on-write counter).
+    /// Matcher snapshots the broker published (one per subscribe,
+    /// unsubscribe, deregistration of a subscriber with subscriptions, or
+    /// notifier change; the read-mostly index's swap-on-write counter).
     pub matcher_swaps: u64,
     /// The subset of frame/byte traffic carried by the v1 JSON codec.
     pub json: CodecStatsSnapshot,
