@@ -98,8 +98,8 @@ fn bench_overlay_construction(c: &mut Criterion) {
 
 /// The sans-io core alone: one `BrokerNode` with two neighbors and a
 /// populated routing table, fed `EventFwd` messages by hand. This is the
-/// pure routing cost per message — what both `SimTransport` and the TCP
-/// federation pay before any I/O.
+/// pure routing cost per message — what both the simulated overlay and
+/// the TCP federation pay before any I/O.
 fn bench_broker_node_handle(c: &mut Criterion) {
     let mut group = c.benchmark_group("broker_node_handle");
     for &n_subs in &[32usize, 256] {
@@ -318,13 +318,11 @@ fn bench_click_wal(c: &mut Criterion) {
 
 /// Connection scaling: one daemon holding many idle subscribers, measured
 /// as the wall-clock cost of one publish fanning out to every one of
-/// them. Run for both server cores — the threaded transport pays 2 OS
-/// threads per connection (the reason it caps out at hundreds of
-/// subscribers), the epoll transport runs every socket on one readiness
-/// loop. Subscribers are raw sockets (handshake + subscribe, then just
-/// read), so the daemon under test is the only thread-heavy side.
+/// them, with every socket on the sharded epoll loops. Subscribers are
+/// raw sockets (handshake + subscribe, then just read), so the daemon
+/// under test is the only thread-heavy side.
 fn bench_wire_connections(c: &mut Criterion) {
-    use reef_wire::{BrokerServer, Client, ClientFrame, CodecKind, Frame, Request, TransportKind};
+    use reef_wire::{BrokerServer, Client, ClientFrame, CodecKind, Frame, Request};
     use std::io::BufReader;
     use std::net::TcpStream;
     use std::time::Instant;
@@ -332,83 +330,73 @@ fn bench_wire_connections(c: &mut Criterion) {
     const SUBSCRIBERS: usize = 1000;
 
     let mut group = c.benchmark_group("wire_connections");
-    for transport in [TransportKind::Threads, TransportKind::Epoll] {
-        let server = BrokerServer::builder()
-            .transport(transport)
-            .bind("127.0.0.1:0")
-            .expect("bind");
-        let codec = CodecKind::Binary.codec();
-        let mut subscribers: Vec<BufReader<TcpStream>> = Vec::with_capacity(SUBSCRIBERS);
-        let setup_started = Instant::now();
-        for i in 0..SUBSCRIBERS {
-            let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
-            stream.set_nodelay(true).expect("nodelay");
-            for (corr, request) in [
-                (
-                    1,
-                    Request::Hello {
-                        version: 2,
-                        client: format!("sub-{i}"),
-                    },
-                ),
-                (
-                    2,
-                    Request::Subscribe {
-                        filter: Filter::topic("bench"),
-                    },
-                ),
-            ] {
-                codec
-                    .encode_client(&ClientFrame { corr, request })
-                    .expect("encode")
-                    .write_to(&mut stream)
-                    .expect("write");
-                Frame::read_from(&mut stream)
-                    .expect("read reply")
-                    .expect("reply");
-            }
-            subscribers.push(BufReader::new(stream));
+    let server = BrokerServer::bind("127.0.0.1:0").expect("bind");
+    let codec = CodecKind::Binary.codec();
+    let mut subscribers: Vec<BufReader<TcpStream>> = Vec::with_capacity(SUBSCRIBERS);
+    let setup_started = Instant::now();
+    for i in 0..SUBSCRIBERS {
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
+        for (corr, request) in [
+            (
+                1,
+                Request::Hello {
+                    version: 2,
+                    client: format!("sub-{i}"),
+                },
+            ),
+            (
+                2,
+                Request::Subscribe {
+                    filter: Filter::topic("bench"),
+                },
+            ),
+        ] {
+            codec
+                .encode_client(&ClientFrame { corr, request })
+                .expect("encode")
+                .write_to(&mut stream)
+                .expect("write");
+            Frame::read_from(&mut stream)
+                .expect("read reply")
+                .expect("reply");
         }
-        let publisher =
-            Client::connect_as(server.local_addr(), "bench-publisher").expect("connect publisher");
-
-        // Headline numbers: connection setup and one full fan-out.
-        let setup = setup_started.elapsed();
-        let fanout_started = Instant::now();
-        let outcome = publisher
-            .publish(Event::topical("bench", "warmup"))
-            .expect("publish");
-        assert_eq!(outcome.delivered as usize, SUBSCRIBERS);
-        for reader in subscribers.iter_mut() {
-            Frame::read_from(reader).expect("read").expect("deliver");
-        }
-        eprintln!(
-            "wire_connections/{}: {SUBSCRIBERS} subscribers up in {setup:.2?}, one fan-out {:.2?}",
-            transport.name(),
-            fanout_started.elapsed()
-        );
-
-        group.bench_with_input(
-            BenchmarkId::new("publish_fanout_1k", transport.name()),
-            &transport,
-            |b, _| {
-                b.iter(|| {
-                    publisher
-                        .publish(Event::topical("bench", "tick"))
-                        .expect("publish");
-                    // Fan-out completes when every subscriber socket has
-                    // its Deliver frame; reads are serial but the frames
-                    // arrive concurrently, identically for both cores.
-                    for reader in subscribers.iter_mut() {
-                        black_box(Frame::read_from(reader).expect("read").expect("deliver"));
-                    }
-                })
-            },
-        );
-        drop(publisher);
-        drop(subscribers);
-        server.shutdown();
+        subscribers.push(BufReader::new(stream));
     }
+    let publisher =
+        Client::connect_as(server.local_addr(), "bench-publisher").expect("connect publisher");
+
+    // Headline numbers: connection setup and one full fan-out.
+    let setup = setup_started.elapsed();
+    let fanout_started = Instant::now();
+    let outcome = publisher
+        .publish(Event::topical("bench", "warmup"))
+        .expect("publish");
+    assert_eq!(outcome.delivered as usize, SUBSCRIBERS);
+    for reader in subscribers.iter_mut() {
+        Frame::read_from(reader).expect("read").expect("deliver");
+    }
+    eprintln!(
+        "wire_connections: {SUBSCRIBERS} subscribers up in {setup:.2?}, one fan-out {:.2?}",
+        fanout_started.elapsed()
+    );
+
+    group.bench_function("publish_fanout_1k", |b| {
+        b.iter(|| {
+            publisher
+                .publish(Event::topical("bench", "tick"))
+                .expect("publish");
+            // Fan-out completes when every subscriber socket has its
+            // Deliver frame; reads are serial but the frames arrive
+            // concurrently.
+            for reader in subscribers.iter_mut() {
+                black_box(Frame::read_from(reader).expect("read").expect("deliver"));
+            }
+        })
+    });
+    drop(publisher);
+    drop(subscribers);
+    server.shutdown();
     group.finish();
 }
 

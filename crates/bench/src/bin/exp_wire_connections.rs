@@ -1,5 +1,5 @@
 //! Connection-scaling experiment: publish-to-deliver latency with tens of
-//! thousands of live subscribers on the sharded epoll transport.
+//! thousands of live subscribers on the sharded epoll loops.
 //!
 //! The daemon runs in a child process (this binary re-executed with
 //! `--serve N`) so each side gets its own file-descriptor budget: one
@@ -26,7 +26,7 @@
 
 use reef_bench::{emit_json, print_table, Row};
 use reef_pubsub::{Event, Filter};
-use reef_wire::{BrokerServer, Client, ClientFrame, CodecKind, Frame, Request, TransportKind};
+use reef_wire::{BrokerServer, Client, ClientFrame, CodecKind, Frame, Request};
 use serde::Serialize;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -80,7 +80,6 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
 /// the parent closes our stdin.
 fn serve(loop_threads: usize) {
     let server = BrokerServer::builder()
-        .transport(TransportKind::Epoll)
         .loop_threads(loop_threads)
         .bind("127.0.0.1:0")
         .expect("bind daemon");

@@ -1,8 +1,8 @@
 //! # reef-bench — experiment harness
 //!
 //! Shared setup and reporting code for the experiment binaries that
-//! regenerate every result of the paper (see `DESIGN.md` §2 for the
-//! experiment index) and for the criterion micro-benchmarks.
+//! regenerate every result of the paper and for the criterion
+//! micro-benchmarks.
 
 #![warn(missing_docs)]
 

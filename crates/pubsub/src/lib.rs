@@ -23,9 +23,8 @@
 //!   forwarding, covering-based pruning and reverse-path event routing as
 //!   a pure message-in/message-out state machine ([`PeerMsg`]), with no
 //!   I/O and no clock;
-//! * a [`net::Transport`] abstraction over the message plane between
-//!   brokers, and a deterministic **multi-broker overlay** ([`Overlay`])
-//!   driving `BrokerNode`s over the simulated, byte-accounted
+//! * a deterministic **multi-broker overlay** ([`Overlay`]) driving
+//!   `BrokerNode`s over the simulated, byte-accounted message plane
 //!   [`net::SimTransport`] (`reef-wire` drives the same core over TCP).
 //!
 //! # Quickstart
@@ -68,7 +67,7 @@ pub use error::{BrokerError, OverlayError, SchemaError};
 pub use event::{Event, EventBuilder, EventId, PublishedEvent, TOPIC_ATTR};
 pub use filter::{Filter, FilterKey, Op, Predicate};
 pub use matcher::{IndexMatcher, MatchEngine, NaiveMatcher, SubscriptionId};
-pub use net::{NetStats, NodeId, SimTransport, Transport, TransportDelivery};
+pub use net::{NetStats, NodeId, SimTransport, TransportDelivery};
 pub use overlay::{BrokerNode, ClientId, GlobalSubId, NodeOutput, Overlay, PeerMsg, MAX_HOPS};
 pub use parse::{parse_filter, parse_filters, ParseFilterError};
 pub use routing::MeshRouter;

@@ -1,4 +1,4 @@
-//! Deterministic simulated network and the transport abstraction.
+//! Deterministic simulated network and the broker message plane.
 //!
 //! The paper's evaluation ran over the real Internet; we substitute a
 //! virtual-time message-passing network so experiments are reproducible and
@@ -7,11 +7,11 @@
 //! timestamp order with FIFO tie-breaking, so a simulation driven through
 //! [`SimNet::recv_next`] is fully deterministic.
 //!
-//! On top of the raw [`SimNet`] sits the [`Transport`] trait: the message
-//! plane a [`crate::BrokerNode`] driver sends [`crate::PeerMsg`]s through.
-//! [`SimTransport`] is the deterministic in-process implementation used by
-//! [`crate::Overlay`]; `reef-wire` provides a `TcpTransport` that carries
-//! the identical messages between daemons over OS sockets.
+//! On top of the raw [`SimNet`] sits [`SimTransport`]: the message plane
+//! [`crate::Overlay`] moves [`crate::PeerMsg`]s through between its
+//! [`crate::BrokerNode`]s, byte-accounted and in virtual-time order.
+//! `reef-wire` drives the same routing core over OS sockets between
+//! daemons, from its event loop.
 
 use crate::overlay::PeerMsg;
 use serde::{Deserialize, Serialize};
@@ -295,44 +295,17 @@ pub struct TransportDelivery {
     pub msg: PeerMsg,
 }
 
-/// The message plane a [`crate::BrokerNode`] driver moves [`PeerMsg`]s
-/// through.
-///
+/// The deterministic in-process message plane between
+/// [`crate::BrokerNode`]s: a thin wrapper around [`SimNet`] that
+/// byte-accounts every [`PeerMsg`] and delivers in virtual-time order.
 /// A transport is dumb on purpose: it carries messages between link
 /// endpoints and surfaces what arrived; every routing decision stays in
-/// the sans-io core. Two implementations exist: [`SimTransport`]
-/// (deterministic, virtual-time, in-process) and `reef-wire`'s
-/// `TcpTransport` (real sockets between daemons). Because both move the
-/// same `PeerMsg` values, a workload scripted against one can be replayed
-/// against the other — the transport-equivalence property test does
-/// exactly that.
-pub trait Transport {
-    /// Transport-specific failure type.
-    type Error: Error;
-
-    /// Queue `msg` from link endpoint `src` toward `dst`.
-    ///
-    /// # Errors
-    ///
-    /// Implementation-specific; e.g. the endpoints are not connected.
-    fn send(&mut self, src: NodeId, dst: NodeId, msg: PeerMsg) -> Result<(), Self::Error>;
-
-    /// The next message that has arrived, if any.
-    ///
-    /// `None` means "nothing available right now"; for [`SimTransport`]
-    /// that is equivalent to "the network is idle", while a socket-backed
-    /// transport may produce more messages later.
-    fn recv(&mut self) -> Option<TransportDelivery>;
-}
-
-/// The deterministic in-process [`Transport`]: a thin wrapper around
-/// [`SimNet`] that byte-accounts every [`PeerMsg`] and delivers in
-/// virtual-time order.
+/// the sans-io core.
 ///
 /// # Examples
 ///
 /// ```
-/// use reef_pubsub::net::{SimTransport, Transport};
+/// use reef_pubsub::net::SimTransport;
 /// use reef_pubsub::{GlobalSubId, PeerMsg};
 ///
 /// let mut t = SimTransport::new();
@@ -386,18 +359,22 @@ impl SimTransport {
     pub fn bytes_on_link(&self, src: NodeId, dst: NodeId) -> u64 {
         self.net.bytes_on_link(src, dst)
     }
-}
 
-impl Transport for SimTransport {
-    type Error = NetError;
-
-    fn send(&mut self, src: NodeId, dst: NodeId, msg: PeerMsg) -> Result<(), NetError> {
+    /// Queue `msg` from link endpoint `src` toward `dst`.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError`] when either endpoint is unknown or the two are not
+    /// connected.
+    pub fn send(&mut self, src: NodeId, dst: NodeId, msg: PeerMsg) -> Result<(), NetError> {
         let size = msg.wire_size();
         self.net.send(src, dst, msg, size)?;
         Ok(())
     }
 
-    fn recv(&mut self) -> Option<TransportDelivery> {
+    /// The next message in virtual-time order, if any. `None` means the
+    /// network is idle.
+    pub fn recv(&mut self) -> Option<TransportDelivery> {
         self.net.recv_next().map(|env| TransportDelivery {
             src: env.src,
             dst: env.dst,

@@ -33,7 +33,7 @@ use crate::error::OverlayError;
 use crate::event::{Event, EventId, PublishedEvent};
 use crate::filter::Filter;
 use crate::matcher::{IndexMatcher, MatchEngine, SubscriptionId};
-use crate::net::{NetStats, NodeId, SimTransport, Transport};
+use crate::net::{NetStats, NodeId, SimTransport};
 use crate::routing::{MeshRouter, RouteRemoval};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet};

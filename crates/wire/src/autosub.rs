@@ -19,10 +19,10 @@
 //! * [`AutosubOptions`] — the public knob set, configured through
 //!   [`crate::server::BrokerServerBuilder::autosub`] and the matching
 //!   `reefd --autosub*` flags;
-//! * `AutosubRuntime` — the crate-private engine registry shared by
-//!   both transports: `handle_request` enrolls/unenrolls through it, the
-//!   refresh thread drives it, and the delivery paths drain its pending
-//!   `FeedChange` notices.
+//! * `AutosubRuntime` — the crate-private engine registry:
+//!   `handle_request` enrolls/unenrolls through it, the refresh thread
+//!   drives it, and the event loop drains its pending `FeedChange`
+//!   notices.
 //!
 //! [`Request::AutoSubscribe`]: crate::protocol::Request::AutoSubscribe
 //! [`ServerFrame::FeedChanged`]: crate::protocol::ServerFrame::FeedChanged
@@ -123,13 +123,13 @@ struct Enrollment {
     installed: HashMap<String, SubscriptionId>,
 }
 
-/// The shared registry of enrollments, driven by request handlers (both
-/// transports), the refresh thread and connection teardown.
+/// The shared registry of enrollments, driven by request handlers, the
+/// refresh thread and connection teardown.
 pub(crate) struct AutosubRuntime {
     options: AutosubOptions,
     state: Mutex<HashMap<(SubscriberId, u32), Enrollment>>,
-    /// `FeedChange` notices queued per connection, drained by the
-    /// transport delivery paths.
+    /// `FeedChange` notices queued per connection, drained by the event
+    /// loop.
     notices: Mutex<HashMap<SubscriberId, Vec<FeedChange>>>,
     derived_total: AtomicU64,
     retired_total: AtomicU64,
@@ -319,7 +319,7 @@ impl AutosubRuntime {
     }
 
     /// Drain the queued `FeedChange` notices for one connection (called
-    /// from the transport delivery paths).
+    /// from the event loop).
     pub(crate) fn take_notices(&self, subscriber: SubscriberId) -> Vec<FeedChange> {
         self.notices.lock().remove(&subscriber).unwrap_or_default()
     }

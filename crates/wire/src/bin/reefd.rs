@@ -11,7 +11,7 @@
 
 use reef_core::AutoSubMode;
 use reef_pubsub::OverflowPolicy;
-use reef_wire::{AutoSubPolicy, AutosubOptions, BrokerServer, CodecKind, TransportKind};
+use reef_wire::{AutoSubPolicy, AutosubOptions, BrokerServer, CodecKind};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -31,13 +31,10 @@ OPTIONS:
     -l, --listen ADDR        listen address (same as the positional ADDR)
         --name NAME          broker name announced to clients and peers
                              (default \"reefd\")
-        --transport KIND     server core: epoll (sharded readiness event
-                             loops; Linux-only, the default) | threads
-                             (2 OS threads per connection)
         --loop-threads N     number of sharded epoll readiness loops;
                              connections are spread across shards by fd
                              hash, peer links stay on shard 0 (default:
-                             available cores; needs --transport epoll)
+                             available cores)
         --peer ADDR          federate with the reefd at ADDR; repeat the
                              flag to peer with several brokers. Without
                              --mesh the overlay must stay a tree; with
@@ -81,8 +78,9 @@ OPTIONS:
                              publish with an error reply)
         --peer-queue N       bound each peer link's outgoing event queue
                              (default 1024)
-        --write-timeout-ms N socket write timeout for delivery and peer
-                             pumps, in milliseconds (default 5000)
+        --write-timeout-ms N evict a client or peer connection whose
+                             pending output made no progress for N ms
+                             (default 5000)
         --max-frame-bytes N  drop any connection (client or peer) that
                              announces a frame longer than N bytes; the
                              length prefix is checked before any buffer
@@ -112,7 +110,6 @@ OPTIONS:
 struct Config {
     listen: String,
     name: String,
-    transport: TransportKind,
     loop_threads: Option<usize>,
     peers: Vec<String>,
     peer_retry: bool,
@@ -141,7 +138,6 @@ impl Config {
         Config {
             listen: std::env::var("REEF_LISTEN").unwrap_or_else(|_| DEFAULT_ADDR.to_owned()),
             name: "reefd".to_owned(),
-            transport: TransportKind::default(),
             loop_threads: None,
             peers: Vec::new(),
             peer_retry: false,
@@ -193,13 +189,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Config {
             }
             "--name" => {
                 config.name = args.next().unwrap_or_else(|| bail("--name needs a value"));
-            }
-            "--transport" => {
-                let raw = args
-                    .next()
-                    .unwrap_or_else(|| bail("--transport needs a value"));
-                config.transport = TransportKind::parse(&raw)
-                    .unwrap_or_else(|| bail("--transport must be one of: threads, epoll"));
             }
             "--loop-threads" => {
                 let raw = args
@@ -370,7 +359,6 @@ fn main() {
 
     let mut builder = BrokerServer::builder()
         .name(config.name.clone())
-        .transport(config.transport)
         .covering(config.covering)
         .overflow(config.overflow)
         .peer_queue_capacity(config.peer_queue)
@@ -419,10 +407,9 @@ fn main() {
         }
     };
     println!(
-        "reefd `{}` listening on {} ({} transport, broker id {:#010x})",
+        "reefd `{}` listening on {} (broker id {:#010x})",
         config.name,
         server.local_addr(),
-        server.transport(),
         server.federation_stats().broker_id,
     );
     if config.mesh {

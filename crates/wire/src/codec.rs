@@ -179,8 +179,8 @@ fn check_version(codec: &dyn WireCodec, frame: &Frame) -> Result<(), WireError> 
 pub struct JsonCodec;
 
 /// Borrowed mirror of [`ServerMessage`] so encoding a v1 server frame
-/// does not deep-clone the response or the delivered event (the delivery
-/// pump pays this per event per v1 subscriber). Serializes to byte-
+/// does not deep-clone the response or the delivered event (every v1
+/// fan-out pays this). Serializes to byte-
 /// identical JSON: the derive encodes a newtype variant as a one-entry
 /// map and the `Deliver` struct as a one-field map, both mirrored here
 /// by hand.

@@ -1,6 +1,6 @@
-//! The epoll event-loop transport, sharded: a handoff accept loop plus
-//! N readiness loops (`--loop-threads`, default = available cores), each
-//! owning a slice of the daemon's sockets.
+//! The server's one core, an epoll event loop, sharded: a handoff accept
+//! loop plus N readiness loops (`--loop-threads`, default = available
+//! cores), each owning a slice of the daemon's sockets.
 //!
 //! # Shape
 //!
@@ -34,9 +34,9 @@
 //! a high watermark: when a consumer stops reading, the buffer fills,
 //! the shard stops draining that subscriber's broker queue, the bounded
 //! queue fills, and the broker's `--overflow` policy (drop-new /
-//! drop-old / block / error) applies exactly as on the threaded
-//! transport. A connection whose pending bytes make no progress for
-//! `--write-timeout-ms` is evicted by its shard's sweep.
+//! drop-old / block / error) applies. A connection — client or peer —
+//! whose pending bytes make no progress for `--write-timeout-ms` is
+//! evicted by its shard's sweep.
 //!
 //! One semantic caveat, documented in the README: under
 //! `--overflow block` a publish executed on a shard cannot be overtaken
@@ -49,8 +49,8 @@
 //! Peer links are pinned to shard 0 so federation and mesh message
 //! ordering is untouched by sharding: shard 0 alone adopts dialed peer
 //! sockets, pumps the link queues, drains the routing core's inbound
-//! queue (`Federation::drain_incoming`) and ticks keepalive — no pump
-//! thread, no per-link writer threads. An inbound client connection that
+//! queue (`Federation::drain_incoming`) and ticks keepalive, so the
+//! federation needs no thread of its own. An inbound client connection that
 //! sends `PeerHello` on another shard upgrades there and then *migrates*
 //! — socket, decoder and outbound buffer move to shard 0 wholesale, so
 //! no byte is reordered or lost across the handover.
@@ -454,8 +454,7 @@ impl AcceptLoop {
                     // Persistent accept failure (e.g. fd exhaustion):
                     // level-triggered epoll would re-report the pending
                     // connection immediately and spin this thread at
-                    // 100% CPU, so back off briefly — the same
-                    // mitigation the threaded accept loop uses.
+                    // 100% CPU, so back off briefly.
                     self.core.stats.record_error();
                     std::thread::sleep(Duration::from_millis(50));
                     return;
@@ -574,9 +573,7 @@ impl EventLoop {
         let shared = Arc::new(Connection::new(
             peer,
             subscriber,
-            None,
-            None,
-            Some(self.shared.loop_id as u32),
+            self.shared.loop_id as u32,
         ));
         self.core.stats.record_open();
         shared.stats.record_open();
@@ -912,7 +909,6 @@ impl EventLoop {
             self.flush(token);
             return self.conns.contains_key(&token);
         }
-        shared.upgraded.store(true, Ordering::SeqCst);
         let welcome = Response::PeerWelcome {
             version: negotiated,
             broker: self.core.federation.name().to_owned(),
@@ -947,50 +943,43 @@ impl EventLoop {
             }
         };
         let peer_addr = conn.peer.to_string();
-        match self.core.federation.adopt_inbound_link(
+        let link = self.core.federation.register_link(
             control,
             peer_broker,
             peer_broker_id,
             peer_addr,
             codec,
-        ) {
-            Ok((node, link)) if self.shared.loop_id == 0 => {
-                let conn = self.conns.get_mut(&token).expect("conn still live");
-                conn.role = ConnRole::Peer { link };
-                self.by_node.insert(node, token);
-                // Advertisement sync for the new neighbor is already on
-                // the link queue; move it behind the PeerWelcome bytes.
-                self.pump_peer_queue(token);
-                true
-            }
-            Ok((_node, link)) => {
-                // Peer links are pinned to shard 0 so federation/mesh
-                // ordering is untouched by sharding: hand the socket
-                // over wholesale — decoder (frames that followed
-                // PeerHello in the same read), outbound buffer
-                // (PeerWelcome bytes), flags and all.
-                let conn = self.conns.remove(&token).expect("conn still live");
-                let _ = self.epoll.delete(conn.stream.as_raw_fd());
-                self.shared.stats.conn_removed();
-                let primary = &self.set.shards[0];
-                primary.migrated.lock().push(MigratedPeer {
-                    stream: conn.stream,
-                    peer: conn.peer,
-                    decoder: conn.decoder,
-                    out: conn.out,
-                    buffered_deliveries: conn.buffered_deliveries,
-                    close_after_flush: conn.close_after_flush,
-                    link,
-                });
-                primary.wake_once();
-                false
-            }
-            Err(_) => {
-                self.core.stats.record_error();
-                self.drop_conn_raw(token);
-                false
-            }
+            None,
+        );
+        if self.shared.loop_id == 0 {
+            let conn = self.conns.get_mut(&token).expect("conn still live");
+            let node = link.node;
+            conn.role = ConnRole::Peer { link };
+            self.by_node.insert(node, token);
+            // Advertisement sync for the new neighbor is already on the
+            // link queue; move it behind the PeerWelcome bytes.
+            self.pump_peer_queue(token);
+            return true;
         }
+        // Peer links are pinned to shard 0 so federation/mesh ordering is
+        // untouched by sharding: hand the socket over wholesale — decoder
+        // (frames that followed PeerHello in the same read), outbound
+        // buffer (PeerWelcome bytes), flags and all.
+        let conn = self.conns.remove(&token).expect("conn still live");
+        let _ = self.epoll.delete(conn.stream.as_raw_fd());
+        self.shared.stats.conn_removed();
+        let primary = &self.set.shards[0];
+        primary.migrated.lock().push(MigratedPeer {
+            stream: conn.stream,
+            peer: conn.peer,
+            decoder: conn.decoder,
+            out: conn.out,
+            buffered_deliveries: conn.buffered_deliveries,
+            close_after_flush: conn.close_after_flush,
+            link,
+        });
+        primary.wake_once();
+        false
     }
 
     /// Tear down a half-upgraded connection whose client-side

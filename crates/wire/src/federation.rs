@@ -6,21 +6,25 @@
 //! driver: the same core, the same messages, but carried between daemons
 //! on OS sockets.
 //!
-//! * [`TcpTransport`] implements [`reef_pubsub::Transport`]: `send`
-//!   enqueues a message on the matching peer link's outgoing queue,
-//!   `recv` pops whatever the peer reader threads have pushed inbound.
-//! * [`Federation`] owns the [`BrokerNode`], the peer links and a pump
-//!   thread that moves messages between the two, mirroring
-//!   `Overlay::run_until_idle` in continuous, wall-clock form.
+//! [`Federation`] owns the [`BrokerNode`], the registry of peer links and
+//! the queues between them; the server's event loop moves the bytes.
+//! Shard 0 of the loop owns every peer socket: it reads `PeerMsg` frames
+//! into [`Federation::incoming`], routes them through the core
+//! (`drain_incoming` — `Overlay::run_until_idle` in continuous,
+//! wall-clock form), encodes each link's outgoing queue into the socket's
+//! outbound buffer, and runs `tick` for keepalive and mesh refresh. The
+//! federation reaches the loop through one hook, registered once: dialed
+//! sockets are handed to it, and every enqueue on a link wakes it.
 //!
 //! # Backpressure
 //!
 //! Each peer link bounds its outgoing *event* queue (control messages —
 //! subscription forwards and cancels — are never dropped, routing state
 //! must stay coherent). A full event queue counts a drop in the link's
-//! [`WireStats`] and the federation totals. Sockets carry a write
-//! timeout, so a stalled peer costs at most `queue capacity × write
-//! timeout` before the link is declared dead and torn down.
+//! [`WireStats`] and the federation totals. The loop stops encoding a
+//! link's queue at its outbound-buffer watermark, and evicts a peer whose
+//! pending output makes no progress for the server's write timeout; the
+//! link is then torn down.
 //!
 //! # Identity
 //!
@@ -62,21 +66,17 @@ use parking_lot::Mutex;
 use reef_pubsub::net::TransportDelivery;
 use reef_pubsub::{
     Broker, BrokerNode, ClientId, Clock, Event, Filter, FilterKey, GlobalSubId, NodeId, PeerMsg,
-    PublishOutcome, PublishedEvent, SubscriptionId, SystemClock, Transport,
+    PublishOutcome, PublishedEvent, SubscriptionId, SystemClock,
 };
 use std::collections::HashMap;
-use std::io::{BufReader, Read};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Link id of the local broker in its own routing core.
 pub const LOCAL_NODE: NodeId = NodeId(0);
-
-/// How long pumps park on idle queues before re-checking shutdown flags.
-const PUMP_PARK: Duration = Duration::from_millis(10);
 
 /// Read timeout applied during the peer handshake only.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
@@ -101,22 +101,12 @@ pub struct FederationConfig {
     pub covering: bool,
     /// Bound on each peer link's outgoing event queue (default 1024).
     pub peer_queue_capacity: usize,
-    /// Socket write timeout on peer links and client delivery paths
-    /// (default 5 s).
-    pub write_timeout: Duration,
     /// Codec used when dialing peers (default binary). Accepted peers
     /// negotiate their own codec per link.
     pub codec: CodecKind,
     /// Re-dial dead dialed links with capped exponential backoff
     /// (default `false`).
     pub peer_retry: bool,
-    /// `true` when an epoll event loop owns the peer sockets: the
-    /// federation then spawns **no** per-link writer threads and no
-    /// routing pump — the loop drains the link queues, reads the
-    /// sockets, and calls `Federation::drain_incoming` itself. Dialed
-    /// sockets are handed to the loop through the registered
-    /// `PeerLoopHook`. Default `false` (threaded transport).
-    pub event_loop: bool,
     /// Route in mesh (path-vector) mode: the overlay may contain cycles
     /// and redundant links, advertisements carry broker-id paths, and
     /// duplicate events are suppressed by a bounded seen-cache. All
@@ -150,10 +140,8 @@ impl Default for FederationConfig {
             name: "reefd".to_owned(),
             covering: true,
             peer_queue_capacity: 1024,
-            write_timeout: Duration::from_secs(5),
             codec: CodecKind::default(),
             peer_retry: false,
-            event_loop: false,
             mesh: false,
             route_refresh: Duration::from_secs(5),
             peer_timeout: Some(Duration::from_secs(10)),
@@ -163,7 +151,7 @@ impl Default for FederationConfig {
     }
 }
 
-/// Hook a readiness event loop registers with
+/// Hook the server's event loop registers with
 /// [`Federation::set_loop_hook`] so peer links reach it: freshly dialed
 /// sockets are adopted onto the loop, and every enqueue on a link's
 /// outgoing queue wakes it.
@@ -184,20 +172,18 @@ pub(crate) struct PeerLink {
     /// `Some(addr)` when this end dialed the link — the address a redial
     /// loop re-targets when the link dies and `peer_retry` is on.
     dialed_addr: Option<String>,
-    writer: Mutex<TcpStream>,
-    /// Clone of the same socket used only for `shutdown`, so closing never
-    /// waits on the writer mutex.
+    /// Clone of the loop's socket, used only for `shutdown`: closing it
+    /// from any thread (keepalive deadline, federation shutdown) makes the
+    /// loop see the hangup and drop the connection.
     control: TcpStream,
     out_tx: Sender<PeerMsg>,
-    /// Receiving side of the outgoing queue. The per-link writer thread
-    /// drains it on the threaded transport; the epoll event loop drains
-    /// it directly in loop mode.
+    /// Receiving side of the outgoing queue, drained by the event loop
+    /// into the socket's outbound buffer.
     pub(crate) out_rx: Receiver<PeerMsg>,
     /// Events currently queued on `out_tx` (control messages are exempt
     /// from the bound).
     pub(crate) queued_events: AtomicUsize,
     pub(crate) stats: WireStats,
-    closed: AtomicBool,
     /// Milliseconds (on the federation's clock) a frame was last read
     /// off this link — any inbound traffic counts as proof of life.
     last_rx: AtomicU64,
@@ -208,7 +194,6 @@ pub(crate) struct PeerLink {
 
 impl PeerLink {
     fn close_socket(&self) {
-        self.closed.store(true, Ordering::SeqCst);
         let _ = self.control.shutdown(Shutdown::Both);
     }
 }
@@ -225,9 +210,8 @@ pub(crate) struct Links {
     /// dead (per-link stats die with their link; these persist and feed
     /// the per-codec federation totals).
     pub(crate) wire: WireStats,
-    /// Wakes the epoll event loop after an enqueue; `None` on the
-    /// threaded transport, where writer threads park on the queues.
-    waker: Mutex<Option<Arc<dyn Fn() + Send + Sync>>>,
+    /// The event loop's hook, set once when the loop starts.
+    hook: OnceLock<Arc<dyn PeerLoopHook>>,
 }
 
 impl Links {
@@ -265,62 +249,15 @@ impl Links {
                 let _ = link.out_tx.try_send(ctrl);
             }
         }
-        // In loop mode nothing parks on the queue; poke the loop so it
-        // drains what was just enqueued.
-        if let Some(waker) = self.waker.lock().clone() {
-            waker();
+        // Poke the loop so it drains what was just enqueued.
+        if let Some(hook) = self.hook.get() {
+            hook.wake();
         }
     }
 }
 
-/// The socket-backed [`Transport`]: [`PeerMsg`]s between this broker and
-/// its TCP peers.
-///
-/// `send` never blocks — outgoing messages land on per-link queues
-/// drained by writer threads — and `recv` pops what peer reader threads
-/// already parsed. The [`Federation`] pump drives a [`BrokerNode`] over
-/// this exactly the way `Overlay::run_until_idle` drives one over
-/// [`reef_pubsub::SimTransport`].
-pub struct TcpTransport {
-    links: Arc<Links>,
-    incoming: Receiver<TransportDelivery>,
-}
-
-impl std::fmt::Debug for TcpTransport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TcpTransport")
-            .field("peers", &self.links.map.lock().len())
-            .field("inbound_queued", &self.incoming.len())
-            .finish()
-    }
-}
-
-impl TcpTransport {
-    /// Like [`Transport::recv`], but parks up to `timeout` for a message.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<TransportDelivery> {
-        self.incoming.recv_timeout(timeout).ok()
-    }
-}
-
-impl Transport for TcpTransport {
-    type Error = WireError;
-
-    /// Queue `msg` toward the peer on link `dst`.
-    ///
-    /// Lossy for events by design: a full link queue drops the event and
-    /// counts it rather than stalling the routing core.
-    fn send(&mut self, _src: NodeId, dst: NodeId, msg: PeerMsg) -> Result<(), WireError> {
-        self.links.enqueue(dst, msg);
-        Ok(())
-    }
-
-    fn recv(&mut self) -> Option<TransportDelivery> {
-        self.incoming.try_recv().ok()
-    }
-}
-
-/// A broker's federation layer: the sans-io [`BrokerNode`] routing core,
-/// its TCP peer links, and the pump thread that connects the two.
+/// A broker's federation layer: the sans-io [`BrokerNode`] routing core
+/// and its TCP peer links, driven by the server's event loop.
 ///
 /// The [`crate::BrokerServer`] owns one `Federation` and forwards every
 /// local subscribe / unsubscribe / publish into it; the federation takes
@@ -332,13 +269,10 @@ pub struct Federation {
     broker_id: u32,
     broker: Arc<Broker>,
     node: Mutex<BrokerNode>,
-    pub(crate) links: Arc<Links>,
-    /// Receiving side of the inbound routing queue; the pump thread
-    /// drains it on the threaded transport, `Federation::drain_incoming`
-    /// in loop mode.
+    pub(crate) links: Links,
+    /// Receiving side of the inbound routing queue, drained by
+    /// `Federation::drain_incoming`.
     incoming_rx: Receiver<TransportDelivery>,
-    /// The epoll loop's adoption/wake hook, registered in loop mode.
-    loop_hook: Mutex<Option<Arc<dyn PeerLoopHook>>>,
     /// Count-based aggregation of identical local filters (never locked
     /// while `node` is held).
     agg: Mutex<SubAggregation>,
@@ -346,7 +280,8 @@ pub struct Federation {
     next_sub: AtomicU64,
     next_link: AtomicU32,
     events_received: AtomicU64,
-    shutdown: Arc<AtomicBool>,
+    shutdown: AtomicBool,
+    /// Redial threads of dead dialed links (`peer_retry`).
     threads: Mutex<Vec<JoinHandle<()>>>,
     config: FederationConfig,
     /// Milliseconds (on `config.clock`) of the last mesh route refresh.
@@ -384,17 +319,16 @@ impl std::fmt::Debug for Federation {
 }
 
 impl Federation {
-    /// Create a federation layer around `broker` and start its pump
-    /// thread. `broker_id` must be unique across the federation.
+    /// Create a federation layer around `broker`. `broker_id` must be
+    /// unique across the federation.
     ///
-    /// The returned federation must be torn down with
-    /// [`Federation::shutdown`]: its threads each hold an `Arc` to it, so
-    /// merely dropping the caller's handle keeps the pump alive forever.
-    /// ([`crate::BrokerServer`] owns its federation and shuts it down as
-    /// part of server shutdown.)
+    /// The federation moves no bytes itself: the event loop of the
+    /// [`crate::BrokerServer`] that owns it registers a hook and drives
+    /// every peer link. It must be torn down with
+    /// [`Federation::shutdown`], which also stops any redial thread.
     pub fn start(broker: Arc<Broker>, broker_id: u32, config: FederationConfig) -> Arc<Federation> {
         let (incoming_tx, incoming_rx) = channel::unbounded();
-        let links = Arc::new(Links {
+        let links = Links {
             map: Mutex::new(HashMap::new()),
             incoming_tx,
             event_cap: config.peer_queue_capacity.max(1),
@@ -402,57 +336,37 @@ impl Federation {
             events_forwarded: AtomicU64::new(0),
             events_dropped: AtomicU64::new(0),
             wire: WireStats::new(),
-            waker: Mutex::new(None),
-        });
-        let event_loop = config.event_loop;
+            hook: OnceLock::new(),
+        };
         let node = if config.mesh {
             BrokerNode::new_mesh(broker_id)
         } else {
             BrokerNode::new(config.covering)
         };
-        let federation = Arc::new(Federation {
+        Arc::new(Federation {
             name: config.name.clone(),
             broker_id,
             broker,
             node: Mutex::new(node),
-            links: Arc::clone(&links),
-            incoming_rx: incoming_rx.clone(),
-            loop_hook: Mutex::new(None),
+            links,
+            incoming_rx,
             agg: Mutex::new(SubAggregation::default()),
             subs_aggregated: AtomicU64::new(0),
             next_sub: AtomicU64::new(0),
             next_link: AtomicU32::new(LOCAL_NODE.0 + 1),
             events_received: AtomicU64::new(0),
-            shutdown: Arc::new(AtomicBool::new(false)),
+            shutdown: AtomicBool::new(false),
             threads: Mutex::new(Vec::new()),
             config,
             last_refresh: AtomicU64::new(0),
-        });
-        // In loop mode the event loop is the pump: it reads peer frames,
-        // feeds them through `incoming`, and drains the routing queue
-        // inline, so no pump thread is spawned at all.
-        if !event_loop {
-            let transport = TcpTransport {
-                links,
-                incoming: incoming_rx,
-            };
-            let pump_self = Arc::clone(&federation);
-            let handle = std::thread::Builder::new()
-                .name("reefd-federation".into())
-                .spawn(move || pump_self.pump(transport))
-                .expect("spawn federation pump");
-            federation.threads.lock().push(handle);
-        }
-        federation
+        })
     }
 
-    /// Register the epoll event loop's hook: dialed peer sockets are
-    /// adopted onto the loop and every link-queue enqueue wakes it. Must
-    /// be called before any peer is dialed in loop mode.
+    /// Register the event loop's hook: dialed peer sockets are adopted
+    /// onto the loop and every link-queue enqueue wakes it. Set once,
+    /// before any peer is dialed; later calls are ignored.
     pub(crate) fn set_loop_hook(&self, hook: Arc<dyn PeerLoopHook>) {
-        let waker_hook = Arc::clone(&hook);
-        *self.links.waker.lock() = Some(Arc::new(move || waker_hook.wake()));
-        *self.loop_hook.lock() = Some(hook);
+        let _ = self.links.hook.set(hook);
     }
 
     /// The live link registered under `node`, if any.
@@ -533,21 +447,26 @@ impl Federation {
     }
 
     /// Dial `addr`, perform the `PeerHello`/`PeerWelcome` handshake and
-    /// register the resulting peer link.
+    /// register the resulting peer link on the event loop.
     ///
     /// # Errors
     ///
     /// [`WireError::Io`] when the peer is unreachable, or a protocol /
-    /// version error when the remote end is not a compatible broker.
+    /// version error when the remote end is not a compatible broker or no
+    /// event loop drives this federation.
     pub fn connect_peer(self: &Arc<Self>, addr: &str) -> Result<NodeId, WireError> {
         if self.shutdown.load(Ordering::SeqCst) {
             return Err(WireError::Closed);
         }
+        let Some(hook) = self.links.hook.get() else {
+            return Err(WireError::Protocol(
+                "no event loop drives this federation's peer links".into(),
+            ));
+        };
         let codec = self.config.codec.codec();
         let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
         stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
-        let mut hello_lane = stream.try_clone()?;
         // The version byte of this frame is what the acceptor negotiates
         // the link's codec from.
         codec
@@ -559,11 +478,11 @@ impl Federation {
                     broker_id: self.broker_id,
                 },
             })?
-            .write_to(&mut hello_lane)?;
+            .write_to(&mut &stream)?;
         // Read the welcome straight off the socket, unbuffered: any bytes
         // the peer sends right after it (advertisement sync) must stay in
-        // the kernel buffer so an adopting event loop sees them too.
-        let frame = Frame::read_from_capped(&mut hello_lane, self.config.max_frame)?
+        // the kernel buffer so the adopting event loop sees them too.
+        let frame = Frame::read_from_capped(&mut &stream, self.config.max_frame)?
             .ok_or(WireError::Closed)?;
         let (peer_name, peer_broker_id) = match codec.decode_server(&frame)? {
             ServerFrame::Reply {
@@ -596,34 +515,24 @@ impl Federation {
             }
         };
         stream.set_read_timeout(None)?;
-        let (node, link) = self.register_link(
-            stream,
+        let control = stream.try_clone()?;
+        let link = self.register_link(
+            control,
             peer_name,
             peer_broker_id,
             addr.to_owned(),
             self.config.codec,
             Some(addr.to_owned()),
-        )?;
-        // Threaded transport: a dedicated reader thread parks on the
-        // socket. Loop mode: the event loop adopted the socket inside
-        // `register_link` and reads it on readiness.
-        if !self.config.event_loop {
-            let reader_self = Arc::clone(self);
-            let reader_link = Arc::clone(&link);
-            let reader = BufReader::new(hello_lane);
-            let handle = std::thread::Builder::new()
-                .name(format!("reefd-peer-read-{addr}"))
-                .spawn(move || reader_self.peer_reader(reader_link, reader))
-                .expect("spawn peer reader");
-            self.track_thread(handle);
-        }
+        );
+        // The loop owns the socket from here and reads it on readiness.
+        hook.adopt_socket(link.node, stream);
         // A shutdown that raced this dial has already taken the link map
         // snapshot it will close; close the newcomer ourselves.
         if self.shutdown.load(Ordering::SeqCst) {
-            self.peer_disconnected(node);
+            self.peer_disconnected(link.node);
             return Err(WireError::Closed);
         }
-        Ok(node)
+        Ok(link.node)
     }
 
     /// Like [`Federation::connect_peer`], retrying while the peer refuses
@@ -653,45 +562,9 @@ impl Federation {
         Err(last.unwrap_or(WireError::Closed))
     }
 
-    /// Adopt an inbound connection that sent `PeerHello` as a peer link.
-    ///
-    /// The caller (the server's connection reader) must already have
-    /// replied `PeerWelcome` on the socket; from here on, the link's
-    /// writer thread owns all writes. The caller keeps reading frames and
-    /// feeds them through [`Federation::incoming`].
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Io`] if the socket cannot be cloned.
-    pub fn adopt_inbound(
-        self: &Arc<Self>,
-        stream: TcpStream,
-        peer_broker: String,
-        peer_broker_id: u32,
-        peer_addr: String,
-        codec: CodecKind,
-    ) -> Result<NodeId, WireError> {
-        let (node, _link) =
-            self.register_link(stream, peer_broker, peer_broker_id, peer_addr, codec, None)?;
-        Ok(node)
-    }
-
-    /// Like [`Federation::adopt_inbound`], returning the link handle —
-    /// the event loop upgrading a client connection in place keeps it to
-    /// drain the link's outgoing queue itself.
-    pub(crate) fn adopt_inbound_link(
-        self: &Arc<Self>,
-        stream: TcpStream,
-        peer_broker: String,
-        peer_broker_id: u32,
-        peer_addr: String,
-        codec: CodecKind,
-    ) -> Result<(NodeId, Arc<PeerLink>), WireError> {
-        self.register_link(stream, peer_broker, peer_broker_id, peer_addr, codec, None)
-    }
-
-    /// Feed one message read off peer link `from` into the routing pump.
-    /// Any inbound frame also refreshes the link's keepalive clock.
+    /// Feed one message read off peer link `from` into the inbound
+    /// routing queue. Any inbound frame also refreshes the link's
+    /// keepalive clock.
     pub fn incoming(&self, from: NodeId, msg: PeerMsg) {
         if let Some(link) = self.links.map.lock().get(&from) {
             link.last_rx.store(self.now_ms(), Ordering::Relaxed);
@@ -708,10 +581,9 @@ impl Federation {
         self.config.clock.now_ms()
     }
 
-    /// Periodic maintenance, called from the routing pump (threaded
-    /// transport) or the event loop (epoll transport): keepalive probes
-    /// and dead-link detection on every peer link, plus the mesh route
-    /// refresh. Cheap when nothing is due.
+    /// Periodic maintenance, called by the event loop's shard 0 on every
+    /// pass: keepalive probes and dead-link detection on every peer link,
+    /// plus the mesh route refresh. Cheap when nothing is due.
     pub(crate) fn tick(self: &Arc<Self>) {
         self.maybe_refresh();
         let Some(timeout) = self.config.peer_timeout else {
@@ -901,7 +773,7 @@ impl Federation {
         self.track_thread(handle);
     }
 
-    /// Stop the pump, close every peer link and join all threads.
+    /// Close every peer link and join the redial threads.
     pub fn shutdown(&self) {
         if self.shutdown.swap(true, Ordering::SeqCst) {
             return;
@@ -917,29 +789,30 @@ impl Federation {
 
     /// Keep `handle` for the shutdown join, first dropping handles of
     /// threads that already finished — a flapping `--peer-retry` link
-    /// spawns a redial, reader and writer thread per reconnect, and a
-    /// long-lived daemon must not hoard one handle per historical link.
+    /// spawns a redial thread per disconnect, and a long-lived daemon
+    /// must not hoard one handle per historical link.
     fn track_thread(&self, handle: JoinHandle<()>) {
         let mut threads = self.threads.lock();
         threads.retain(|h| !h.is_finished());
         threads.push(handle);
     }
 
-    fn register_link(
-        self: &Arc<Self>,
-        stream: TcpStream,
+    /// Register a peer link whose socket the event loop owns. `control` is
+    /// a clone of that socket, kept only to close the link; `dialed_addr`
+    /// is `Some` when this end dialed. The event loop calls this directly
+    /// when it upgrades a client connection that sent `PeerHello`, after
+    /// queueing the `PeerWelcome`.
+    pub(crate) fn register_link(
+        &self,
+        control: TcpStream,
         peer_broker: String,
         peer_broker_id: u32,
         peer_addr: String,
         codec: CodecKind,
         dialed_addr: Option<String>,
-    ) -> Result<(NodeId, Arc<PeerLink>), WireError> {
-        stream.set_write_timeout(Some(self.config.write_timeout))?;
-        let writer = stream.try_clone()?;
-        let control = stream.try_clone()?;
+    ) -> Arc<PeerLink> {
         let (out_tx, out_rx) = channel::unbounded();
         let node = NodeId(self.next_link.fetch_add(1, Ordering::Relaxed));
-        let dialed = dialed_addr.is_some();
         let now = self.now_ms();
         let link = Arc::new(PeerLink {
             node,
@@ -947,40 +820,17 @@ impl Federation {
             peer_addr,
             codec,
             dialed_addr,
-            writer: Mutex::new(writer),
             control,
             out_tx,
             out_rx,
             queued_events: AtomicUsize::new(0),
             stats: WireStats::new(),
-            closed: AtomicBool::new(false),
             last_rx: AtomicU64::new(now),
             last_ping: AtomicU64::new(now),
         });
         link.stats.record_open();
         self.links.wire.record_open();
         self.links.map.lock().insert(node, Arc::clone(&link));
-        if self.config.event_loop {
-            // The event loop owns the socket: hand it a dialed stream
-            // (an inbound one is already registered there — the loop is
-            // the caller upgrading a client connection in place).
-            if dialed {
-                let hook = self.loop_hook.lock().clone();
-                if let Some(hook) = hook {
-                    hook.adopt_socket(node, stream);
-                    hook.wake();
-                }
-            }
-        } else {
-            let writer_self = Arc::clone(self);
-            let writer_link = Arc::clone(&link);
-            let writer_rx = link.out_rx.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("reefd-peer-write-{}", link.peer_addr))
-                .spawn(move || writer_self.peer_writer(writer_link, writer_rx))
-                .expect("spawn peer writer");
-            self.track_thread(handle);
-        }
         // Bring the new peer up to date with everything already known.
         let sync = {
             let mut routing = self.node.lock();
@@ -991,128 +841,12 @@ impl Federation {
             }
         };
         self.dispatch(sync);
-        Ok((node, link))
+        link
     }
 
-    /// The per-link writer: outgoing queue → socket, one frame at a time.
-    fn peer_writer(self: Arc<Self>, link: Arc<PeerLink>, out_rx: Receiver<PeerMsg>) {
-        loop {
-            if self.shutdown.load(Ordering::SeqCst) || link.closed.load(Ordering::SeqCst) {
-                return;
-            }
-            let msg = match out_rx.recv_timeout(PUMP_PARK) {
-                Ok(msg) => msg,
-                Err(channel::RecvTimeoutError::Timeout) => continue,
-                Err(channel::RecvTimeoutError::Disconnected) => return,
-            };
-            let is_event = matches!(msg, PeerMsg::EventFwd { .. });
-            if is_event {
-                link.queued_events.fetch_sub(1, Ordering::Relaxed);
-            }
-            let frame = match link.codec.codec().encode_peer(&msg) {
-                Ok(frame) => frame,
-                Err(_) => {
-                    link.stats.record_error();
-                    continue;
-                }
-            };
-            let written = {
-                let mut writer = link.writer.lock();
-                frame.write_to(&mut *writer)
-            };
-            match written {
-                Ok(n) => {
-                    link.stats.record_frame_out(frame.version, n);
-                    self.links.wire.record_frame_out(frame.version, n);
-                }
-                Err(_) => {
-                    // Write failed or timed out: the peer is stalled or
-                    // gone. Count the loss and tear the link down.
-                    if is_event {
-                        self.links.events_dropped.fetch_add(1, Ordering::Relaxed);
-                        link.stats.record_delivery_drop();
-                    }
-                    link.stats.record_error();
-                    self.peer_disconnected(link.node);
-                    return;
-                }
-            }
-        }
-    }
-
-    /// The per-link reader thread body used for *outbound* (dialed)
-    /// peers.
-    fn peer_reader(self: Arc<Self>, link: Arc<PeerLink>, mut reader: BufReader<impl Read>) {
-        self.read_loop(&link, &mut reader);
-        self.peer_disconnected(link.node);
-    }
-
-    /// Run an inbound peer link's read loop on the caller's thread (the
-    /// server's connection reader, after it upgraded the connection and
-    /// registered the link with [`Federation::adopt_inbound`]). Returns
-    /// when the link dies, after tearing it down.
-    pub(crate) fn run_inbound_reader(
-        self: &Arc<Self>,
-        node: NodeId,
-        mut reader: BufReader<TcpStream>,
-    ) {
-        let link = self.links.map.lock().get(&node).cloned();
-        if let Some(link) = link {
-            self.read_loop(&link, &mut reader);
-        }
-        self.peer_disconnected(node);
-    }
-
-    /// The shared peer read loop: frames off the socket, through
-    /// [`Federation::incoming`], until the link closes or a frame fails
-    /// to parse. Dialed and accepted peer links run the identical loop.
-    fn read_loop(&self, link: &PeerLink, reader: &mut BufReader<impl Read>) {
-        loop {
-            if self.shutdown.load(Ordering::SeqCst) || link.closed.load(Ordering::SeqCst) {
-                return;
-            }
-            let frame = match Frame::read_from_capped(reader, self.config.max_frame) {
-                Ok(Some(frame)) => frame,
-                Ok(None) => return,
-                Err(_) => {
-                    link.stats.record_error();
-                    return;
-                }
-            };
-            link.stats.record_frame_in(frame.version, frame.wire_len());
-            self.links
-                .wire
-                .record_frame_in(frame.version, frame.wire_len());
-            // The link's codec was fixed at handshake; `decode_peer`
-            // rejects any frame whose version byte disagrees.
-            match link.codec.codec().decode_peer(&frame) {
-                Ok(msg) => self.incoming(link.node, msg),
-                Err(_) => {
-                    link.stats.record_error();
-                    return;
-                }
-            }
-        }
-    }
-
-    /// The routing pump: inbound messages → [`BrokerNode::handle`] →
-    /// local subscriber queues + outgoing link queues.
-    fn pump(self: Arc<Self>, transport: TcpTransport) {
-        loop {
-            if self.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            self.tick();
-            let Some(delivery) = transport.recv_timeout(PUMP_PARK) else {
-                continue;
-            };
-            self.process_delivery(delivery);
-        }
-    }
-
-    /// Drain the inbound routing queue inline. This is the loop-mode
-    /// replacement for the pump thread: the event loop calls it after
-    /// feeding freshly read peer frames through [`Federation::incoming`].
+    /// Drain the inbound routing queue inline. The event loop's shard 0
+    /// calls it after feeding freshly read peer frames through
+    /// [`Federation::incoming`].
     pub(crate) fn drain_incoming(&self) {
         while let Ok(delivery) = self.incoming_rx.try_recv() {
             self.process_delivery(delivery);

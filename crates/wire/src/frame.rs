@@ -42,7 +42,7 @@
 //! and its reply echoes that id. Responses are thereby decoupled from
 //! deliveries *and* from request order on the socket, which is what lets
 //! [`crate::Client`] pipeline requests ([`crate::Client::publish_nowait`])
-//! and a future event-loop transport reply out of order. Ids are scoped
+//! and the server's event loop reply out of order. Ids are scoped
 //! to the connection; the client picks them (the stock client uses a
 //! counter) and the server treats them as opaque.
 

@@ -18,23 +18,21 @@
 //!   [`reef_pubsub::Filter`], [`reef_pubsub::PublishedEvent`] and
 //!   [`reef_attention::ClickBatch`];
 //! * [`server`] — [`BrokerServer`], a TCP daemon around a shared
-//!   [`reef_pubsub::Broker`] with two cores behind one protocol
-//!   ([`TransportKind`]): an **epoll event loop** (Linux, the default —
-//!   every socket on one readiness thread, incremental frame decoding
-//!   via [`FrameDecoder`], per-connection outbound buffers that coalesce
-//!   delivery bursts) and the original **thread-per-connection** core;
+//!   [`reef_pubsub::Broker`], served by one core: a sharded **epoll
+//!   event loop** (Linux) — a fixed set of readiness threads owning every
+//!   socket, incremental frame decoding via [`FrameDecoder`],
+//!   per-connection outbound buffers that coalesce delivery bursts;
 //!   graceful shutdown, per-connection and aggregate [`WireStats`] with
 //!   per-codec frame/byte and event-loop counters;
 //! * [`poll`] — the minimal Linux `epoll`/`eventfd` bindings the event
 //!   loop stands on (no `libc` in the offline build, so the handful of
 //!   syscalls are declared directly);
-//! * [`federation`] — broker-to-broker links: [`TcpTransport`] implements
-//!   [`reef_pubsub::Transport`] so the sans-io
-//!   [`reef_pubsub::BrokerNode`] routing core (subscription forwarding,
-//!   covering pruning, reverse-path event routing) runs unchanged over OS
-//!   sockets; daemons peer via `reefd --peer ADDR`, re-dial dead links
-//!   with `--peer-retry`, and aggregate identical local filters into one
-//!   refcounted advertisement;
+//! * [`federation`] — broker-to-broker links: [`Federation`] runs the
+//!   sans-io [`reef_pubsub::BrokerNode`] routing core (subscription
+//!   forwarding, covering pruning, reverse-path event routing) unchanged
+//!   over OS sockets, driven by the event loop's shard 0; daemons peer
+//!   via `reefd --peer ADDR`, re-dial dead links with `--peer-retry`, and
+//!   aggregate identical local filters into one refcounted advertisement;
 //! * [`client`] — [`Client`], a pipelined client with the familiar
 //!   blocking subscribe / unsubscribe / publish / upload-clicks surface,
 //!   a batch-friendly [`Client::publish_nowait`], and an iterator over
@@ -90,7 +88,7 @@ pub use client::{
 };
 pub use codec::{CodecKind, WireCodec};
 pub use error::WireError;
-pub use federation::{Federation, FederationConfig, TcpTransport, LOCAL_NODE};
+pub use federation::{Federation, FederationConfig, LOCAL_NODE};
 pub use frame::{
     Frame, FrameDecoder, MAX_FRAME_LEN, PROTOCOL_V1_JSON, PROTOCOL_V2_BINARY, PROTOCOL_VERSION,
 };
@@ -98,7 +96,7 @@ pub use protocol::{
     AutoSubEntry, AutoSubPolicy, AutoSubReceipt, ClientFrame, Deliver, FeedChange, Request,
     Response, ServerFrame, ServerMessage,
 };
-pub use server::{BrokerServer, BrokerServerBuilder, TransportKind};
+pub use server::{BrokerServer, BrokerServerBuilder};
 pub use stats::{
     AutosubGauges, CodecStatsSnapshot, ConnectionStatsSnapshot, FederationStatsSnapshot,
     LoopStatsSnapshot, PeerStatsSnapshot, WireStats, WireStatsSnapshot,

@@ -1,5 +1,5 @@
-//! Minimal Linux `epoll` + `eventfd` bindings for the event-loop
-//! transport.
+//! Minimal Linux `epoll` + `eventfd` bindings for the server's event
+//! loop.
 //!
 //! The build environment has no registry access and therefore no `libc`
 //! or `mio` crate, so the handful of syscalls the readiness loop needs
@@ -10,8 +10,8 @@
 //! RAII types — [`Epoll`] and [`EventFd`] — that keep the `unsafe`
 //! confined to this module.
 //!
-//! Linux-only by design (the tier-1 environment is Linux); the
-//! `BrokerServer` falls back to the threaded transport elsewhere.
+//! Linux-only by design (the tier-1 environment is Linux); elsewhere
+//! `BrokerServer::bind` returns an error.
 
 #![cfg(target_os = "linux")]
 

@@ -102,9 +102,8 @@ pub struct WireStats {
     matcher_swaps: AtomicU64,
     json: CodecStats,
     binary: CodecStats,
-    /// Per-shard event-loop counters, registered by the epoll transport
-    /// when its loops spawn. Empty on the threaded transport and on
-    /// per-connection / per-link instances.
+    /// Per-shard event-loop counters, registered by the event loop when
+    /// its shards spawn. Empty on per-connection / per-link instances.
     loops: Mutex<Vec<Arc<LoopStats>>>,
 }
 
@@ -393,14 +392,14 @@ pub struct WireStatsSnapshot {
     pub delivery_drops: u64,
     /// Errors returned or suffered.
     pub errors: u64,
-    /// Event-loop wakeups (epoll transport only; zero under threads).
+    /// Event-loop wakeups.
     pub loop_wakeups: u64,
     /// Read-readiness events the event loop handled.
     pub loop_read_events: u64,
     /// Write-readiness events the event loop handled.
     pub loop_write_events: u64,
     /// Socket flushes that carried more than one frame (delivery
-    /// coalescing on the epoll transport).
+    /// coalescing).
     pub writes_coalesced: u64,
     /// Bytes currently held across the click store's live WAL segments
     /// (zero without `--data-dir`).
@@ -431,8 +430,8 @@ pub struct WireStatsSnapshot {
     pub json: CodecStatsSnapshot,
     /// The subset of frame/byte traffic carried by the v2 binary codec.
     pub binary: CodecStatsSnapshot,
-    /// Per-shard event-loop counters (epoll transport; empty under
-    /// threads and on per-connection snapshots).
+    /// Per-shard event-loop counters (empty on per-connection
+    /// snapshots).
     pub loops: Vec<LoopStatsSnapshot>,
 }
 
@@ -506,8 +505,8 @@ pub struct ConnectionStatsSnapshot {
     pub codec: String,
     /// Broker subscriber id backing this connection.
     pub subscriber: u64,
-    /// Which event-loop shard owns the socket; `None` on the threaded
-    /// transport (no shards there).
+    /// Which event-loop shard owns the socket. Always `Some` (the wire
+    /// form keeps the option for compatibility).
     pub loop_id: Option<u32>,
     /// The connection's transport counters.
     pub wire: WireStatsSnapshot,

@@ -1,14 +1,15 @@
 //! Transport-equivalence property: the sans-io `BrokerNode` routing core
-//! must behave identically no matter which transport carries its
-//! `PeerMsg`s. For the same scripted workload on the same 3-broker chain,
-//! the `SimTransport`-backed `Overlay` (virtual time, in-process) and a
-//! federation of real `BrokerServer`s over TCP (`TcpTransport`) must
-//! converge to the same routing-table sizes and deliver the same event
-//! sets to the same clients.
+//! must behave identically no matter what carries its `PeerMsg`s. For the
+//! same scripted workload on the same 3-broker chain, the
+//! `SimTransport`-backed `Overlay` (virtual time, in-process) and a
+//! federation of real `BrokerServer`s over TCP must converge to the same
+//! routing-table sizes and deliver the same event sets to the same
+//! clients. A single daemon, sharded or not, must deliver exactly what a
+//! linear matching model predicts.
 
 use proptest::prelude::*;
 use reef::pubsub::{ClientId, Event, Filter, Op, Overlay, Value};
-use reef::wire::{BrokerServer, Client, TransportKind};
+use reef::wire::{BrokerServer, Client};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
@@ -46,21 +47,22 @@ fn into_multiset(events: impl IntoIterator<Item = Event>) -> Multiset {
     out
 }
 
+/// Clients of [`run_single_daemon`]; script indices are taken modulo this.
+const CLIENTS: usize = 4;
+
 /// Run one scripted workload — 4 clients, arbitrary subscriptions,
-/// arbitrary publishes — against a single daemon on the given transport
-/// and return each client's delivered event multiset.
+/// arbitrary publishes — against a single daemon with `loop_threads`
+/// shards. Returns each client's delivered event multiset and the sum of
+/// the publish replies' `delivered` counts.
 fn run_single_daemon(
-    transport: TransportKind,
     loop_threads: usize,
     subs: &[(usize, Filter)],
     events: &[(usize, Event)],
-) -> Vec<Multiset> {
-    const CLIENTS: usize = 4;
-    let mut builder = BrokerServer::builder().transport(transport);
-    if matches!(transport, TransportKind::Epoll) {
-        builder = builder.loop_threads(loop_threads);
-    }
-    let server = builder.bind("127.0.0.1:0").expect("bind");
+) -> (Vec<Multiset>, usize) {
+    let server = BrokerServer::builder()
+        .loop_threads(loop_threads)
+        .bind("127.0.0.1:0")
+        .expect("bind");
     let clients: Vec<Client> = (0..CLIENTS)
         .map(|i| {
             Client::connect_as(server.local_addr(), &format!("shard-eq-{i}")).expect("connect")
@@ -89,7 +91,8 @@ fn run_single_daemon(
             }
         }
     }
-    // Grace pass: a transport bug that over-delivers shows up as extras.
+    // Grace pass: a delivery-path bug that over-delivers shows up as
+    // extras.
     for (i, client) in clients.iter().enumerate() {
         if let Some(extra) = client.recv_delivery(Duration::from_millis(25)) {
             got[i].push(extra.event);
@@ -97,30 +100,54 @@ fn run_single_daemon(
     }
     drop(clients);
     server.shutdown();
-    got.into_iter().map(into_multiset).collect()
+    (got.into_iter().map(into_multiset).collect(), expected_total)
+}
+
+/// The linear delivery model: every event goes to every client once per
+/// subscription of that client whose filter matches it — one delivery per
+/// matching subscription, as `Broker::publish` counts them.
+fn linear_oracle(subs: &[(usize, Filter)], events: &[(usize, Event)]) -> Vec<Multiset> {
+    let mut want: Vec<Vec<Event>> = vec![Vec::new(); CLIENTS];
+    for (_, event) in events {
+        for (client, filter) in subs {
+            if filter.matches(event) {
+                want[*client % CLIENTS].push(event.clone());
+            }
+        }
+    }
+    want.into_iter().map(into_multiset).collect()
 }
 
 proptest! {
-    // Each case spins up three real TCP daemons; keep the case count low
-    // enough that the suite stays fast.
+    // Each case spins up two or three real TCP daemons; keep the case
+    // count low enough that the suite stays fast.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Sharding must be invisible to delivery semantics: the same
-    /// workload through a 4-shard epoll daemon and through the threaded
-    /// transport (the oracle — one reader plus one pump thread per
-    /// connection, no shared loops) must hand every client the same
-    /// event multiset, regardless of which shard each socket hashed to.
+    /// workload through a 1-shard and a 4-shard daemon must hand every
+    /// client exactly the event multiset the linear model predicts,
+    /// regardless of which shard each socket hashed to, and the publish
+    /// replies' `delivered` counts must add up to the model's total.
     #[test]
-    fn sharded_epoll_delivers_same_sets_as_threaded(
+    fn sharded_epoll_delivers_linear_oracle_sets(
         subs in prop::collection::vec((0usize..4, arb_filter()), 1..8),
         events in prop::collection::vec((0usize..4, arb_event()), 1..8),
     ) {
-        let threaded = run_single_daemon(TransportKind::Threads, 0, &subs, &events);
-        let sharded = run_single_daemon(TransportKind::Epoll, 4, &subs, &events);
-        prop_assert_eq!(
-            &sharded, &threaded,
-            "per-client deliveries diverge between 4-shard epoll and threaded transports"
-        );
+        let want = linear_oracle(&subs, &events);
+        let want_total: usize = want.iter().flat_map(|m| m.values()).sum();
+        for shards in [1, 4] {
+            let (got, delivered) = run_single_daemon(shards, &subs, &events);
+            prop_assert_eq!(
+                delivered, want_total,
+                "publish replies' delivered counts disagree with the linear model ({} shards)",
+                shards
+            );
+            prop_assert_eq!(
+                &got, &want,
+                "per-client deliveries diverge from the linear model ({} shards)",
+                shards
+            );
+        }
     }
 
     #[test]

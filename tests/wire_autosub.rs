@@ -8,7 +8,7 @@ use reef::pubsub::{Event, Filter};
 use reef::simweb::UserId;
 use reef::wire::{
     AutoSubPolicy, AutosubOptions, BrokerServer, Client, ClientFrame, CodecKind, Frame, Request,
-    TransportKind, WireError,
+    WireError,
 };
 use std::time::Duration;
 
@@ -33,13 +33,13 @@ fn news_batch(user: u32, clicks: u64) -> ClickBatch {
     }
 }
 
-/// The acceptance scenario, per transport: upload clicks, enroll, have a
-/// matching publish delivered *without any manual Subscribe*, then watch
-/// the interest decay until the engine retires the subscription and
-/// pushes the `FeedChanged` notice.
-fn derive_deliver_decay_retire(transport: TransportKind) {
+/// The acceptance scenario: upload clicks, enroll, have a matching
+/// publish delivered *without any manual Subscribe*, then watch the
+/// interest decay until the engine retires the subscription and pushes
+/// the `FeedChanged` notice.
+#[test]
+fn derive_deliver_decay_retire_epoll() {
     let server = BrokerServer::builder()
-        .transport(transport)
         .autosub(AutosubOptions::default().refresh_interval(Duration::from_millis(50)))
         .bind("127.0.0.1:0")
         .expect("bind");
@@ -111,17 +111,6 @@ fn derive_deliver_decay_retire(transport: TransportKind) {
     reader.close().expect("close reader");
     publisher.close().expect("close publisher");
     server.shutdown();
-}
-
-#[test]
-fn derive_deliver_decay_retire_threads() {
-    derive_deliver_decay_retire(TransportKind::Threads);
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn derive_deliver_decay_retire_epoll() {
-    derive_deliver_decay_retire(TransportKind::Epoll);
 }
 
 /// New clicks uploaded *after* enrollment are picked up by the refresh
@@ -226,7 +215,6 @@ fn disabled_daemon_refuses_autosubscribe() {
 #[test]
 fn shard_eviction_retires_auto_subscriptions() {
     let server = BrokerServer::builder()
-        .transport(TransportKind::Epoll)
         .loop_threads(4)
         .queue_capacity(8)
         .write_timeout(Duration::from_millis(50))

@@ -4,7 +4,7 @@
 //! the socket-backed counterpart of the simulated `Overlay`.
 
 use reef::pubsub::{Event, Filter, NodeId, Op, TOPIC_ATTR};
-use reef::wire::{BrokerServer, Client, CodecKind, TransportKind};
+use reef::wire::{BrokerServer, Client, CodecKind};
 use std::time::{Duration, Instant};
 
 const WAIT: Duration = Duration::from_secs(10);
@@ -408,24 +408,21 @@ fn json_and_binary_peer_links_coexist() {
 /// Build the 3-broker mesh ring a — b — c — a the way three
 /// `reefd --mesh` daemons would. The third dial (c → a) closes the
 /// cycle a tree overlay must never contain.
-fn mesh_ring(transport: TransportKind) -> (BrokerServer, BrokerServer, BrokerServer) {
+fn mesh_ring() -> (BrokerServer, BrokerServer, BrokerServer) {
     let a = BrokerServer::builder()
         .name("mesh-a")
         .mesh(true)
-        .transport(transport)
         .bind("127.0.0.1:0")
         .expect("bind a");
     let b = BrokerServer::builder()
         .name("mesh-b")
         .mesh(true)
-        .transport(transport)
         .peer(a.local_addr().to_string())
         .bind("127.0.0.1:0")
         .expect("bind b");
     let c = BrokerServer::builder()
         .name("mesh-c")
         .mesh(true)
-        .transport(transport)
         .peer(a.local_addr().to_string())
         .peer(b.local_addr().to_string())
         .bind("127.0.0.1:0")
@@ -443,8 +440,9 @@ fn mesh_ring(transport: TransportKind) -> (BrokerServer, BrokerServer, BrokerSer
 /// exactly once while both are up (the seen-cache eats the ring's
 /// duplicate), and killing the direct link mid-run fails over onto the
 /// surviving two-hop path without losing an event.
-fn ring_failover(transport: TransportKind) {
-    let (a, b, c) = mesh_ring(transport);
+#[test]
+fn mesh_ring_fails_over_on_epoll_transport() {
+    let (a, b, c) = mesh_ring();
 
     let subscriber = Client::connect_as(a.local_addr(), "mesh-sub").expect("connect to a");
     subscriber
@@ -521,17 +519,6 @@ fn ring_failover(transport: TransportKind) {
     c.shutdown();
     b.shutdown();
     a.shutdown();
-}
-
-#[test]
-fn mesh_ring_fails_over_on_threads_transport() {
-    ring_failover(TransportKind::Threads);
-}
-
-#[test]
-#[cfg(target_os = "linux")]
-fn mesh_ring_fails_over_on_epoll_transport() {
-    ring_failover(TransportKind::Epoll);
 }
 
 /// Keepalive: an idle peer link outlives many multiples of the peer

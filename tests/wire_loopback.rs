@@ -473,7 +473,7 @@ fn abrupt_disconnect_cleans_up() {
 }
 
 // --------------------------------------------------------------------------
-// Slow-consumer eviction on the epoll transport: the event loop's own
+// Slow-consumer eviction: the event loop's own
 // outbound buffers make a stalled subscriber deterministic without OS
 // send-buffer tricks — once the socket and the loop's buffer are full,
 // backpressure reaches the bounded broker queue and `--overflow` applies.
@@ -481,7 +481,7 @@ fn abrupt_disconnect_cleans_up() {
 mod slow_consumer {
     use super::*;
     use reef::pubsub::{Broker, OverflowPolicy};
-    use reef::wire::{ClientFrame, CodecKind, Frame, Request, TransportKind};
+    use reef::wire::{ClientFrame, CodecKind, Frame, Request};
     use std::net::TcpStream;
     use std::sync::Arc;
     use std::time::Instant;
@@ -551,7 +551,6 @@ mod slow_consumer {
     #[test]
     fn stalled_subscriber_drops_new_then_is_evicted() {
         let server = BrokerServer::builder()
-            .transport(TransportKind::Epoll)
             .queue_capacity(4)
             .overflow(OverflowPolicy::DropAndCount)
             .write_timeout(Duration::from_millis(500))
@@ -591,10 +590,7 @@ mod slow_consumer {
     /// as a coalesced write.
     #[test]
     fn pipelined_fanout_coalesces_writes() {
-        let server = BrokerServer::builder()
-            .transport(TransportKind::Epoll)
-            .bind("127.0.0.1:0")
-            .expect("bind");
+        let server = BrokerServer::bind("127.0.0.1:0").expect("bind");
         let subscriber = Client::connect_as(server.local_addr(), "sub").expect("connect");
         subscriber.subscribe(Filter::new()).expect("subscribe");
         let publisher = Client::connect_as(server.local_addr(), "burst").expect("connect");
@@ -635,7 +631,6 @@ mod slow_consumer {
     #[test]
     fn stalled_subscriber_drop_old_counts_evictions() {
         let server = BrokerServer::builder()
-            .transport(TransportKind::Epoll)
             .queue_capacity(4)
             .overflow(OverflowPolicy::DropOldest)
             .write_timeout(Duration::from_secs(30))
@@ -671,7 +666,6 @@ mod slow_consumer {
                 .build(),
         );
         let server = BrokerServer::builder()
-            .transport(TransportKind::Epoll)
             .broker(broker)
             .write_timeout(Duration::from_secs(30))
             .bind("127.0.0.1:0")
@@ -698,28 +692,6 @@ mod slow_consumer {
             "publish waited out the block timeout, took {elapsed:?}"
         );
         drop(stalled);
-        server.shutdown();
-    }
-
-    /// The threaded transport still serves the identical protocol — the
-    /// `--transport` flag changes scheduling, not semantics.
-    #[test]
-    fn threads_transport_smoke() {
-        let server = BrokerServer::builder()
-            .transport(TransportKind::Threads)
-            .bind("127.0.0.1:0")
-            .expect("bind");
-        assert_eq!(server.transport(), TransportKind::Threads);
-        let subscriber = Client::connect_as(server.local_addr(), "sub").expect("connect");
-        subscriber.subscribe(Filter::topic("t")).expect("subscribe");
-        let publisher = Client::connect_as(server.local_addr(), "pub").expect("connect");
-        let out = publisher
-            .publish(Event::topical("t", "body"))
-            .expect("publish");
-        assert_eq!(out.delivered, 1);
-        assert!(subscriber.recv_delivery(WAIT).is_some());
-        let wire = server.stats();
-        assert_eq!(wire.loop_wakeups, 0, "no event loop under threads");
         server.shutdown();
     }
 }
