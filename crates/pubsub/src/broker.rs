@@ -343,6 +343,10 @@ impl Broker {
 
     /// Place a subscription on behalf of `subscriber`.
     ///
+    /// The index keeps the `Arc` it is given, so a caller that files the
+    /// same filter elsewhere (a federation's routing core) passes a clone
+    /// of one `Arc` to both and the filter is stored once.
+    ///
     /// # Errors
     ///
     /// * [`BrokerError::UnknownSubscriber`] if the subscriber is not
@@ -352,8 +356,9 @@ impl Broker {
     pub fn subscribe(
         &self,
         subscriber: SubscriberId,
-        filter: Filter,
+        filter: impl Into<Arc<Filter>>,
     ) -> Result<SubscriptionId, BrokerError> {
+        let filter = filter.into();
         if let Some(schema) = &self.schema {
             schema.validate_filter(&filter)?;
         }
@@ -374,13 +379,13 @@ impl Broker {
         Ok(sub)
     }
 
-    /// Remove a subscription.
+    /// Remove a subscription, returning its filter.
     ///
     /// # Errors
     ///
     /// Returns [`BrokerError::UnknownSubscription`] if the id does not
     /// exist.
-    pub fn unsubscribe(&self, sub: SubscriptionId) -> Result<Filter, BrokerError> {
+    pub fn unsubscribe(&self, sub: SubscriptionId) -> Result<Arc<Filter>, BrokerError> {
         let mut inner = self.inner.write();
         let filter = inner
             .index

@@ -12,6 +12,8 @@ use crate::value::{Value, ValueKey, ValueType};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{BuildHasher, Hash, Hasher, RandomState};
+use std::sync::{Arc, OnceLock};
 
 /// Comparison operator of a [`Predicate`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -362,18 +364,46 @@ impl FromIterator<Predicate> for Filter {
     }
 }
 
-/// One predicate of a [`FilterKey`]: the attribute, the operator and the
-/// operand's canonical [`ValueKey`].
+/// One predicate of a filter's canonical form: the attribute, the
+/// operator and the operand's canonical [`ValueKey`], all borrowed from
+/// the filter.
 ///
 /// The operand is `None` where it cannot distinguish two predicates: for
 /// `Exists`, which ignores it, and for `NaN`, which has no key — every
 /// `NaN` compares alike (unequal to everything, unordered with
 /// everything), whatever its bit pattern.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-struct PredicateKey {
-    attr: String,
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+struct PredicateKey<'a> {
+    attr: &'a str,
     op: Op,
-    operand: Option<ValueKey<'static>>,
+    operand: Option<ValueKey<'a>>,
+}
+
+/// The canonical form of `filter`: its predicate keys, sorted and
+/// deduplicated (a conjunction is a set).
+fn canonical(filter: &Filter) -> Vec<PredicateKey<'_>> {
+    let mut predicates: Vec<PredicateKey<'_>> = filter
+        .predicates
+        .iter()
+        .map(|p| PredicateKey {
+            attr: &p.attr,
+            op: p.op,
+            operand: match p.op {
+                Op::Exists => None,
+                _ => ValueKey::of(&p.operand),
+            },
+        })
+        .collect();
+    predicates.sort_unstable();
+    predicates.dedup();
+    predicates
+}
+
+/// The hasher of canonical forms: keyed once per process, because filters
+/// arrive from outside it.
+fn canonical_hasher() -> &'static RandomState {
+    static HASHER: OnceLock<RandomState> = OnceLock::new();
+    HASHER.get_or_init(RandomState::new)
 }
 
 /// The canonical, hashable identity of a [`Filter`].
@@ -383,6 +413,14 @@ struct PredicateKey {
 /// compared as the matchers compare them — `Int(3)` and `Float(3.0)`, or
 /// `0.0` and `-0.0`, are one operand. The converse does not hold: `x > 3`
 /// and `x > 3 ∧ x > 2` are equivalent filters with different keys.
+///
+/// A key is a handle, not a copy: the shared `Arc<Filter>` it was made
+/// from plus the hash of the filter's canonical form, computed once.
+/// Cloning it bumps a reference count. Two keys compare their filters'
+/// canonical forms only when their hashes agree. Every table that files a
+/// filter by its key — the index matcher's slots, a federation's
+/// aggregation groups, the automatic-subscription registry — therefore
+/// holds the one `Arc<Filter>` the subscription was placed with.
 ///
 /// The index matcher collapses subscriptions with equal keys into one
 /// posting, and a federation advertises them to its peers once.
@@ -396,29 +434,50 @@ struct PredicateKey {
 /// let b = Filter::new().and("px", Op::Ge, 3.0).and("sym", Op::Eq, "ACME");
 /// assert_eq!(FilterKey::of(&a), FilterKey::of(&b));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Clone)]
 pub struct FilterKey {
-    predicates: Vec<PredicateKey>,
+    hash: u64,
+    filter: Arc<Filter>,
 }
 
 impl FilterKey {
-    /// The key of `filter`.
+    /// The key of a shared filter; the key holds `filter` itself.
+    pub fn new(filter: Arc<Filter>) -> FilterKey {
+        let hash = canonical_hasher().hash_one(canonical(&filter));
+        FilterKey { hash, filter }
+    }
+
+    /// The key of `filter`, over a copy of it. Use [`FilterKey::new`] to
+    /// key a filter that is already shared.
     pub fn of(filter: &Filter) -> FilterKey {
-        let mut predicates: Vec<PredicateKey> = filter
-            .predicates
-            .iter()
-            .map(|p| PredicateKey {
-                attr: p.attr.clone(),
-                op: p.op,
-                operand: match p.op {
-                    Op::Exists => None,
-                    _ => ValueKey::of(&p.operand).map(ValueKey::into_owned),
-                },
-            })
-            .collect();
-        predicates.sort_unstable();
-        predicates.dedup();
-        FilterKey { predicates }
+        FilterKey::new(Arc::new(filter.clone()))
+    }
+
+    /// The filter the key was made from.
+    pub fn filter(&self) -> &Arc<Filter> {
+        &self.filter
+    }
+}
+
+impl PartialEq for FilterKey {
+    fn eq(&self, other: &FilterKey) -> bool {
+        self.hash == other.hash
+            && (Arc::ptr_eq(&self.filter, &other.filter)
+                || canonical(&self.filter) == canonical(&other.filter))
+    }
+}
+
+impl Eq for FilterKey {}
+
+impl Hash for FilterKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+impl fmt::Debug for FilterKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("FilterKey").field(&*self.filter).finish()
     }
 }
 

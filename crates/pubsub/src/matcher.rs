@@ -55,6 +55,16 @@
 //! owners of that filter), and a counted filter O(counted predicates on
 //! its attributes). No write is O(subscriptions).
 //!
+//! The filters themselves are never copied. [`IndexMatcher::insert`] takes
+//! an `Arc<Filter>` (or wraps an owned filter in one), and the slot, its
+//! [`FilterKey`] — a handle holding that same `Arc` plus a hash — and its
+//! counted-scan entries all point at it. A subscription whose filter is an
+//! exact duplicate of its slot's shares the slot's `Arc`, so a duplicate
+//! costs an owner-list entry and a subscription-table entry. The broker and
+//! the routing core pass in the `Arc` the daemon built when the
+//! subscription arrived, so one filter is stored once however many tables
+//! file it.
+//!
 //! Benchmark **B1** (`cargo bench -p reef-bench --bench matcher`) measures
 //! match, insert, remove and clone against [`NaiveMatcher`].
 
@@ -165,7 +175,8 @@ impl MatchEngine for NaiveMatcher {
 /// Dense id of a distinct filter; indexes the per-thread counters.
 type SlotId = u32;
 
-/// One subscription: the slot of its filter, and the filter as given.
+/// One subscription: the slot of its filter, and the filter as given —
+/// the slot's own `Arc` when the two are identical.
 #[derive(Clone)]
 struct Sub {
     slot: SlotId,
@@ -187,10 +198,9 @@ enum Access {
 /// One distinct filter and the subscriptions that hold it.
 #[derive(Clone)]
 struct Slot {
-    key: Arc<FilterKey>,
-    /// The filter of the subscription that created the slot; predicates
-    /// are evaluated through it.
-    filter: Arc<Filter>,
+    /// Holds the filter of the subscription that created the slot;
+    /// predicates are evaluated through it.
+    key: FilterKey,
     access: Access,
     /// Sorted ascending. Behind its own `Arc` so that copying a leaf of
     /// the slot table does not copy its neighbours' owner lists.
@@ -334,7 +344,7 @@ impl Counters {
 pub struct IndexMatcher {
     subs: PMap<SubscriptionId, Sub>,
     /// Duplicate collapsing: canonical filter → its slot.
-    by_key: PMap<Arc<FilterKey>, SlotId>,
+    by_key: PMap<FilterKey, SlotId>,
     slots: PMap<SlotId, SlotEntry>,
     /// Head of the chain of freed slot ids.
     free: Option<SlotId>,
@@ -514,14 +524,16 @@ impl IndexMatcher {
         self.slots.insert(id, SlotEntry::Live(slot));
         id
     }
-}
 
-impl MatchEngine for IndexMatcher {
-    fn insert(&mut self, id: SubscriptionId, filter: Filter) {
+    /// Register `filter` under `id`, replacing the filter `id` held
+    /// before. The index keeps the `Arc` it is given (or, for an exact
+    /// duplicate of a filter it already holds, that filter's `Arc`) and
+    /// copies nothing of the filter.
+    pub fn insert(&mut self, id: SubscriptionId, filter: impl Into<Arc<Filter>>) {
         if self.subs.get(&id).is_some() {
             self.remove(id);
         }
-        let key = FilterKey::of(&filter);
+        let key = FilterKey::new(filter.into());
         let sub = match self.by_key.get(&key).copied() {
             Some(slot) => {
                 let Some(SlotEntry::Live(held)) = self.slots.get_mut(&slot) else {
@@ -531,20 +543,19 @@ impl MatchEngine for IndexMatcher {
                 let before = owners.partition_point(|owner| *owner < id);
                 owners.insert(before, id);
                 // An exact duplicate shares the slot's copy of the filter.
-                let filter = if *held.filter == filter {
-                    Arc::clone(&held.filter)
+                let (held, given) = (held.key.filter(), key.filter());
+                let filter = if held == given {
+                    Arc::clone(held)
                 } else {
-                    Arc::new(filter)
+                    Arc::clone(given)
                 };
                 Sub { slot, filter }
             }
             None => {
-                let key = Arc::new(key);
-                let filter = Arc::new(filter);
+                let filter = Arc::clone(key.filter());
                 let access = self.choose_access(&filter);
                 let slot = self.allocate(Slot {
-                    key: Arc::clone(&key),
-                    filter: Arc::clone(&filter),
+                    key: key.clone(),
                     access,
                     owners: Arc::new(vec![id]),
                 });
@@ -556,7 +567,9 @@ impl MatchEngine for IndexMatcher {
         self.subs.insert(id, sub);
     }
 
-    fn remove(&mut self, id: SubscriptionId) -> Option<Filter> {
+    /// Remove the subscription `id`, returning the filter it was
+    /// registered with, or `None` if the id was not registered.
+    pub fn remove(&mut self, id: SubscriptionId) -> Option<Arc<Filter>> {
         let sub = self.subs.remove(&id)?;
         let entry = self
             .slots
@@ -578,11 +591,21 @@ impl MatchEngine for IndexMatcher {
                     unreachable!("slot {} has an owner but is not live", sub.slot);
                 };
                 self.free = Some(sub.slot);
-                self.unpost(sub.slot, &held.filter, held.access);
-                self.by_key.remove(&*held.key);
+                self.unpost(sub.slot, held.key.filter(), held.access);
+                self.by_key.remove(&held.key);
             }
         }
-        Some(Arc::unwrap_or_clone(sub.filter))
+        Some(sub.filter)
+    }
+}
+
+impl MatchEngine for IndexMatcher {
+    fn insert(&mut self, id: SubscriptionId, filter: Filter) {
+        IndexMatcher::insert(self, id, filter);
+    }
+
+    fn remove(&mut self, id: SubscriptionId) -> Option<Filter> {
+        IndexMatcher::remove(self, id).map(Arc::unwrap_or_clone)
     }
 
     fn matches(&self, event: &Event) -> Vec<SubscriptionId> {
@@ -602,7 +625,8 @@ impl MatchEngine for IndexMatcher {
                         unreachable!("slot {candidate} is in a bucket but not keyed");
                     };
                     let rest_holds = slot
-                        .filter
+                        .key
+                        .filter()
                         .predicates()
                         .iter()
                         .enumerate()
@@ -862,8 +886,35 @@ mod tests {
         );
         assert_eq!(m.matches(&e), ids(&[2, 5]));
         // The slot outlives the subscription that created it.
-        assert_eq!(m.remove(SubscriptionId(5)), Some(quote()));
+        assert_eq!(m.remove(SubscriptionId(5)).as_deref(), Some(&quote()));
         assert_eq!(m.matches(&e), ids(&[2]));
+    }
+
+    #[test]
+    fn the_index_holds_the_filter_it_is_given_and_copies_nothing() {
+        let mut m = IndexMatcher::new();
+        let shared = Arc::new(Filter::new().and("sym", Op::Eq, "A").and("px", Op::Gt, 1));
+        m.insert(SubscriptionId(1), Arc::clone(&shared));
+        // An exact duplicate is filed under the slot's `Arc`; its own is
+        // dropped.
+        m.insert(
+            SubscriptionId(2),
+            Filter::new().and("sym", Op::Eq, "A").and("px", Op::Gt, 1),
+        );
+        // The same conjunction written differently keeps its own filter.
+        let reordered = Arc::new(Filter::new().and("px", Op::Gt, 1.0).and("sym", Op::Eq, "A"));
+        m.insert(SubscriptionId(3), Arc::clone(&reordered));
+        assert_eq!(m.by_key.len(), 1);
+        // The caller's handle, the slot's key, the key-to-slot table's
+        // key and two subscriptions.
+        assert_eq!(Arc::strong_count(&shared), 5);
+        assert!(Arc::ptr_eq(
+            &m.remove(SubscriptionId(3)).unwrap(),
+            &reordered
+        ));
+        assert!(Arc::ptr_eq(&m.remove(SubscriptionId(1)).unwrap(), &shared));
+        assert!(Arc::ptr_eq(&m.remove(SubscriptionId(2)).unwrap(), &shared));
+        assert_eq!(Arc::strong_count(&shared), 1, "the emptied index lets go");
     }
 
     #[test]
@@ -911,7 +962,7 @@ mod tests {
             ("sym", Value::from("A")),
         ]);
         assert_eq!(m.matches(&e), ids(&[1, 2]));
-        assert_eq!(m.remove(SubscriptionId(1)), Some(f));
+        assert_eq!(m.remove(SubscriptionId(1)).as_deref(), Some(&f));
         assert_eq!(m.matches(&e), ids(&[2]));
         assert!(m.attrs.get("venue").is_none() && m.attrs.get("sym").is_none());
         let px = &m.attrs.get("px").unwrap().counted;

@@ -38,6 +38,7 @@ use crate::routing::{MeshRouter, RouteRemoval};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a client attached to some broker of the overlay.
 #[derive(
@@ -218,9 +219,11 @@ pub struct BrokerNode {
     /// Everything this broker knows: local subs and neighbor advertisements.
     matcher: IndexMatcher,
     origin: HashMap<GlobalSubId, SubOrigin>,
-    filters: HashMap<GlobalSubId, Filter>,
+    /// The filter of every known subscription: the same `Arc` the matcher
+    /// and the advertisement tables hold.
+    filters: HashMap<GlobalSubId, Arc<Filter>>,
     /// What this broker has advertised to each neighbor.
-    advertised: HashMap<NodeId, BTreeMap<GlobalSubId, Filter>>,
+    advertised: HashMap<NodeId, BTreeMap<GlobalSubId, Arc<Filter>>>,
     /// Path-vector routing state; `Some` makes this a mesh-mode node
     /// that tolerates cycles and redundant links.
     mesh: Option<MeshRouter>,
@@ -365,14 +368,16 @@ impl BrokerNode {
     /// advertisements to propagate.
     ///
     /// The caller mints `sub`; it must be unique across the whole overlay
-    /// (a federation of daemons namespaces the id space per broker).
+    /// (a federation of daemons namespaces the id space per broker). The
+    /// node files the `Arc` it is given in every table it keeps; only the
+    /// advertisements it returns carry copies.
     pub fn subscribe_local(
         &mut self,
         sub: GlobalSubId,
         client: ClientId,
-        filter: Filter,
+        filter: impl Into<Arc<Filter>>,
     ) -> Vec<(NodeId, PeerMsg)> {
-        self.insert_sub(sub, SubOrigin::Local(client), filter);
+        self.insert_sub(sub, SubOrigin::Local(client), filter.into());
         if self.mesh.is_some() {
             self.mesh_sync()
         } else {
@@ -436,7 +441,7 @@ impl BrokerNode {
                     }
                     _ => {}
                 }
-                self.insert_sub(sub, SubOrigin::Neighbor(from), filter);
+                self.insert_sub(sub, SubOrigin::Neighbor(from), Arc::new(filter));
                 NodeOutput::from_messages(self.sync_advertisements())
             }
             PeerMsg::SubAdv { sub, filter, path } => {
@@ -449,7 +454,8 @@ impl BrokerNode {
                 let Some(router) = self.mesh.as_mut() else {
                     return NodeOutput::default();
                 };
-                if !router.insert_route(from, sub, filter.clone(), path) {
+                let filter = Arc::new(filter);
+                if !router.insert_route(from, sub, Arc::clone(&filter), path) {
                     return NodeOutput::default();
                 }
                 self.insert_sub(sub, SubOrigin::Neighbor(from), filter);
@@ -545,11 +551,12 @@ impl BrokerNode {
     /// Everything this node currently knows: each subscription id with
     /// its filter, local and neighbor-advertised alike.
     pub fn knowledge(&self) -> impl Iterator<Item = (GlobalSubId, &Filter)> {
-        self.filters.iter().map(|(sub, f)| (*sub, f))
+        self.filters.iter().map(|(sub, f)| (*sub, &**f))
     }
 
-    fn insert_sub(&mut self, sub: GlobalSubId, origin: SubOrigin, filter: Filter) {
-        self.matcher.insert(SubscriptionId(sub.0), filter.clone());
+    fn insert_sub(&mut self, sub: GlobalSubId, origin: SubOrigin, filter: Arc<Filter>) {
+        self.matcher
+            .insert(SubscriptionId(sub.0), Arc::clone(&filter));
         self.origin.insert(sub, origin);
         self.filters.insert(sub, filter);
     }
@@ -569,8 +576,8 @@ impl BrokerNode {
     /// dropped when another candidate strictly covers it, or when an
     /// equivalent candidate with a smaller id exists (canonical
     /// representative of an equivalence class).
-    fn desired_ads(&self, neighbor: NodeId) -> BTreeMap<GlobalSubId, Filter> {
-        let candidates: BTreeMap<GlobalSubId, &Filter> = self
+    fn desired_ads(&self, neighbor: NodeId) -> BTreeMap<GlobalSubId, Arc<Filter>> {
+        let candidates: BTreeMap<GlobalSubId, &Arc<Filter>> = self
             .filters
             .iter()
             .filter(|(sub, _)| match self.origin.get(sub) {
@@ -583,7 +590,7 @@ impl BrokerNode {
         if !self.covering {
             return candidates
                 .into_iter()
-                .map(|(s, f)| (s, f.clone()))
+                .map(|(s, f)| (s, Arc::clone(f)))
                 .collect();
         }
         let mut out = BTreeMap::new();
@@ -601,7 +608,7 @@ impl BrokerNode {
                     }
                 }
             }
-            out.insert(sub, filter.clone());
+            out.insert(sub, Arc::clone(filter));
         }
         out
     }
@@ -630,12 +637,12 @@ impl BrokerNode {
                 // link re-sync) may update a subscription's filter, and
                 // that update must travel onward, not stop one hop in.
                 if current.get(sub) != Some(filter) {
-                    current.insert(*sub, filter.clone());
+                    current.insert(*sub, Arc::clone(filter));
                     to_send.push((
                         n,
                         PeerMsg::SubFwd {
                             sub: *sub,
-                            filter: filter.clone(),
+                            filter: Filter::clone(filter),
                         },
                     ));
                 }
@@ -649,11 +656,11 @@ impl BrokerNode {
     /// neighbor should see (fast paths + split horizon) against what was
     /// already sent.
     fn mesh_sync(&mut self) -> Vec<(NodeId, PeerMsg)> {
-        let locals: Vec<(GlobalSubId, Filter)> = self
+        let locals: Vec<(GlobalSubId, Arc<Filter>)> = self
             .filters
             .iter()
             .filter(|(sub, _)| matches!(self.origin.get(*sub), Some(SubOrigin::Local(_))))
-            .map(|(sub, filter)| (*sub, filter.clone()))
+            .map(|(sub, filter)| (*sub, Arc::clone(filter)))
             .collect();
         let neighbors = self.neighbors.clone();
         self.mesh

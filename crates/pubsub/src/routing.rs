@@ -39,6 +39,7 @@ use crate::filter::Filter;
 use crate::net::NodeId;
 use crate::overlay::{GlobalSubId, PeerMsg};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
 /// Default bound on the duplicate-suppression seen-cache.
 pub const DEFAULT_SEEN_CAPACITY: usize = 4096;
@@ -48,7 +49,7 @@ pub const DEFAULT_SEEN_CAPACITY: usize = 4096;
 /// advertisement travelled (excluding this broker).
 #[derive(Debug, Clone)]
 struct RouteSet {
-    filter: Filter,
+    filter: Arc<Filter>,
     via: BTreeMap<NodeId, Vec<u32>>,
 }
 
@@ -65,6 +66,9 @@ impl RouteSet {
             .map(|(link, path)| (*link, path.as_slice()))
     }
 }
+
+/// One path-vector advertisement: the filter and the full broker-id path.
+type Advertisement = (Arc<Filter>, Vec<u32>);
 
 /// Bounded insert-order-evicting event-id cache: the primary loop and
 /// duplicate defense of mesh routing.
@@ -121,7 +125,7 @@ pub struct MeshRouter {
     routes: HashMap<GlobalSubId, RouteSet>,
     /// What has been advertised per neighbor: filter and full path (this
     /// broker included), diffed by [`MeshRouter::sync`].
-    advertised: HashMap<NodeId, BTreeMap<GlobalSubId, (Filter, Vec<u32>)>>,
+    advertised: HashMap<NodeId, BTreeMap<GlobalSubId, Advertisement>>,
     seen: SeenCache,
     reroutes: u64,
     duplicates_suppressed: u64,
@@ -183,14 +187,14 @@ impl MeshRouter {
         &mut self,
         link: NodeId,
         sub: GlobalSubId,
-        filter: Filter,
+        filter: Arc<Filter>,
         path: Vec<u32>,
     ) -> bool {
         if path.contains(&self.broker_id) {
             return false;
         }
         let set = self.routes.entry(sub).or_insert_with(|| RouteSet {
-            filter: filter.clone(),
+            filter: Arc::clone(&filter),
             via: BTreeMap::new(),
         });
         set.filter = filter;
@@ -246,16 +250,16 @@ impl MeshRouter {
     pub(crate) fn sync(
         &mut self,
         neighbors: &[NodeId],
-        locals: &[(GlobalSubId, Filter)],
+        locals: &[(GlobalSubId, Arc<Filter>)],
     ) -> Vec<(NodeId, PeerMsg)> {
         let mut out = Vec::new();
         for &n in neighbors {
             let Some(&remote_broker) = self.neighbor_brokers.get(&n) else {
                 continue;
             };
-            let mut desired: BTreeMap<GlobalSubId, (Filter, Vec<u32>)> = BTreeMap::new();
+            let mut desired: BTreeMap<GlobalSubId, Advertisement> = BTreeMap::new();
             for (sub, filter) in locals {
-                desired.insert(*sub, (filter.clone(), vec![self.broker_id]));
+                desired.insert(*sub, (Arc::clone(filter), vec![self.broker_id]));
             }
             for (sub, set) in &self.routes {
                 let Some((_, best_path)) = set.best() else {
@@ -267,7 +271,7 @@ impl MeshRouter {
                 if path.contains(&remote_broker) {
                     continue;
                 }
-                desired.insert(*sub, (set.filter.clone(), path));
+                desired.insert(*sub, (Arc::clone(&set.filter), path));
             }
             let current = self.advertised.entry(n).or_default();
             let removals: Vec<GlobalSubId> = current
@@ -280,9 +284,17 @@ impl MeshRouter {
                 out.push((n, PeerMsg::UnsubFwd { sub }));
             }
             for (sub, (filter, path)) in desired {
-                if current.get(&sub) != Some(&(filter.clone(), path.clone())) {
-                    current.insert(sub, (filter.clone(), path.clone()));
-                    out.push((n, PeerMsg::SubAdv { sub, filter, path }));
+                let unchanged = current
+                    .get(&sub)
+                    .is_some_and(|(held, held_path)| *held == filter && *held_path == path);
+                if !unchanged {
+                    let msg = PeerMsg::SubAdv {
+                        sub,
+                        filter: Filter::clone(&filter),
+                        path: path.clone(),
+                    };
+                    current.insert(sub, (filter, path));
+                    out.push((n, msg));
                 }
             }
         }
@@ -364,7 +376,7 @@ mod tests {
         router.insert_route(
             NodeId(link),
             GlobalSubId(sub),
-            Filter::topic("t"),
+            Arc::new(Filter::topic("t")),
             path.to_vec(),
         )
     }
@@ -505,7 +517,10 @@ mod tests {
     fn locals_are_advertised_with_own_id_as_path() {
         let mut r = MeshRouter::new(3);
         r.add_neighbor(NodeId(1), 10);
-        let msgs = r.sync(&[NodeId(1)], &[(GlobalSubId(9), Filter::topic("t"))]);
+        let msgs = r.sync(
+            &[NodeId(1)],
+            &[(GlobalSubId(9), Arc::new(Filter::topic("t")))],
+        );
         assert!(matches!(
             msgs.as_slice(),
             [(_, PeerMsg::SubAdv { path, .. })] if path == &vec![3]

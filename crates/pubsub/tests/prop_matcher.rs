@@ -2,13 +2,16 @@
 //!
 //! The first block is the differential suite: [`IndexMatcher`] against the
 //! [`NaiveMatcher`] oracle over interleaved writes, duplicates, snapshots
-//! and threads. A failure prints the `REEF_TEST_SEED` that replays it.
+//! and threads. The second holds [`FilterKey`] to a by-value reference
+//! model of filter identity. A failure prints the `REEF_TEST_SEED` that
+//! replays it.
 
 use proptest::prelude::*;
 use reef_pubsub::{
-    Event, Filter, IndexMatcher, MatchEngine, NaiveMatcher, Op, SubscriptionId, Value,
+    Event, Filter, FilterKey, IndexMatcher, MatchEngine, NaiveMatcher, Op, SubscriptionId, Value,
 };
-use std::sync::Barrier;
+use std::hash::{BuildHasher, RandomState};
+use std::sync::{Arc, Barrier};
 
 /// Small attribute universe so filters and events actually collide.
 const ATTRS: [&str; 4] = ["alpha", "beta", "gamma", "delta"];
@@ -179,7 +182,7 @@ impl Pair {
             Step::Remove { id } => {
                 prop_assert_eq!(
                     shown(self.naive.remove(SubscriptionId(*id)).as_ref()),
-                    shown(self.index.remove(SubscriptionId(*id)).as_ref())
+                    shown(self.index.remove(SubscriptionId(*id)).as_deref())
                 );
                 prop_assert_eq!(self.index.filter(SubscriptionId(*id)), None);
             }
@@ -296,6 +299,170 @@ proptest! {
             }
         }
         pair.agree_on(&events)?;
+    }
+}
+
+/// An operand of the reference model's canonical form.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum ModelOperand {
+    Str(String),
+    /// The bit pattern of the operand as an `f64`, `-0.0` folded into
+    /// `0.0`.
+    Num(u64),
+    Bool(bool),
+}
+
+/// The reference model of filter identity: the by-value canonical form
+/// `FilterKey` once stored. Every predicate becomes an owned
+/// `(attribute, operator, operand)` triple; `Exists` drops its operand,
+/// every `NaN` is one `None`, integers and floats meet on the real line.
+/// The triples are sorted and deduplicated.
+fn model_key(filter: &Filter) -> Vec<(String, Op, Option<ModelOperand>)> {
+    let mut key: Vec<(String, Op, Option<ModelOperand>)> = filter
+        .predicates()
+        .iter()
+        .map(|p| {
+            let operand = match (p.op, &p.operand) {
+                (Op::Exists, _) => None,
+                (_, Value::Str(s)) => Some(ModelOperand::Str(s.clone())),
+                (_, Value::Bool(b)) => Some(ModelOperand::Bool(*b)),
+                (_, number) => {
+                    let x = number.as_f64().expect("ints and floats are numbers");
+                    let x = if x == 0.0 { 0.0 } else { x };
+                    (!x.is_nan()).then(|| ModelOperand::Num(x.to_bits()))
+                }
+            };
+            (p.attr.clone(), p.op, operand)
+        })
+        .collect();
+    key.sort();
+    key.dedup();
+    key
+}
+
+/// Operands that look different and may be the same: `Int(3)` and
+/// `Float(3.0)`, three zeros, three `NaN` bit patterns, a string that reads
+/// like a number, booleans.
+fn key_operand(at: usize) -> Value {
+    const OPERANDS: usize = 13;
+    match at % OPERANDS {
+        0 => Value::Int(3),
+        1 => Value::Float(3.0),
+        2 => Value::Int(0),
+        3 => Value::Float(0.0),
+        4 => Value::Float(-0.0),
+        5 => Value::Float(f64::NAN),
+        6 => Value::Float(f64::from_bits(0x7ff8_0000_0000_0001)),
+        7 => Value::Float(f64::from_bits(0xfff8_0000_0000_0000)),
+        8 => Value::from("3"),
+        9 => Value::from("a"),
+        10 => Value::Bool(true),
+        11 => Value::Bool(false),
+        _ => Value::Float(3.5),
+    }
+}
+
+/// Another operand the key must not tell apart from operand `at`, picked
+/// by `pick`: the same number in another type or sign, another `NaN`.
+fn twin_operand(at: usize, pick: u64) -> usize {
+    let class: &[usize] = match at {
+        0 | 1 => &[0, 1],
+        2..=4 => &[2, 3, 4],
+        5..=7 => &[5, 6, 7],
+        _ => return at,
+    };
+    class[pick as usize % class.len()]
+}
+
+const KEY_OPS: [Op; 5] = [Op::Eq, Op::Ne, Op::Lt, Op::Contains, Op::Exists];
+
+/// A predicate as indexes into the attribute, operator and operand pools.
+type RawPredicate = (usize, usize, usize);
+
+fn key_filter(raw: &[RawPredicate]) -> Filter {
+    raw.iter()
+        .map(|&(attr, op, operand)| {
+            reef_pubsub::Predicate::new(["x", "y"][attr], KEY_OPS[op], key_operand(operand))
+        })
+        .collect()
+}
+
+/// A pair of filters that is often the same filter in disguise: the
+/// second is the first permuted, with some predicates repeated, operands
+/// swapped for twins and `Exists` operands replaced — and now and then
+/// one predicate changed outright, or an unrelated filter altogether.
+fn filter_pair() -> impl Strategy<Value = (Filter, Filter)> {
+    let raw = || prop::collection::vec((0usize..2, 0usize..KEY_OPS.len(), 0usize..13), 0..5);
+    (
+        raw(),
+        raw(),
+        prop::collection::vec(any::<u64>(), 12),
+        0u32..8,
+    )
+        .prop_map(|(base, unrelated, noise, how)| {
+            let first = key_filter(&base);
+            if how == 0 {
+                return (first, key_filter(&unrelated));
+            }
+            let mut disguised: Vec<(u64, RawPredicate)> = base
+                .iter()
+                .enumerate()
+                .map(|(i, &(attr, op, operand))| {
+                    let pick = noise[i % noise.len()];
+                    let operand = if KEY_OPS[op] == Op::Exists {
+                        (pick % 13) as usize
+                    } else {
+                        twin_operand(operand, pick >> 8)
+                    };
+                    (pick >> 16, (attr, op, operand))
+                })
+                .collect();
+            for (i, held) in base.iter().enumerate() {
+                if noise[(i + 5) % noise.len()] % 3 == 0 {
+                    disguised.push((noise[(i + 7) % noise.len()], *held));
+                }
+            }
+            disguised.sort_by_key(|(order, _)| *order);
+            let mut second: Vec<RawPredicate> = disguised.into_iter().map(|(_, p)| p).collect();
+            if how == 1 && !second.is_empty() {
+                let at = noise[11] as usize % second.len();
+                let (attr, op, operand) = second[at];
+                second[at] = match noise[10] % 3 {
+                    0 => (1 - attr, op, operand),
+                    1 => (attr, (op + 1) % KEY_OPS.len(), operand),
+                    _ => (attr, op, (operand + 1) % 13),
+                };
+            }
+            (first, key_filter(&second))
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// `FilterKey` is a hash handle over a shared filter; two keys are
+    /// equal exactly when the reference model's canonical forms are, and
+    /// equal keys hash alike, whether they share the filter or not.
+    #[test]
+    fn filter_key_agrees_with_the_by_value_model(pair in filter_pair()) {
+        let (a, b) = pair;
+        let hasher = RandomState::new();
+        let shared = Arc::new(a.clone());
+        let keys = [
+            FilterKey::of(&a),
+            FilterKey::new(Arc::clone(&shared)),
+            FilterKey::new(shared),
+        ];
+        let other = FilterKey::new(Arc::new(b.clone()));
+        let same = model_key(&a) == model_key(&b);
+        for key in &keys {
+            prop_assert_eq!(key, &keys[0]);
+            prop_assert_eq!(hasher.hash_one(key), hasher.hash_one(&keys[0]));
+            prop_assert_eq!(key == &other, same, "{} vs {}", a, b);
+            if same {
+                prop_assert_eq!(hasher.hash_one(key), hasher.hash_one(&other));
+            }
+        }
     }
 }
 

@@ -32,7 +32,7 @@ use crate::server::ServerCore;
 use crate::stats::AutosubGauges;
 use parking_lot::Mutex;
 use reef_core::{AutoSubConfig, AutoSubEngine, DerivedFilter};
-use reef_pubsub::{Clock, Filter, SubscriberId, SubscriptionId, SystemClock};
+use reef_pubsub::{Clock, FilterKey, SubscriberId, SubscriptionId, SystemClock};
 use reef_simweb::UserId;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -117,10 +117,9 @@ struct Enrollment {
     user: UserId,
     subscriber: SubscriberId,
     engine: AutoSubEngine,
-    /// Derived filter → the broker subscription realizing it. Keyed by
-    /// the filter's debug rendering, which is deterministic for the
-    /// structurally identical filters the engine re-derives.
-    installed: HashMap<String, SubscriptionId>,
+    /// Derived filter → the broker subscription realizing it. The key
+    /// holds the filter the broker and the routing core share.
+    installed: HashMap<FilterKey, SubscriptionId>,
 }
 
 /// The shared registry of enrollments, driven by request handlers, the
@@ -162,10 +161,6 @@ fn entry_of(derived: &DerivedFilter) -> AutoSubEntry {
         reason: derived.reason.clone(),
         score: derived.score,
     }
-}
-
-fn filter_key(filter: &Filter) -> String {
-    format!("{filter:?}")
 }
 
 impl AutosubRuntime {
@@ -345,13 +340,16 @@ impl AutosubRuntime {
         }
         let mut installed = Vec::new();
         for derived in &diff.installed {
+            // One copy of the filter for the broker, the routing core and
+            // this registry.
+            let filter = Arc::new(derived.filter.clone());
             match core
                 .broker
-                .subscribe(enrollment.subscriber, derived.filter.clone())
+                .subscribe(enrollment.subscriber, Arc::clone(&filter))
             {
                 Ok(id) => {
-                    core.federation.local_subscribe(id, derived.filter.clone());
-                    enrollment.installed.insert(filter_key(&derived.filter), id);
+                    core.federation.local_subscribe(id, Arc::clone(&filter));
+                    enrollment.installed.insert(FilterKey::new(filter), id);
                     self.derived_total.fetch_add(1, Ordering::Relaxed);
                     installed.push(entry_of(derived));
                 }
@@ -364,7 +362,7 @@ impl AutosubRuntime {
         }
         let mut retired = Vec::new();
         for derived in &diff.retired {
-            if let Some(id) = enrollment.installed.remove(&filter_key(&derived.filter)) {
+            if let Some(id) = enrollment.installed.remove(&FilterKey::of(&derived.filter)) {
                 let _ = core.broker.unsubscribe(id);
                 core.federation.local_unsubscribe(id);
                 self.retired_total.fetch_add(1, Ordering::Relaxed);

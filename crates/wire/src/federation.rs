@@ -55,6 +55,11 @@
 //! the shared entry fan out to every member subscription on delivery, so
 //! aggregation is invisible to subscribers — it only shrinks peer-link
 //! churn.
+//!
+//! The group's [`FilterKey`] and the routing core's tables all hold the
+//! `Arc<Filter>` the server built when the subscription arrived, the same
+//! one the local [`Broker`]'s index holds: a federated filter is stored
+//! once, not once per table.
 
 use crate::codec::CodecKind;
 use crate::error::WireError;
@@ -291,8 +296,9 @@ pub struct Federation {
 /// One advertised filter shared by every local subscription with an
 /// identical filter.
 struct AggGroup {
-    /// The filter's canonical identity (the aggregation key).
-    key: Arc<FilterKey>,
+    /// The filter's canonical identity (the aggregation key), holding the
+    /// `Arc` of the first member's filter — the one the routing core files.
+    key: FilterKey,
     /// Local wire subscriptions sharing the filter; remote deliveries
     /// fan out to each.
     members: Vec<SubscriptionId>,
@@ -303,7 +309,7 @@ struct AggGroup {
 /// last member unsubscribes.
 #[derive(Default)]
 struct SubAggregation {
-    by_filter: HashMap<Arc<FilterKey>, GlobalSubId>,
+    by_filter: HashMap<FilterKey, GlobalSubId>,
     groups: HashMap<GlobalSubId, AggGroup>,
     by_sub: HashMap<SubscriptionId, GlobalSubId>,
 }
@@ -644,40 +650,41 @@ impl Federation {
     ///
     /// Identical filters aggregate: only the first subscription with a
     /// given filter enters the routing core (and is advertised); later
-    /// ones join its group and merely bump the reference count.
-    pub fn local_subscribe(&self, sub: SubscriptionId, filter: Filter) {
-        let key = Arc::new(FilterKey::of(&filter));
-        {
-            let mut agg = self.agg.lock();
-            if let Some(&gsub) = agg.by_filter.get(&key) {
-                let group = agg.groups.get_mut(&gsub).expect("group exists for key");
-                group.members.push(sub);
-                agg.by_sub.insert(sub, gsub);
-                self.subs_aggregated.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            let gsub = GlobalSubId(
-                ((self.broker_id as u64) << 32) | (self.next_sub.fetch_add(1, Ordering::Relaxed)),
-            );
-            agg.by_filter.insert(Arc::clone(&key), gsub);
-            agg.groups.insert(
-                gsub,
-                AggGroup {
-                    key,
-                    members: vec![sub],
-                },
-            );
+    /// ones join its group and merely bump the reference count. The group
+    /// and the routing core keep the `Arc` they are given, so a caller
+    /// that passes the one it gave [`Broker::subscribe`] stores the filter
+    /// once.
+    pub fn local_subscribe(&self, sub: SubscriptionId, filter: Arc<Filter>) {
+        let key = FilterKey::new(filter);
+        let mut agg = self.agg.lock();
+        if let Some(&gsub) = agg.by_filter.get(&key) {
+            let group = agg.groups.get_mut(&gsub).expect("group exists for key");
+            group.members.push(sub);
             agg.by_sub.insert(sub, gsub);
-            // Fall through with `agg` released: the routing core is never
-            // locked while the aggregation table is held.
-            let gsub_for_node = gsub;
-            drop(agg);
-            let messages =
-                self.node
-                    .lock()
-                    .subscribe_local(gsub_for_node, ClientId(gsub_for_node.0), filter);
-            self.dispatch(messages);
+            self.subs_aggregated.fetch_add(1, Ordering::Relaxed);
+            return;
         }
+        let gsub = GlobalSubId(
+            ((self.broker_id as u64) << 32) | (self.next_sub.fetch_add(1, Ordering::Relaxed)),
+        );
+        let filter = Arc::clone(key.filter());
+        agg.by_filter.insert(key.clone(), gsub);
+        agg.groups.insert(
+            gsub,
+            AggGroup {
+                key,
+                members: vec![sub],
+            },
+        );
+        agg.by_sub.insert(sub, gsub);
+        // Release `agg` first: the routing core is never locked while the
+        // aggregation table is held.
+        drop(agg);
+        let messages = self
+            .node
+            .lock()
+            .subscribe_local(gsub, ClientId(gsub.0), filter);
+        self.dispatch(messages);
     }
 
     /// Withdraw a local wire subscription. The shared advertisement is
@@ -695,9 +702,9 @@ impl Federation {
             if !group.members.is_empty() {
                 return;
             }
-            let key = Arc::clone(&group.key);
-            agg.groups.remove(&gsub);
-            agg.by_filter.remove(&key);
+            if let Some(group) = agg.groups.remove(&gsub) {
+                agg.by_filter.remove(&group.key);
+            }
             gsub
         };
         let messages = self.node.lock().unsubscribe_local(gsub);

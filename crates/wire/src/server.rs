@@ -445,7 +445,10 @@ impl ServerCore {
                 }
             }
             Request::Subscribe { filter } => {
-                match self.broker.subscribe(conn.subscriber, filter.clone()) {
+                // One copy of the filter, shared by the broker's index and
+                // the routing core.
+                let filter = Arc::new(filter);
+                match self.broker.subscribe(conn.subscriber, Arc::clone(&filter)) {
                     Ok(subscription) => {
                         owned.insert(subscription);
                         // Mirror into the routing core so the filter is
@@ -470,7 +473,9 @@ impl ServerCore {
                     Ok(filter) => {
                         owned.remove(&subscription);
                         self.federation.local_unsubscribe(subscription);
-                        Response::Unsubscribed { filter }
+                        Response::Unsubscribed {
+                            filter: Arc::unwrap_or_clone(filter),
+                        }
                     }
                     Err(e) => Response::Error {
                         message: e.to_string(),

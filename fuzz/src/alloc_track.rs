@@ -1,6 +1,8 @@
 //! A counting global allocator: every fuzz run asserts its allocations
 //! stay bounded, so a hostile length prefix that *would* reserve
 //! gigabytes fails the run even when the decode "merely" errors slowly.
+//! The same counters price a data structure: live bytes and live
+//! allocations before and after building it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -13,8 +15,10 @@ pub const ALLOC_BOUND: usize = 256 * 1024 * 1024;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+static LIVE_ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
-/// Pass-through [`System`] allocator that tracks live and peak bytes.
+/// Pass-through [`System`] allocator that tracks live and peak bytes and
+/// the number of live allocations.
 pub struct TrackingAlloc;
 
 fn on_alloc(size: usize) {
@@ -29,6 +33,7 @@ unsafe impl GlobalAlloc for TrackingAlloc {
         let ptr = unsafe { System.alloc(layout) };
         if !ptr.is_null() {
             on_alloc(layout.size());
+            LIVE_ALLOCATIONS.fetch_add(1, Relaxed);
         }
         ptr
     }
@@ -36,6 +41,7 @@ unsafe impl GlobalAlloc for TrackingAlloc {
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) };
         LIVE.fetch_sub(layout.size(), Relaxed);
+        LIVE_ALLOCATIONS.fetch_sub(1, Relaxed);
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
@@ -54,6 +60,12 @@ static TRACKER: TrackingAlloc = TrackingAlloc;
 /// Bytes currently allocated process-wide.
 pub fn live() -> usize {
     LIVE.load(Relaxed)
+}
+
+/// Allocations currently live process-wide (a `realloc` moves one, it
+/// does not add one).
+pub fn live_allocations() -> usize {
+    LIVE_ALLOCATIONS.load(Relaxed)
 }
 
 /// Run `f` and panic if it allocates more than [`ALLOC_BOUND`] bytes

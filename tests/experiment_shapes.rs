@@ -1,6 +1,8 @@
 //! Guard-rail tests: scaled-down versions of the paper experiments whose
-//! *shapes* must hold on every run (the full-size numbers live in the
-//! experiment binaries and EXPERIMENTS.md).
+//! *shapes* must hold on every run. The full-size numbers come from the
+//! experiment binaries in `crates/bench/src/bin/`: `exp_browsing_stats`
+//! (E1) and `exp_video_precision` (E2), run with
+//! `cargo run --release -p reef-bench --bin <name>`.
 
 use reef::simweb::browse::generate_history;
 use reef::simweb::{browsing_stats, BrowseConfig, RequestKind, TopicId, WebConfig, WebUniverse};
