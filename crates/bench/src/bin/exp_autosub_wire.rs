@@ -136,7 +136,8 @@ fn run_deployment(daemon_count: usize, per_user: &BTreeMap<u32, Vec<Click>>) -> 
 
     // Refresh-cycle probe: a fresh user enrolls with an empty history,
     // then uploads a burst of clicks; the elapsed time until the daemon's
-    // unsolicited FeedChanged install notice is one refresh cycle.
+    // unsolicited FeedChanged install notice is click → feed (the upload
+    // itself triggers the re-derive, so no refresh interval is waited).
     let probe = Client::connect_as(hub.local_addr(), "probe").expect("connect probe");
     let receipt = probe
         .auto_subscribe(UserId(PROBE_USER), None)

@@ -8,12 +8,23 @@
 //! a clock. Callers feed it the user's full click history plus a
 //! timestamp and get back a diff of filters to install and retire; the
 //! wire layer (`reef-wire`'s `autosub` module) owns the actual broker
-//! subscriptions and the refresh cadence.
+//! subscriptions and decides when to observe.
 //!
 //! Interest decays exponentially: each key's score is halved every
 //! `half_life_secs` since it was last reinforced, so a feed the user
 //! stops clicking falls below `min_score` and its derived filter is
 //! retired rather than accumulating forever.
+//!
+//! Scores are kept as *forward decay* weights (Cormode et al., "Forward
+//! Decay", ICDE 2009): every interest's weight is its score at one shared
+//! landmark — the time of the last observe that consumed clicks — and
+//! its score at `t` is the weight decayed from the landmark to `t`. All
+//! scores share one decay factor, so between clicks the ranking never
+//! changes and the derived set can only shrink, at the moment an
+//! installed score crosses `min_score`. [`AutoSubEngine::next_expiry`]
+//! reports that moment, which lets a caller observe on uploads and on
+//! deadlines instead of on a poll, with the same derived sets at every
+//! instant.
 
 use crate::recommend::content::ContentRecommender;
 use reef_attention::{host_of, looks_like_feed_url, Click};
@@ -21,6 +32,7 @@ use reef_pubsub::Filter;
 use reef_simweb::UserId;
 use reef_textindex::OfferWeightMode;
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 
@@ -126,11 +138,30 @@ struct Interest {
     filter: Filter,
     /// Short label for reasons: the clicked host (topic) or term (content).
     label: String,
-    score: f64,
+    /// The score at the engine's landmark.
+    weight: f64,
     /// Clicks that ever reinforced this interest.
     clicks: u64,
-    /// Timestamp of the last decay/bump, in caller seconds.
-    updated: f64,
+}
+
+/// Exponential decay from a landmark time.
+#[derive(Debug, Clone, Copy)]
+struct Decay {
+    /// Seconds for a score to halve; non-positive disables decay.
+    half_life: f64,
+    landmark: f64,
+}
+
+impl Decay {
+    /// The score at `t` of an interest weighing `weight` at the landmark.
+    fn score(self, weight: f64, t: f64) -> f64 {
+        let elapsed = t - self.landmark;
+        if self.half_life > 0.0 && elapsed > 0.0 {
+            weight * 0.5f64.powf(elapsed / self.half_life)
+        } else {
+            weight
+        }
+    }
 }
 
 /// Per-user auto-subscription state: consumes the user's click history
@@ -140,6 +171,10 @@ pub struct AutoSubEngine {
     config: AutoSubConfig,
     /// Clicks of the user's history already consumed.
     seen: usize,
+    /// Time (caller seconds) every interest's weight is the score at.
+    landmark: f64,
+    /// Time of the last observe.
+    now: f64,
     interests: HashMap<String, Interest>,
     /// Keys currently published as installed filters.
     installed: BTreeSet<String>,
@@ -196,6 +231,8 @@ impl AutoSubEngine {
             user,
             config,
             seen: 0,
+            landmark: 0.0,
+            now: 0.0,
             interests: HashMap::new(),
             installed: BTreeSet::new(),
             content,
@@ -223,41 +260,56 @@ impl AutoSubEngine {
     pub fn observe(&mut self, clicks: &[Click], now: f64) -> AutoSubDiff {
         let new = &clicks[self.seen.min(clicks.len())..];
         self.seen = clicks.len();
+        self.now = now;
 
-        // Decay every known interest to `now`, then apply bumps.
-        let half_life = self.config.half_life_secs;
-        for interest in self.interests.values_mut() {
-            let elapsed = now - interest.updated;
-            if half_life > 0.0 && elapsed > 0.0 {
-                interest.score *= 0.5f64.powf(elapsed / half_life);
+        // Interests decayed below this are noise: not ranked, forgotten
+        // unless installed, and started afresh when clicked again.
+        let floor = self.config.min_score * 1e-3;
+        if !new.is_empty() {
+            // Move the landmark to `now`, so every weight is today's
+            // score, then apply the bumps.
+            let decay = self.decay();
+            for interest in self.interests.values_mut() {
+                interest.weight = decay.score(interest.weight, now);
             }
-            interest.updated = now;
-        }
-        let bumps = match self.config.mode {
-            AutoSubMode::Topic => self.topic_bumps(new),
-            AutoSubMode::Content => self.content_bumps(new),
-        };
-        for (key, filter, label, bump, count) in bumps {
-            let interest = self.interests.entry(key).or_insert(Interest {
-                filter,
-                label,
-                score: 0.0,
-                clicks: 0,
-                updated: now,
-            });
-            interest.score += bump;
-            interest.clicks += count;
+            self.landmark = now;
+            let bumps = match self.config.mode {
+                AutoSubMode::Topic => self.topic_bumps(new),
+                AutoSubMode::Content => self.content_bumps(new),
+            };
+            for (key, filter, label, bump, count) in bumps {
+                let fresh = Interest {
+                    filter,
+                    label,
+                    weight: 0.0,
+                    clicks: 0,
+                };
+                let interest = match self.interests.entry(key) {
+                    Entry::Occupied(entry) if entry.get().weight >= floor => entry.into_mut(),
+                    Entry::Occupied(mut entry) => {
+                        entry.insert(fresh);
+                        entry.into_mut()
+                    }
+                    Entry::Vacant(entry) => entry.insert(fresh),
+                };
+                interest.weight += bump;
+                interest.clicks += count;
+            }
         }
 
         // Rank what clears the threshold; the strongest `max_filters` win.
+        // Weights rank like scores (one shared decay factor) but do not
+        // move between clicks, so neither does the ranking.
+        let decay = self.decay();
+        let min_score = self.config.min_score;
         let mut ranked: Vec<(&String, &Interest)> = self
             .interests
             .iter()
-            .filter(|(_, i)| i.score >= self.config.min_score)
+            .filter(|(_, i)| decay.score(i.weight, now) >= min_score)
             .collect();
         ranked.sort_by(|a, b| {
-            b.1.score
-                .partial_cmp(&a.1.score)
+            b.1.weight
+                .partial_cmp(&a.1.weight)
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then_with(|| a.0.cmp(b.0))
         });
@@ -278,11 +330,92 @@ impl AutoSubEngine {
         self.installed = current;
 
         // Forget interests that decayed to noise and are not installed.
-        let floor = self.config.min_score * 1e-3;
         let installed = &self.installed;
         self.interests
-            .retain(|key, i| i.score >= floor || installed.contains(key));
+            .retain(|key, i| decay.score(i.weight, now) >= floor || installed.contains(key));
         diff
+    }
+
+    /// The earliest time at which observing with no new clicks retires an
+    /// installed filter, in the seconds [`AutoSubEngine::observe`] takes.
+    /// `None` when nothing is installed or nothing decays.
+    ///
+    /// Until that time, and until the next click, every observe returns an
+    /// empty diff: all scores decay by one factor, so the ranking holds
+    /// and the derived set can only shrink when its weakest member falls
+    /// below `min_score`. The time is exact — the first `f64` at which the
+    /// comparison `observe` makes flips — and always later than the last
+    /// observe, so a caller sleeping until it never spins.
+    pub fn next_expiry(&self) -> Option<f64> {
+        let half_life = self.config.half_life_secs;
+        let min_score = self.config.min_score;
+        // Policies arrive over the wire: NaN and infinite values must not
+        // send the search below into an endless loop.
+        if !(half_life > 0.0 && half_life.is_finite() && min_score > 0.0) {
+            return None;
+        }
+        let weight = self
+            .installed
+            .iter()
+            .map(|key| self.interests[key].weight)
+            .min_by(f64::total_cmp)?;
+        let decay = self.decay();
+        let below = |t: f64| decay.score(weight, t) < min_score;
+        // The closed form, then the float boundary around it: `lo` never
+        // retires (the set was ranked at `now`), `hi` always does.
+        let guess = self.landmark + half_life * (weight / min_score).log2();
+        if !guess.is_finite() {
+            return None;
+        }
+        let (mut lo, mut hi) = (self.now, guess);
+        let mut step = f64::EPSILON * guess.abs().max(lo.abs()).max(half_life);
+        if guess > lo && below(guess) {
+            loop {
+                let t = guess - step;
+                if t <= lo {
+                    break;
+                }
+                if !below(t) {
+                    lo = t;
+                    break;
+                }
+                hi = t;
+                step *= 2.0;
+            }
+        } else {
+            lo = guess.max(lo);
+            loop {
+                hi = lo + step;
+                if below(hi) {
+                    break;
+                }
+                lo = hi;
+                step *= 2.0;
+            }
+        }
+        loop {
+            let mid = lo + (hi - lo) / 2.0;
+            if mid <= lo || mid >= hi {
+                return Some(hi);
+            }
+            if below(mid) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+    }
+
+    /// Forget that `filter` is installed, because the caller could not
+    /// place it; the next observe offers it again. Returns whether it was
+    /// installed.
+    pub fn uninstall(&mut self, filter: &Filter) -> bool {
+        let key = self
+            .installed
+            .iter()
+            .find(|key| self.interests[*key].filter == *filter)
+            .cloned();
+        key.is_some_and(|key| self.installed.remove(&key))
     }
 
     /// Snapshot of the currently derived filters, strongest first.
@@ -305,6 +438,13 @@ impl AutoSubEngine {
         active
     }
 
+    fn decay(&self) -> Decay {
+        Decay {
+            half_life: self.config.half_life_secs,
+            landmark: self.landmark,
+        }
+    }
+
     fn derived(&self, key: &str) -> DerivedFilter {
         let interest = &self.interests[key];
         DerivedFilter {
@@ -313,7 +453,7 @@ impl AutoSubEngine {
                 "{}: {} clicks on {}",
                 self.config.mode, interest.clicks, interest.label
             ),
-            score: interest.score,
+            score: self.decay().score(interest.weight, self.now),
         }
     }
 

@@ -434,6 +434,16 @@ impl Broker {
         self.swap_notifier(None);
     }
 
+    /// Fire the delivery notifier for `subscriber` although nothing was
+    /// queued, so a transport that also carries frames of its own (the
+    /// daemon's auto-subscription notices) wakes whatever serves it.
+    pub fn wake_subscriber(&self, subscriber: SubscriberId) {
+        let snap = self.snapshot.read().clone();
+        if let Some(notifier) = &snap.notifier {
+            notifier.notify(subscriber);
+        }
+    }
+
     /// How many index snapshots have been published since the broker was
     /// built. Transports surface this as the matcher snapshot-swap gauge.
     pub fn snapshot_swaps(&self) -> u64 {
@@ -807,6 +817,26 @@ mod tests {
         assert_eq!(out.delivered, 1);
         assert_eq!(ha.drain().len(), 1);
         assert!(hb.drain().is_empty());
+    }
+
+    #[test]
+    fn wake_subscriber_reaches_the_notifier_only_while_set() {
+        #[derive(Default)]
+        struct Woken(parking_lot::Mutex<Vec<SubscriberId>>);
+        impl DeliveryNotifier for Woken {
+            fn notify(&self, subscriber: SubscriberId) {
+                self.0.lock().push(subscriber);
+            }
+        }
+        let broker = Broker::new();
+        let (a, _ha) = broker.register();
+        broker.wake_subscriber(a);
+        let woken = Arc::new(Woken::default());
+        broker.set_delivery_notifier(Arc::clone(&woken) as Arc<dyn DeliveryNotifier>);
+        broker.wake_subscriber(a);
+        broker.clear_delivery_notifier();
+        broker.wake_subscriber(a);
+        assert_eq!(*woken.0.lock(), vec![a]);
     }
 
     #[test]

@@ -7,12 +7,15 @@
 //! [`reef_core::AutoSubEngine`] and installs the derived filters as
 //! *real broker subscriptions owned by the enrolling connection* — the
 //! user starts receiving matching events without ever sending a
-//! `Subscribe`. A background refresh task re-observes new clicks on a
-//! fixed cadence and applies the engine's decay policy, so interests
-//! that stop being reinforced are retired from the broker instead of
+//! `Subscribe`. Derivation is event-driven: an `UploadClicks` marks its
+//! user dirty and wakes a background refresh thread, which re-derives
+//! that user's enrolments at once. Decay needs no poll either — each
+//! enrolment files the engine's next expiry on a deadline heap, and the
+//! thread sleeps until the earliest one, so interests that stop being
+//! reinforced are retired from the broker on time instead of
 //! accumulating forever. Every installed/retired delta is pushed to the
 //! owning connection as an unsolicited [`ServerFrame::FeedChanged`]
-//! notice.
+//! notice, and its shard is woken to send it.
 //!
 //! The module splits in two:
 //!
@@ -34,12 +37,15 @@ use parking_lot::Mutex;
 use reef_core::{AutoSubConfig, AutoSubEngine, DerivedFilter};
 use reef_pubsub::{Clock, FilterKey, SubscriberId, SubscriptionId, SystemClock};
 use reef_simweb::UserId;
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+// The condvar pairs with a std mutex: the parking_lot shim has none.
+use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Default cadence of the background refresh task.
+/// Default bound on how late a due decay retirement may run.
 const DEFAULT_REFRESH_INTERVAL: Duration = Duration::from_millis(1000);
 
 /// Configuration of the daemon's automatic-subscription engine.
@@ -84,8 +90,11 @@ impl AutosubOptions {
         self
     }
 
-    /// How often the background task re-observes uploaded clicks, applies
-    /// decay and installs/retires derived subscriptions (default 1 s).
+    /// The longest a due decay retirement may wait (default 1 s). Uploads
+    /// derive immediately and decay deadlines wake the refresh thread on
+    /// the clock, so with the default [`SystemClock`] this bound is
+    /// rarely reached; it is how often the thread re-reads an injected
+    /// clock that time was moved on without a wake.
     pub fn refresh_interval(mut self, interval: Duration) -> Self {
         self.refresh_interval = interval;
         self
@@ -96,7 +105,7 @@ impl AutosubOptions {
         self.enabled
     }
 
-    /// The configured refresh cadence.
+    /// The configured bound on decay lateness.
     pub fn interval(&self) -> Duration {
         self.refresh_interval
     }
@@ -120,26 +129,138 @@ struct Enrollment {
     /// Derived filter → the broker subscription realizing it. The key
     /// holds the filter the broker and the routing core share.
     installed: HashMap<FilterKey, SubscriptionId>,
+    /// Clock millisecond at which decay alone next retires one of the
+    /// installed filters. Of this enrolment's entries on the deadline
+    /// heap, only the one carrying this value is live.
+    deadline: Option<u64>,
+}
+
+/// Every enrolment, and when each next needs a decay-only re-derive.
+#[derive(Default)]
+struct Registry {
+    /// Enrolments by user, then by owning connection.
+    users: HashMap<u32, HashMap<SubscriberId, Enrollment>>,
+    /// `(deadline ms, user, connection)`, earliest on top. Entries are
+    /// left behind when an enrolment moves its deadline or leaves; a
+    /// popped entry counts only if it matches its enrolment's `deadline`.
+    deadlines: BinaryHeap<Reverse<(u64, u32, SubscriberId)>>,
+    /// Enrolments, and derived filters installed, across all users.
+    enrolled: u64,
+    active: u64,
+}
+
+impl Registry {
+    fn get_mut(&mut self, user: u32, subscriber: SubscriberId) -> Option<&mut Enrollment> {
+        self.users.get_mut(&user)?.get_mut(&subscriber)
+    }
+
+    fn insert(&mut self, enrollment: Enrollment) {
+        self.enrolled += 1;
+        self.active += enrollment.installed.len() as u64;
+        let (user, subscriber) = (enrollment.user.0, enrollment.subscriber);
+        self.schedule(user, subscriber, enrollment.deadline);
+        self.users
+            .entry(user)
+            .or_default()
+            .insert(subscriber, enrollment);
+    }
+
+    fn remove(&mut self, user: u32, subscriber: SubscriberId) -> Option<Enrollment> {
+        let by_owner = self.users.get_mut(&user)?;
+        let enrollment = by_owner.remove(&subscriber)?;
+        if by_owner.is_empty() {
+            self.users.remove(&user);
+        }
+        self.enrolled -= 1;
+        self.active -= enrollment.installed.len() as u64;
+        Some(enrollment)
+    }
+
+    /// File a new deadline. The heap is rebuilt from the live deadlines
+    /// once dead entries outnumber them.
+    fn schedule(&mut self, user: u32, subscriber: SubscriberId, deadline: Option<u64>) {
+        let Some(deadline) = deadline else {
+            return;
+        };
+        self.deadlines.push(Reverse((deadline, user, subscriber)));
+        if self.deadlines.len() as u64 > 2 * self.enrolled + 64 {
+            self.deadlines = self
+                .users
+                .iter()
+                .flat_map(|(user, by_owner)| {
+                    by_owner.iter().filter_map(|(subscriber, enrollment)| {
+                        Some(Reverse((enrollment.deadline?, *user, *subscriber)))
+                    })
+                })
+                .collect();
+        }
+    }
+
+    /// Pop every live deadline at or before `now_ms`.
+    fn pop_due(&mut self, now_ms: u64) -> Vec<(u32, SubscriberId)> {
+        let mut due = Vec::new();
+        while let Some(&Reverse((deadline, user, subscriber))) = self.deadlines.peek() {
+            if deadline > now_ms {
+                break;
+            }
+            self.deadlines.pop();
+            if self
+                .get_mut(user, subscriber)
+                .is_some_and(|e| e.deadline == Some(deadline))
+            {
+                due.push((user, subscriber));
+            }
+        }
+        due
+    }
+
+    /// The earliest deadline on the heap (`u64::MAX` when none).
+    fn earliest(&self) -> u64 {
+        self.deadlines.peek().map_or(u64::MAX, |Reverse(e)| e.0)
+    }
+}
+
+/// What the refresh thread has been asked to do since it last looked.
+#[derive(Default)]
+struct Pending {
+    /// Enrolments per user, counted before `enroll` observes and after an
+    /// enrolment leaves the registry. An upload for a user absent here
+    /// needs no mark: an enrolment starting later observes its clicks.
+    enrolments: HashMap<UserId, usize>,
+    /// Enrolled users whose clicks changed.
+    dirty: HashSet<UserId>,
+    /// Re-check the deadlines or the shutdown flag.
+    woken: bool,
 }
 
 /// The shared registry of enrollments, driven by request handlers, the
 /// refresh thread and connection teardown.
 pub(crate) struct AutosubRuntime {
     options: AutosubOptions,
-    state: Mutex<HashMap<(SubscriberId, u32), Enrollment>>,
+    state: Mutex<Registry>,
     /// `FeedChange` notices queued per connection, drained by the event
     /// loop.
     notices: Mutex<HashMap<SubscriberId, Vec<FeedChange>>>,
+    /// Work for the refresh thread, signalled through `wake`.
+    pending: StdMutex<Pending>,
+    wake: Condvar,
+    /// `Registry::earliest`, readable without the registry lock: how long
+    /// the refresh thread may sleep. A hint only (`Relaxed`): whoever
+    /// moves it closer also calls `wake`, whose `pending` lock orders it.
+    next_deadline: AtomicU64,
     derived_total: AtomicU64,
     retired_total: AtomicU64,
     last_refresh_us: AtomicU64,
+    /// Engine observes run so far: what a pass costs, in the count tests
+    /// pin.
+    pub(crate) observes: AtomicU64,
 }
 
 impl std::fmt::Debug for AutosubRuntime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AutosubRuntime")
             .field("enabled", &self.options.enabled)
-            .field("enrollments", &self.state.lock().len())
+            .field("enrollments", &self.state.lock().enrolled)
             .finish()
     }
 }
@@ -163,15 +284,33 @@ fn entry_of(derived: &DerivedFilter) -> AutoSubEntry {
     }
 }
 
+/// The engine's "now" for a clock reading.
+fn secs_of(ms: u64) -> f64 {
+    ms as f64 / 1000.0
+}
+
+/// The first clock millisecond whose reading is at or past `secs`.
+fn deadline_ms(secs: f64) -> u64 {
+    let mut ms = (secs * 1000.0).ceil() as u64;
+    while secs_of(ms) < secs && ms < u64::MAX {
+        ms += 1;
+    }
+    ms
+}
+
 impl AutosubRuntime {
     pub(crate) fn new(options: AutosubOptions) -> AutosubRuntime {
         AutosubRuntime {
             options,
-            state: Mutex::new(HashMap::new()),
+            state: Mutex::new(Registry::default()),
             notices: Mutex::new(HashMap::new()),
+            pending: StdMutex::new(Pending::default()),
+            wake: Condvar::new(),
+            next_deadline: AtomicU64::new(u64::MAX),
             derived_total: AtomicU64::new(0),
             retired_total: AtomicU64::new(0),
             last_refresh_us: AtomicU64::new(0),
+            observes: AtomicU64::new(0),
         }
     }
 
@@ -179,13 +318,11 @@ impl AutosubRuntime {
         self.options.enabled
     }
 
-    pub(crate) fn refresh_interval(&self) -> Duration {
-        self.options.refresh_interval
-    }
-
-    /// The engine's "now" in seconds, read off the injected clock.
-    fn now_secs(&self) -> f64 {
-        self.options.clock.now_ms() as f64 / 1000.0
+    /// Every update of `Pending` leaves it valid, so a panic elsewhere
+    /// while it was held loses nothing; shutdown (in `Drop`) must not
+    /// panic on it either.
+    fn pending(&self) -> MutexGuard<'_, Pending> {
+        self.pending.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Enroll `user` on behalf of `subscriber`'s connection, observing
@@ -204,29 +341,30 @@ impl AutosubRuntime {
             return Err("automatic subscriptions are disabled on this daemon".into());
         }
         let policy = policy.unwrap_or_else(|| self.options.default_policy.clone());
+        *self.pending().enrolments.entry(user).or_default() += 1;
         let mut state = self.state.lock();
-        if let Some(mut old) = state.remove(&(subscriber, user.0)) {
-            self.retire_enrollment(core, &mut old);
-        }
+        let _ = self.leave(core, &mut state, user, subscriber);
         let mut enrollment = Enrollment {
             user,
             subscriber,
             engine: AutoSubEngine::new(user, config_of(&policy)),
             installed: HashMap::new(),
-        };
-        let now = self.now_secs();
-        let diff = {
-            let clicks = core.clicks.lock();
-            enrollment.engine.observe(clicks.clicks_of(user), now)
+            deadline: None,
         };
         // The receipt itself carries the initial state, so enrollment
         // queues no FeedChange notice.
-        let _ = self.apply_diff(core, &mut enrollment, &diff);
+        let _ = self.observe(core, &mut enrollment, self.options.clock.now_ms());
         let entries: Vec<AutoSubEntry> = enrollment.engine.active().iter().map(entry_of).collect();
-        state.insert((subscriber, user.0), enrollment);
-        let (users, active) = Self::tally(&state);
+        state.insert(enrollment);
+        let earliest = state.earliest();
+        let sooner = earliest < self.next_deadline.swap(earliest, Ordering::Relaxed);
+        let gauges = (state.enrolled, state.active);
         drop(state);
-        self.record_gauges(core, users, active);
+        // A deadline sooner than the refresh thread's sleep shortens it.
+        if sooner {
+            self.wake();
+        }
+        self.record_gauges(core, gauges);
         Ok(AutoSubReceipt { user, entries })
     }
 
@@ -243,13 +381,12 @@ impl AutosubRuntime {
             return Err("automatic subscriptions are disabled on this daemon".into());
         }
         let mut state = self.state.lock();
-        let entries = match state.remove(&(subscriber, user.0)) {
-            Some(mut enrollment) => self.retire_enrollment(core, &mut enrollment),
-            None => Vec::new(),
-        };
-        let (users, active) = Self::tally(&state);
+        let entries = self
+            .leave(core, &mut state, user, subscriber)
+            .unwrap_or_default();
+        let gauges = (state.enrolled, state.active);
         drop(state);
-        self.record_gauges(core, users, active);
+        self.record_gauges(core, gauges);
         Ok(AutoSubReceipt { user, entries })
     }
 
@@ -260,57 +397,133 @@ impl AutosubRuntime {
     pub(crate) fn drop_subscriber(&self, core: &ServerCore, subscriber: SubscriberId) {
         self.notices.lock().remove(&subscriber);
         let mut state = self.state.lock();
-        let keys: Vec<(SubscriberId, u32)> = state
-            .keys()
-            .filter(|(owner, _)| *owner == subscriber)
-            .copied()
+        let users: Vec<u32> = state
+            .users
+            .iter()
+            .filter(|(_, by_owner)| by_owner.contains_key(&subscriber))
+            .map(|(user, _)| *user)
             .collect();
-        if keys.is_empty() {
+        if users.is_empty() {
             return;
         }
-        for key in keys {
-            if let Some(mut enrollment) = state.remove(&key) {
-                self.retire_enrollment(core, &mut enrollment);
-            }
+        for user in users {
+            let _ = self.leave(core, &mut state, UserId(user), subscriber);
         }
-        let (users, active) = Self::tally(&state);
+        let gauges = (state.enrolled, state.active);
         drop(state);
-        self.record_gauges(core, users, active);
+        self.record_gauges(core, gauges);
     }
 
-    /// One refresh cycle: re-observe every enrollment over its user's
-    /// current click history, apply decay, install/retire broker
-    /// subscriptions, queue `FeedChange` notices and refresh the gauges.
+    /// An upload for `user` was stored: its enrolments re-derive on the
+    /// refresh thread's next pass, which this wakes.
+    pub(crate) fn clicks_changed(&self, user: UserId) {
+        if !self.options.enabled {
+            return;
+        }
+        let mut pending = self.pending();
+        if !pending.enrolments.contains_key(&user) {
+            return;
+        }
+        if pending.dirty.insert(user) && pending.dirty.len() == 1 {
+            self.wake.notify_one();
+        }
+    }
+
+    /// Wake the refresh thread: a deadline moved closer, or shutdown.
+    pub(crate) fn wake(&self) {
+        self.pending().woken = true;
+        self.wake.notify_one();
+    }
+
+    /// The refresh thread's sleep: until an upload or [`Self::wake`], the
+    /// earliest deadline, or `refresh_interval`, whichever comes first.
+    /// The interval bound lets an injected clock that jumps past a
+    /// deadline be noticed without a wake.
+    pub(crate) fn wait_for_work(&self) {
+        let mut pending = self.pending();
+        if std::mem::take(&mut pending.woken) || !pending.dirty.is_empty() {
+            return;
+        }
+        let now = self.options.clock.now_ms();
+        let deadline = self.next_deadline.load(Ordering::Relaxed);
+        if deadline <= now {
+            return;
+        }
+        let timeout = self
+            .options
+            .refresh_interval
+            .min(Duration::from_millis(deadline - now));
+        let (mut pending, _) = self
+            .wake
+            .wait_timeout(pending, timeout)
+            .unwrap_or_else(PoisonError::into_inner);
+        pending.woken = false;
+    }
+
+    /// One refresh pass: re-observe the enrolments of users whose clicks
+    /// changed and those whose decay deadline has passed, install/retire
+    /// broker subscriptions, queue `FeedChange` notices and wake the
+    /// shards owning them. A pass with nothing due costs a heap peek.
     pub(crate) fn refresh(&self, core: &ServerCore) {
         if !self.options.enabled {
             return;
         }
+        // Marks are taken before the registry lock: an upload racing an
+        // enrolment is seen either by `enroll`'s own observe or by the
+        // pass after this one. Marks of users whose enrolments left drop.
+        let dirty = std::mem::take(&mut self.pending().dirty);
         let started = Instant::now();
-        let now = self.now_secs();
-        let mut changes: Vec<(SubscriberId, FeedChange)> = Vec::new();
+        let now_ms = self.options.clock.now_ms();
         let mut state = self.state.lock();
-        for enrollment in state.values_mut() {
-            let diff = {
-                let clicks = core.clicks.lock();
-                enrollment
-                    .engine
-                    .observe(clicks.clicks_of(enrollment.user), now)
-            };
-            if let Some(change) = self.apply_diff(core, enrollment, &diff) {
-                changes.push((enrollment.subscriber, change));
+        let mut due = state.pop_due(now_ms);
+        for user in dirty {
+            if let Some(by_owner) = state.users.get(&user.0) {
+                due.extend(by_owner.keys().map(|subscriber| (user.0, *subscriber)));
             }
         }
-        let (users, active) = Self::tally(&state);
+        if due.is_empty() {
+            self.next_deadline
+                .store(state.earliest(), Ordering::Relaxed);
+            return;
+        }
+        due.sort_unstable();
+        due.dedup();
+        let mut changes: Vec<(SubscriberId, FeedChange)> = Vec::new();
+        for (user, subscriber) in due {
+            let Some(enrollment) = state.get_mut(user, subscriber) else {
+                continue;
+            };
+            let (before, deadline) = (enrollment.installed.len(), enrollment.deadline);
+            let change = self.observe(core, enrollment, now_ms);
+            let after = enrollment.installed.len();
+            let moved = (enrollment.deadline != deadline).then_some(enrollment.deadline);
+            state.active = state.active + after as u64 - before as u64;
+            if let Some(deadline) = moved {
+                state.schedule(user, subscriber, deadline);
+            }
+            if let Some(change) = change {
+                changes.push((subscriber, change));
+            }
+        }
+        self.next_deadline
+            .store(state.earliest(), Ordering::Relaxed);
+        let gauges = (state.enrolled, state.active);
         drop(state);
+        let owners: Vec<SubscriberId> = changes.iter().map(|(owner, _)| *owner).collect();
         if !changes.is_empty() {
             let mut notices = self.notices.lock();
-            for (subscriber, change) in changes {
-                notices.entry(subscriber).or_default().push(change);
+            for (owner, change) in changes {
+                notices.entry(owner).or_default().push(change);
             }
+        }
+        // Without a wake the notices would wait for a quiet shard's park
+        // timeout.
+        for owner in owners {
+            core.broker.wake_subscriber(owner);
         }
         self.last_refresh_us
             .store(started.elapsed().as_micros() as u64, Ordering::Relaxed);
-        self.record_gauges(core, users, active);
+        self.record_gauges(core, gauges);
     }
 
     /// Drain the queued `FeedChange` notices for one connection (called
@@ -324,6 +537,26 @@ impl AutosubRuntime {
     #[cfg(target_os = "linux")]
     pub(crate) fn has_notices(&self) -> bool {
         !self.notices.lock().is_empty()
+    }
+
+    /// Re-derive one enrolment at clock `now_ms`: observe its user's
+    /// clicks, apply the diff to the broker and recompute its deadline.
+    fn observe(
+        &self,
+        core: &ServerCore,
+        enrollment: &mut Enrollment,
+        now_ms: u64,
+    ) -> Option<FeedChange> {
+        self.observes.fetch_add(1, Ordering::Relaxed);
+        let diff = {
+            let clicks = core.clicks.lock();
+            enrollment
+                .engine
+                .observe(clicks.clicks_of(enrollment.user), secs_of(now_ms))
+        };
+        let change = self.apply_diff(core, enrollment, &diff);
+        enrollment.deadline = enrollment.engine.next_expiry().map(deadline_ms);
+        change
     }
 
     /// Install `diff.installed` as broker subscriptions and retire
@@ -355,7 +588,10 @@ impl AutosubRuntime {
                 }
                 Err(_) => {
                     // The subscriber is gone (connection raced away) or
-                    // the broker refused the filter; count it and move on.
+                    // the broker refused the filter: count it, and keep
+                    // the engine in step with the registry so the next
+                    // observe offers the filter again.
+                    enrollment.engine.uninstall(&derived.filter);
                     core.stats.record_error();
                 }
             }
@@ -380,13 +616,17 @@ impl AutosubRuntime {
         }
     }
 
-    /// Retire every installed subscription of one enrollment, reporting
-    /// what was active (strongest first, the engine's ordering).
-    fn retire_enrollment(
+    /// Take one enrollment out of the registry and retire every installed
+    /// subscription of it, reporting what was active (strongest first,
+    /// the engine's ordering). `None` when there was no such enrollment.
+    fn leave(
         &self,
         core: &ServerCore,
-        enrollment: &mut Enrollment,
-    ) -> Vec<AutoSubEntry> {
+        state: &mut Registry,
+        user: UserId,
+        subscriber: SubscriberId,
+    ) -> Option<Vec<AutoSubEntry>> {
+        let mut enrollment = state.remove(user.0, subscriber)?;
         let entries: Vec<AutoSubEntry> = enrollment
             .engine
             .retire_all()
@@ -398,19 +638,19 @@ impl AutosubRuntime {
             core.federation.local_unsubscribe(id);
             self.retired_total.fetch_add(1, Ordering::Relaxed);
         }
-        entries
+        let mut pending = self.pending();
+        if let Entry::Occupied(mut count) = pending.enrolments.entry(user) {
+            *count.get_mut() -= 1;
+            if *count.get() == 0 {
+                count.remove();
+            }
+        }
+        Some(entries)
     }
 
-    fn tally(state: &HashMap<(SubscriberId, u32), Enrollment>) -> (u64, u64) {
-        let users = state.len() as u64;
-        let active = state
-            .values()
-            .map(|enrollment| enrollment.installed.len() as u64)
-            .sum();
-        (users, active)
-    }
-
-    fn record_gauges(&self, core: &ServerCore, users: u64, active: u64) {
+    /// Publish the gauges; `(enrolments, installed filters)` come from the
+    /// registry.
+    fn record_gauges(&self, core: &ServerCore, (users, active): (u64, u64)) {
         core.stats.record_autosub(&AutosubGauges {
             users,
             active,
@@ -418,5 +658,149 @@ impl AutosubRuntime {
             retired: self.retired_total.load(Ordering::Relaxed),
             last_refresh_us: self.last_refresh_us.load(Ordering::Relaxed),
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::{Request, Response};
+    use crate::server::Connection;
+    use reef_attention::{Click, ClickBatch};
+    use reef_pubsub::{AttrSpec, Broker, ManualClock, Schema, ValueType, TOPIC_ATTR};
+
+    /// `clicks` clicks of `user` on `host`'s articles.
+    fn batch(user: u32, host: &str, clicks: u64) -> ClickBatch {
+        ClickBatch {
+            user: UserId(user),
+            clicks: (0..clicks)
+                .map(|tick| Click {
+                    user: UserId(user),
+                    day: 1,
+                    tick,
+                    url: format!("http://{host}/article-{tick}"),
+                    referrer: None,
+                })
+                .collect(),
+        }
+    }
+
+    /// Upload through the request path, as a connection would.
+    fn upload(core: &ServerCore, conn: &Connection, batch: ClickBatch) {
+        let reply = core.handle_request(
+            conn,
+            &mut Default::default(),
+            Request::UploadClicks { batch },
+            0,
+        );
+        assert!(
+            matches!(reply, Response::ClicksAccepted { .. }),
+            "{reply:?}"
+        );
+    }
+
+    fn observes(core: &ServerCore) -> u64 {
+        core.autosub.observes.load(Ordering::Relaxed)
+    }
+
+    /// The pinned cost of a pass, in engine observes: nothing when
+    /// nothing is due, one per enrolment of an uploading user, one per
+    /// enrolment whose deadline passed — never one per enrolled user.
+    #[test]
+    fn a_pass_observes_only_dirty_and_due_enrolments() {
+        let clock = Arc::new(ManualClock::new());
+        let core = ServerCore::detached(
+            Arc::new(Broker::new()),
+            AutosubOptions::default().clock(Arc::clone(&clock) as Arc<dyn Clock>),
+        );
+        let (reader, _reader_queue) = core.broker.register();
+        let (second, _second_queue) = core.broker.register();
+        let conn = Connection::new("127.0.0.1:1".parse().unwrap(), reader, 0);
+        // 200 users; every third sits exactly on the install threshold
+        // (2 clicks, min score 2) and expires on the next millisecond.
+        for user in 0..200 {
+            upload(
+                &core,
+                &conn,
+                batch(user, "news.example", 2 + u64::from(user % 3)),
+            );
+            core.autosub
+                .enroll(&core, reader, UserId(user), None)
+                .unwrap();
+        }
+        core.autosub.enroll(&core, second, UserId(7), None).unwrap();
+        // History uploaded before its user enrolled marks nothing: the
+        // enrolment observed it.
+        let enrolled = observes(&core);
+        assert_eq!(enrolled, 201);
+
+        for _ in 0..20 {
+            core.autosub.refresh(&core);
+        }
+        assert_eq!(observes(&core), enrolled, "idle passes observe nothing");
+
+        // User 7 holds two enrolments: one upload, two observes, and a
+        // notice for each owner.
+        upload(&core, &conn, batch(7, "sport.example", 4));
+        core.autosub.refresh(&core);
+        assert_eq!(observes(&core), enrolled + 2);
+        for owner in [reader, second] {
+            let notices = core.autosub.take_notices(owner);
+            assert_eq!(notices.len(), 1, "{notices:?}");
+            assert_eq!(notices[0].installed.len(), 1, "{notices:?}");
+        }
+        core.autosub.refresh(&core);
+        assert_eq!(observes(&core), enrolled + 2, "the mark is consumed");
+
+        // An upload for a user with no enrolment derives nothing.
+        upload(&core, &conn, batch(500, "news.example", 5));
+        core.autosub.refresh(&core);
+        assert_eq!(observes(&core), enrolled + 2);
+
+        // The threshold-sitting enrolments are due a millisecond later,
+        // and only they re-derive.
+        clock.set(1);
+        core.autosub.refresh(&core);
+        assert_eq!(observes(&core), enrolled + 2 + 67);
+        let retired = core.autosub.take_notices(reader);
+        assert_eq!(retired.len(), 67);
+        assert!(retired
+            .iter()
+            .all(|c| c.retired.len() == 1 && c.installed.is_empty()));
+        let stats = core.stats.snapshot();
+        assert_eq!(stats.autosub_users, 201, "{stats:?}");
+        assert_eq!(stats.autosub_active, 200 - 67 + 2 + 1, "{stats:?}");
+        for _ in 0..20 {
+            core.autosub.refresh(&core);
+        }
+        assert_eq!(observes(&core), enrolled + 2 + 67);
+    }
+
+    /// A filter the broker refuses is not left counted as installed in
+    /// the engine: the next observe offers it again.
+    #[test]
+    fn a_refused_filter_is_offered_again() {
+        let schema = Schema::builder("feeds")
+            .attr(
+                TOPIC_ATTR,
+                AttrSpec::of(ValueType::Str).with_domain(["http://other.example/feed.xml"]),
+            )
+            .build();
+        let core = ServerCore::detached(
+            Arc::new(Broker::builder().schema(schema).build()),
+            AutosubOptions::default(),
+        );
+        let (reader, _queue) = core.broker.register();
+        let conn = Connection::new("127.0.0.1:1".parse().unwrap(), reader, 0);
+        upload(&core, &conn, batch(3, "news.example", 5));
+        let receipt = core.autosub.enroll(&core, reader, UserId(3), None).unwrap();
+        assert!(receipt.entries.is_empty(), "{receipt:?}");
+        assert_eq!(core.stats.snapshot().errors, 1);
+
+        upload(&core, &conn, batch(3, "news.example", 1));
+        core.autosub.refresh(&core);
+        assert_eq!(core.stats.snapshot().errors, 2, "offered again");
+        assert!(core.autosub.take_notices(reader).is_empty());
+        assert_eq!(core.stats.snapshot().autosub_active, 0);
     }
 }

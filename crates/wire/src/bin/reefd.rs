@@ -96,8 +96,9 @@ OPTIONS:
                              topic (feed-URL voting, default) | content
                              (keyword mining over clicked URLs)
         --autosub-refresh-ms N
-                             milliseconds between autosub refresh cycles
-                             (decay + re-derivation; default 1000)
+                             longest a due decay retirement may wait, in
+                             milliseconds (default 1000); uploads derive
+                             at once and decay deadlines wake on time
         --autosub-half-life S
                              interest decay half-life in seconds; 0
                              disables decay (default 600)
@@ -441,7 +442,7 @@ fn main() {
     }
     if config.autosub {
         println!(
-            "reefd: automatic subscriptions on ({} recommender, {}ms refresh, {}s half-life)",
+            "reefd: automatic subscriptions on ({} recommender, decay at most {}ms late, {}s half-life)",
             config.autosub_recommender,
             config.autosub_refresh.as_millis(),
             config.autosub_half_life,

@@ -1187,8 +1187,8 @@ impl EventLoop {
     // -- deliveries ------------------------------------------------------
 
     /// Push queued autosub `FeedChanged` notices into their owning
-    /// connections' outbound buffers. The loop's park bound
-    /// (`LOOP_PARK_MS`) caps notice latency without a dedicated wake.
+    /// connections' outbound buffers. The runtime wakes the owning shard
+    /// through the delivery notifier after queueing one.
     fn push_feed_notices(&mut self) {
         if !self.core.autosub.has_notices() {
             return;

@@ -40,9 +40,10 @@
 //! * [`autosub`] — the server-side **automatic subscription** engine
 //!   (the paper's headline loop, §2.2): clients enroll users with
 //!   [`Request::AutoSubscribe`], the daemon runs the `reef-core`
-//!   recommenders over uploaded clicks on a background refresh task and
-//!   installs/retires the derived filters as real broker subscriptions,
-//!   pushing [`protocol::FeedChange`] notices as the set changes;
+//!   recommenders over uploaded clicks as they arrive (and again when an
+//!   interest's decay deadline passes) and installs/retires the derived
+//!   filters as real broker subscriptions, pushing
+//!   [`protocol::FeedChange`] notices as the set changes;
 //! * the `reefd` binary — the standalone daemon (`cargo run --bin reefd`).
 //!
 //! # Quickstart

@@ -513,6 +513,12 @@ impl ServerCore {
                 match clicks.ingest_upload_sized(batch, request_wire_len as u64) {
                     Ok(receipt) => {
                         self.stats.record_persist(&clicks.persist_stats());
+                        drop(clicks);
+                        if receipt.accepted > 0 {
+                            // The user's enrolments re-derive now, not on
+                            // a poll.
+                            self.autosub.clicks_changed(receipt.user);
+                        }
                         Response::ClicksAccepted { receipt }
                     }
                     Err(e) => Response::Error {
@@ -569,6 +575,26 @@ impl ServerCore {
         conn.stats.record_close();
         self.stats.record_close();
         self.connections.lock().retain(|c| !Arc::ptr_eq(c, conn));
+    }
+}
+
+#[cfg(test)]
+impl ServerCore {
+    /// A core with no sockets and no threads, so a test drives the
+    /// request semantics and the autosub runtime's passes by hand.
+    pub(crate) fn detached(broker: Arc<Broker>, autosub: AutosubOptions) -> ServerCore {
+        ServerCore {
+            federation: Federation::start(Arc::clone(&broker), 1, FederationConfig::default()),
+            broker,
+            clicks: Arc::new(Mutex::new(DurableClickStore::in_memory())),
+            connections: Mutex::new(Vec::new()),
+            stats: WireStats::new(),
+            shutdown: AtomicBool::new(false),
+            name: "detached".into(),
+            write_timeout: Duration::from_secs(1),
+            autosub: AutosubRuntime::new(autosub),
+            max_frame: crate::frame::MAX_FRAME_LEN,
+        }
     }
 }
 
@@ -788,6 +814,7 @@ impl BrokerServer {
             let _ = handle.join();
         }
         if let Some(handle) = self.autosub_thread.take() {
+            self.core.autosub.wake();
             let _ = handle.join();
         }
         self.core.federation.shutdown();
@@ -800,35 +827,22 @@ impl Drop for BrokerServer {
     }
 }
 
-/// Spawn the background refresh thread of the autosub subsystem: on the
-/// configured cadence it re-observes uploaded clicks for every enrolled
-/// user, applies decay, installs/retires the derived broker
-/// subscriptions and queues `FeedChanged` notices for the event loop to
-/// push. Returns `None` (no thread) when the subsystem is disabled.
+/// Spawn the background refresh thread of the autosub subsystem. It
+/// sleeps until an upload marks a user dirty, the earliest decay deadline
+/// passes or `refresh_interval` elapses, then re-derives only what is due
+/// (see [`AutosubRuntime::refresh`]). Returns `None` (no thread) when the
+/// subsystem is disabled.
 fn spawn_autosub_refresh(core: &Arc<ServerCore>) -> Option<JoinHandle<()>> {
     if !core.autosub.enabled() {
         return None;
     }
     let core = Arc::clone(core);
-    let interval = core.autosub.refresh_interval();
-    // Sleep in short ticks so shutdown stays prompt even under a long
-    // refresh interval.
-    let tick = interval
-        .min(Duration::from_millis(25))
-        .max(Duration::from_millis(1));
     let handle = std::thread::Builder::new()
         .name("reefd-autosub".into())
         .spawn(move || {
-            let mut last = std::time::Instant::now();
-            loop {
-                if core.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                if last.elapsed() >= interval {
-                    core.autosub.refresh(&core);
-                    last = std::time::Instant::now();
-                }
-                std::thread::sleep(tick);
+            while !core.shutdown.load(Ordering::SeqCst) {
+                core.autosub.refresh(&core);
+                core.autosub.wait_for_work();
             }
         })
         .expect("spawn autosub refresh thread");

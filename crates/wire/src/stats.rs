@@ -362,7 +362,8 @@ pub struct AutosubGauges {
     pub derived: u64,
     /// Filters retired (decay or displacement) since the server started.
     pub retired: u64,
-    /// Wall-clock duration of the last refresh pass, in microseconds.
+    /// Wall-clock duration of the last refresh pass that re-derived an
+    /// enrolment, in microseconds.
     pub last_refresh_us: u64,
 }
 
@@ -420,7 +421,8 @@ pub struct WireStatsSnapshot {
     pub autosub_derived: u64,
     /// Filters the auto-subscription engine retired since start.
     pub autosub_retired: u64,
-    /// Duration of the engine's last refresh pass, in microseconds.
+    /// Duration of the engine's last refresh pass that re-derived an
+    /// enrolment, in microseconds.
     pub autosub_last_refresh_us: u64,
     /// Matcher snapshots the broker published (one per subscribe,
     /// unsubscribe, deregistration of a subscriber with subscriptions, or

@@ -35,12 +35,13 @@ fn main() {
     let stats = browsing_stats(&universe, &history);
     println!("three weeks of browsing by three users:\n{stats}\n");
 
-    // A reefd-style daemon with the auto-subscription subsystem enabled,
-    // refreshing interests ten times a second. The aggressive half-life
-    // makes the decay half of the loop watchable in seconds.
+    // A reefd-style daemon with the auto-subscription subsystem enabled.
+    // Uploads derive at once and decay retires on its deadline, so the
+    // aggressive half-life makes the decay half of the loop watchable in
+    // seconds.
     let server = BrokerServer::builder()
         .name("feed-recommender")
-        .autosub(AutosubOptions::default().refresh_interval(Duration::from_millis(100)))
+        .autosub(AutosubOptions::default())
         .bind("127.0.0.1:0")
         .expect("bind daemon");
     println!("daemon listening on {} (autosub on)\n", server.local_addr());

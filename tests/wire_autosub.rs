@@ -147,6 +147,32 @@ fn clicks_after_enrollment_install_new_feeds() {
     server.shutdown();
 }
 
+/// Derivation is driven by the upload itself, not by the refresh
+/// cadence: with an hour between refreshes, an enrolled user's upload
+/// still yields its `FeedChanged` notice within a second.
+#[test]
+fn upload_derives_without_waiting_for_a_refresh() {
+    let server = BrokerServer::builder()
+        .autosub(AutosubOptions::default().refresh_interval(Duration::from_secs(3600)))
+        .bind("127.0.0.1:0")
+        .expect("bind");
+    let reader = Client::connect_as(server.local_addr(), "reader").expect("connect");
+    let receipt = reader.auto_subscribe(UserId(4), None).expect("enroll");
+    assert!(receipt.entries.is_empty(), "{receipt:?}");
+
+    reader.upload_clicks(news_batch(4, 4)).expect("upload");
+    let change = reader
+        .recv_feed_change(Duration::from_secs(1))
+        .expect("install notice within a second of the upload");
+    assert_eq!(change.user, UserId(4));
+    assert_eq!(change.installed.len(), 1, "{change:?}");
+    assert_eq!(change.installed[0].filter, Filter::topic(DERIVED_FEED));
+    assert!(change.retired.is_empty(), "{change:?}");
+
+    reader.close().expect("close");
+    server.shutdown();
+}
+
 /// `AutoUnsubscribe` retires everything at once and reports what was
 /// active; v1 JSON clients drive the same surface.
 #[test]
