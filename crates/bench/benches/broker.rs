@@ -1,13 +1,11 @@
-//! **B2** — broker publish/deliver throughput and overlay routing, with
-//! the covering ablation, plus the sans-io `BrokerNode` core in
-//! isolation (the per-message routing cost a transport driver pays) and
-//! the wire codecs (JSON v1 vs binary v2 encode/decode throughput and
+//! **B2** — broker publish/deliver throughput, the sans-io `BrokerNode`
+//! routing core in isolation (the per-message routing cost a transport
+//! driver pays), and the wire codecs (JSON v1 vs binary v2 encode/decode throughput and
 //! bytes per frame on publish and click-upload payloads).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use reef_pubsub::net::NodeId;
 use reef_pubsub::{
-    Broker, BrokerNode, ClientId, Event, EventId, Filter, GlobalSubId, Overlay, PeerMsg,
+    Broker, BrokerNode, ClientId, Event, EventId, Filter, GlobalSubId, NodeId, PeerMsg,
     PublishedEvent,
 };
 use std::hint::black_box;
@@ -35,71 +33,10 @@ fn bench_local_broker(c: &mut Criterion) {
     group.finish();
 }
 
-fn build_overlay(covering: bool, brokers: usize, subs_per_client: usize) -> Overlay {
-    let mut ov = Overlay::new(covering);
-    let ids: Vec<_> = (0..brokers).map(|_| ov.add_broker()).collect();
-    for w in ids.windows(2) {
-        ov.link(w[0], w[1], 1).expect("tree link");
-    }
-    for (bi, broker) in ids.iter().enumerate() {
-        let client = ov.attach_client(*broker).expect("attach");
-        for s in 0..subs_per_client {
-            // Half the filters are covered by a wider one to exercise the
-            // covering logic.
-            let filter = if s % 2 == 0 {
-                Filter::new().and("x", reef_pubsub::Op::Gt, (s / 2) as i64)
-            } else {
-                Filter::new()
-                    .and("x", reef_pubsub::Op::Gt, (s / 2) as i64)
-                    .and("y", reef_pubsub::Op::Eq, bi as i64)
-            };
-            ov.subscribe(client, filter).expect("subscribe");
-        }
-    }
-    ov.run_until_idle();
-    ov
-}
-
-fn bench_overlay(c: &mut Criterion) {
-    let mut group = c.benchmark_group("overlay_routing");
-    for covering in [false, true] {
-        let label = if covering { "covering" } else { "flooding" };
-        group.bench_function(BenchmarkId::new("publish_run", label), |b| {
-            let mut ov = build_overlay(covering, 8, 32);
-            let publisher = ov.attach_client(reef_pubsub::NodeId(0)).expect("attach");
-            let mut i = 0i64;
-            b.iter(|| {
-                i += 1;
-                ov.publish(
-                    publisher,
-                    Event::builder().attr("x", i % 40).attr("y", i % 8).build(),
-                )
-                .expect("publish");
-                black_box(ov.run_until_idle())
-            })
-        });
-    }
-    group.finish();
-}
-
-fn bench_overlay_construction(c: &mut Criterion) {
-    let mut group = c.benchmark_group("overlay_subscription_propagation");
-    for covering in [false, true] {
-        let label = if covering { "covering" } else { "flooding" };
-        group.bench_function(BenchmarkId::new("build", label), |b| {
-            b.iter(|| {
-                let ov = build_overlay(covering, 8, 32);
-                black_box((ov.routing_entries(), ov.advertisement_count()))
-            })
-        });
-    }
-    group.finish();
-}
-
 /// The sans-io core alone: one `BrokerNode` with two neighbors and a
 /// populated routing table, fed `EventFwd` messages by hand. This is the
-/// pure routing cost per message — what both the simulated overlay and
-/// the TCP federation pay before any I/O.
+/// pure routing cost per message — what both the simulator and the TCP
+/// federation pay before any I/O.
 fn bench_broker_node_handle(c: &mut Criterion) {
     let mut group = c.benchmark_group("broker_node_handle");
     for &n_subs in &[32usize, 256] {
@@ -403,8 +340,7 @@ fn bench_wire_connections(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_local_broker, bench_overlay, bench_overlay_construction,
-        bench_broker_node_handle, bench_wire_codecs, bench_click_wal,
+    targets = bench_local_broker, bench_broker_node_handle, bench_wire_codecs, bench_click_wal,
         bench_wire_connections
 }
 criterion_main!(benches);

@@ -131,59 +131,6 @@ impl From<SchemaError> for BrokerError {
     }
 }
 
-/// Errors produced by the broker overlay.
-#[derive(Debug, Clone, PartialEq)]
-pub enum OverlayError {
-    /// The referenced broker node does not exist.
-    UnknownBroker(crate::net::NodeId),
-    /// The referenced client is not attached to any broker.
-    UnknownClient(crate::overlay::ClientId),
-    /// Adding the link would create a cycle (the overlay must stay a tree).
-    WouldCreateCycle(crate::net::NodeId, crate::net::NodeId),
-    /// The operation (link removal, broker crash) needs a mesh overlay;
-    /// a tree overlay cannot survive it.
-    RequiresMesh,
-    /// The two brokers are not linked.
-    NoSuchLink(crate::net::NodeId, crate::net::NodeId),
-    /// A broker-level error occurred while handling an overlay operation.
-    Broker(BrokerError),
-}
-
-impl fmt::Display for OverlayError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            OverlayError::UnknownBroker(id) => write!(f, "unknown broker node {id}"),
-            OverlayError::UnknownClient(id) => write!(f, "unknown overlay client {id}"),
-            OverlayError::WouldCreateCycle(a, b) => {
-                write!(f, "link {a}-{b} would create a cycle in the broker tree")
-            }
-            OverlayError::RequiresMesh => {
-                write!(
-                    f,
-                    "operation requires a mesh overlay (tree overlays cannot lose links)"
-                )
-            }
-            OverlayError::NoSuchLink(a, b) => write!(f, "brokers {a} and {b} are not linked"),
-            OverlayError::Broker(e) => write!(f, "broker error: {e}"),
-        }
-    }
-}
-
-impl Error for OverlayError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            OverlayError::Broker(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<BrokerError> for OverlayError {
-    fn from(e: BrokerError) -> Self {
-        OverlayError::Broker(e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,6 +160,5 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<SchemaError>();
         assert_send_sync::<BrokerError>();
-        assert_send_sync::<OverlayError>();
     }
 }

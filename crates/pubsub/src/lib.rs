@@ -22,10 +22,8 @@
 //! * a sans-io **broker routing core** ([`BrokerNode`]) — subscription
 //!   forwarding, covering-based pruning and reverse-path event routing as
 //!   a pure message-in/message-out state machine ([`PeerMsg`]), with no
-//!   I/O and no clock;
-//! * a deterministic **multi-broker overlay** ([`Overlay`]) driving
-//!   `BrokerNode`s over the simulated, byte-accounted message plane
-//!   [`net::SimTransport`] (`reef-wire` drives the same core over TCP).
+//!   I/O and no clock. `reef-wire` drives it over TCP, `reef-sim` over a
+//!   deterministic simulated network.
 //!
 //! # Quickstart
 //!
@@ -49,7 +47,6 @@ pub mod error;
 pub mod event;
 pub mod filter;
 pub mod matcher;
-pub mod net;
 pub mod overlay;
 pub mod parse;
 mod pmap;
@@ -63,12 +60,11 @@ pub use broker::{
     SubscriberId, DEFAULT_BLOCK_TIMEOUT,
 };
 pub use clock::{Clock, ManualClock, SystemClock};
-pub use error::{BrokerError, OverlayError, SchemaError};
+pub use error::{BrokerError, SchemaError};
 pub use event::{Event, EventBuilder, EventId, PublishedEvent, TOPIC_ATTR};
 pub use filter::{Filter, FilterKey, Op, Predicate};
 pub use matcher::{IndexMatcher, MatchEngine, NaiveMatcher, SubscriptionId};
-pub use net::{NetStats, NodeId, SimTransport, TransportDelivery};
-pub use overlay::{BrokerNode, ClientId, GlobalSubId, NodeOutput, Overlay, PeerMsg, MAX_HOPS};
+pub use overlay::{BrokerNode, ClientId, GlobalSubId, NodeId, NodeOutput, PeerMsg, MAX_HOPS};
 pub use parse::{parse_filter, parse_filters, ParseFilterError};
 pub use routing::MeshRouter;
 pub use schema::{feed_events_schema, stock_quote_schema, AttrSpec, Schema, SchemaBuilder};

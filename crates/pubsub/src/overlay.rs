@@ -1,44 +1,52 @@
-//! A distributed broker overlay with content-based routing.
+//! The broker routing core: content-based routing as a sans-io state
+//! machine.
 //!
 //! The Reef paper's substrate box (Figures 1 and 2) is a wide-area
 //! publish-subscribe system in the tradition of Siena and Gryphon (§5.3).
-//! This module implements that substrate as a **sans-io state machine**
-//! plus a simulation driver:
+//! [`BrokerNode`] is one broker's routing brain in that substrate. It owns
+//! the routing table, advertisement state and covering logic, and
+//! communicates exclusively through values: every entry point returns the
+//! [`PeerMsg`]s that must be sent to neighboring brokers, and
+//! [`BrokerNode::handle`] consumes one incoming message and returns the
+//! local deliveries plus follow-up messages it caused. The node performs
+//! no I/O and reads no clock, so the same core is driven by `reef-wire`'s
+//! TCP federation and by `reef-sim`'s deterministic simulated one.
 //!
-//! * [`BrokerNode`] — one broker's routing brain. It owns the routing
-//!   table, advertisement state and covering logic, and communicates
-//!   exclusively through values: every entry point returns the
-//!   [`PeerMsg`]s that must be sent to neighboring brokers, and
-//!   [`BrokerNode::handle`] consumes one incoming message and returns the
-//!   local deliveries plus follow-up messages it caused. The node performs
-//!   no I/O and reads no clock, so the same core can be driven by the
-//!   deterministic [`crate::net::SimNet`] simulation *or* by real sockets
-//!   (see `reef-wire`'s TCP federation).
-//! * [`Overlay`] — the deterministic multi-broker driver: a *tree* of
-//!   [`BrokerNode`]s over a [`crate::net::SimTransport`], with client
-//!   attachment, mailboxes and virtual-time message delivery.
-//!
-//! The routing protocol itself is unchanged from the classic design:
+//! The routing protocol itself is the classic design:
 //!
 //! * **subscription forwarding** — a subscription placed at one broker is
 //!   advertised through the tree so events published anywhere reach it;
 //! * **covering-based pruning** — a broker does not advertise a
 //!   subscription to a neighbor when an already-advertised subscription
 //!   covers it ([`Filter::covers`]), shrinking routing tables and control
-//!   traffic (ablation in bench **B2**);
+//!   traffic;
 //! * **reverse-path event routing** — an event is forwarded only on links
 //!   from which a matching interest was advertised.
+//!
+//! [`BrokerNode::new_mesh`] swaps the tree for path-vector routing over an
+//! arbitrary mesh ([`crate::routing`]).
 
-use crate::error::OverlayError;
-use crate::event::{Event, EventId, PublishedEvent};
+use crate::event::PublishedEvent;
 use crate::filter::Filter;
 use crate::matcher::{IndexMatcher, MatchEngine, SubscriptionId};
-use crate::net::{NetStats, NodeId, SimTransport};
 use crate::routing::{MeshRouter, RouteRemoval};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
+
+/// A broker's handle for one of its links: opaque to the routing core,
+/// minted by whatever drives it.
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
+)]
+pub struct NodeId(pub u32);
+
+impl fmt::Display for NodeId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "node#{}", self.0)
+    }
+}
 
 /// Identifier of a client attached to some broker of the overlay.
 #[derive(
@@ -137,19 +145,6 @@ pub enum PeerMsg {
     },
 }
 
-impl PeerMsg {
-    /// Accounted size of this message on a byte-counting transport.
-    pub fn wire_size(&self) -> usize {
-        match self {
-            PeerMsg::SubFwd { filter, .. } => filter.wire_size() + 16,
-            PeerMsg::UnsubFwd { .. } => 16,
-            PeerMsg::EventFwd { event, .. } => event.event.wire_size() + 24,
-            PeerMsg::SubAdv { filter, path, .. } => filter.wire_size() + 24 + 4 * path.len(),
-            PeerMsg::Ping { .. } | PeerMsg::Pong { .. } => 16,
-        }
-    }
-}
-
 /// What a [`BrokerNode`] wants done after processing one input: events to
 /// hand to locally attached clients, and messages to send to neighbors.
 ///
@@ -191,8 +186,9 @@ impl NodeOutput {
 /// Two nodes wired back-to-back by hand, no transport at all:
 ///
 /// ```
-/// use reef_pubsub::net::NodeId;
-/// use reef_pubsub::{BrokerNode, ClientId, Event, EventId, Filter, GlobalSubId, PublishedEvent};
+/// use reef_pubsub::{
+///     BrokerNode, ClientId, Event, EventId, Filter, GlobalSubId, NodeId, PublishedEvent,
+/// };
 ///
 /// let (a, b) = (NodeId(0), NodeId(1));
 /// let mut node_a = BrokerNode::new(true);
@@ -758,709 +754,13 @@ impl BrokerNode {
     }
 }
 
-/// Per-client state: attachment point and mailbox.
-struct ClientState {
-    broker: NodeId,
-    mailbox: Vec<PublishedEvent>,
-    /// Live subscriptions owned by this client.
-    subs: HashSet<GlobalSubId>,
-}
-
-/// A deterministic multi-broker publish-subscribe overlay.
-///
-/// `Overlay` is a thin driver: it holds one [`BrokerNode`] per broker and
-/// shuttles [`PeerMsg`]s between them over a [`SimTransport`] in
-/// virtual-time order. All routing decisions live in the nodes; all
-/// delivery and transmission lives here.
-///
-/// # Examples
-///
-/// ```
-/// use reef_pubsub::{Overlay, Event, Filter};
-///
-/// let mut overlay = Overlay::new(true);
-/// let b1 = overlay.add_broker();
-/// let b2 = overlay.add_broker();
-/// overlay.link(b1, b2, 10)?;
-/// let alice = overlay.attach_client(b1)?;
-/// let bob = overlay.attach_client(b2)?;
-/// overlay.subscribe(bob, Filter::topic("news"))?;
-/// overlay.run_until_idle();
-/// overlay.publish(alice, Event::topical("news", "hi"))?;
-/// overlay.run_until_idle();
-/// assert_eq!(overlay.take_delivered(bob)?.len(), 1);
-/// # Ok::<(), reef_pubsub::OverlayError>(())
-/// ```
-pub struct Overlay {
-    transport: SimTransport,
-    brokers: HashMap<NodeId, BrokerNode>,
-    clients: HashMap<ClientId, ClientState>,
-    covering: bool,
-    /// Mesh overlays route by path vector and accept cyclic links.
-    mesh: bool,
-    next_client: u64,
-    next_sub: u64,
-    next_event: u64,
-    /// Union-find over broker ids for cycle prevention (tree mode only).
-    parent: HashMap<NodeId, NodeId>,
-}
-
-impl fmt::Debug for Overlay {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Overlay")
-            .field("brokers", &self.brokers.len())
-            .field("clients", &self.clients.len())
-            .field("covering", &self.covering)
-            .finish()
-    }
-}
-
-impl Overlay {
-    /// Create an empty overlay. `covering` enables covering-based
-    /// advertisement pruning.
-    pub fn new(covering: bool) -> Self {
-        Overlay {
-            transport: SimTransport::new(),
-            brokers: HashMap::new(),
-            clients: HashMap::new(),
-            covering,
-            mesh: false,
-            next_client: 0,
-            next_sub: 0,
-            next_event: 0,
-            parent: HashMap::new(),
-        }
-    }
-
-    /// Create an empty **mesh** overlay: links may form cycles and
-    /// redundant paths, brokers route by path-vector advertisement
-    /// ([`BrokerNode::new_mesh`]), and [`Overlay::unlink`] /
-    /// [`Overlay::crash_broker`] model churn the routing layer must
-    /// survive. In the simulation a broker's federation-wide id is its
-    /// [`NodeId`] value.
-    pub fn new_mesh() -> Self {
-        Overlay {
-            transport: SimTransport::new(),
-            brokers: HashMap::new(),
-            clients: HashMap::new(),
-            covering: false,
-            mesh: true,
-            next_client: 0,
-            next_sub: 0,
-            next_event: 0,
-            parent: HashMap::new(),
-        }
-    }
-
-    /// Whether this overlay routes in mesh (path-vector) mode.
-    pub fn is_mesh(&self) -> bool {
-        self.mesh
-    }
-
-    /// Add a broker node.
-    pub fn add_broker(&mut self) -> NodeId {
-        let id = self.transport.add_node();
-        let node = if self.mesh {
-            BrokerNode::new_mesh(id.0)
-        } else {
-            BrokerNode::new(self.covering)
-        };
-        self.brokers.insert(id, node);
-        self.parent.insert(id, id);
-        id
-    }
-
-    fn find_root(&mut self, mut x: NodeId) -> NodeId {
-        while self.parent[&x] != x {
-            let grand = self.parent[&self.parent[&x]];
-            self.parent.insert(x, grand);
-            x = grand;
-        }
-        x
-    }
-
-    /// Connect two brokers with the given one-way latency.
-    ///
-    /// # Errors
-    ///
-    /// * [`OverlayError::UnknownBroker`] if either endpoint does not exist.
-    /// * [`OverlayError::WouldCreateCycle`] if the link would close a loop
-    ///   in a **tree** overlay (reverse-path routing must stay
-    ///   duplicate-free). Mesh overlays accept cyclic links — that is
-    ///   their point.
-    pub fn link(&mut self, a: NodeId, b: NodeId, latency: u64) -> Result<(), OverlayError> {
-        if !self.brokers.contains_key(&a) {
-            return Err(OverlayError::UnknownBroker(a));
-        }
-        if !self.brokers.contains_key(&b) {
-            return Err(OverlayError::UnknownBroker(b));
-        }
-        if self.mesh {
-            self.transport.connect(a, b, latency);
-            let sync_a = self
-                .brokers
-                .get_mut(&a)
-                .expect("checked")
-                .add_mesh_neighbor(b, b.0);
-            self.send_all(a, sync_a);
-            let sync_b = self
-                .brokers
-                .get_mut(&b)
-                .expect("checked")
-                .add_mesh_neighbor(a, a.0);
-            self.send_all(b, sync_b);
-            return Ok(());
-        }
-        let (ra, rb) = (self.find_root(a), self.find_root(b));
-        if ra == rb {
-            return Err(OverlayError::WouldCreateCycle(a, b));
-        }
-        self.parent.insert(ra, rb);
-        self.transport.connect(a, b, latency);
-        let sync_a = self.brokers.get_mut(&a).expect("checked").add_neighbor(b);
-        self.send_all(a, sync_a);
-        let sync_b = self.brokers.get_mut(&b).expect("checked").add_neighbor(a);
-        self.send_all(b, sync_b);
-        Ok(())
-    }
-
-    /// Kill the link between two brokers (mesh only): in-flight messages
-    /// on the link are lost, both ends tear down routes learned through
-    /// it and push the routing diff to their surviving neighbors.
-    ///
-    /// # Errors
-    ///
-    /// [`OverlayError::RequiresMesh`] on a tree overlay,
-    /// [`OverlayError::UnknownBroker`] / [`OverlayError::NoSuchLink`] for
-    /// bad endpoints.
-    pub fn unlink(&mut self, a: NodeId, b: NodeId) -> Result<(), OverlayError> {
-        if !self.mesh {
-            return Err(OverlayError::RequiresMesh);
-        }
-        if !self.brokers.contains_key(&a) {
-            return Err(OverlayError::UnknownBroker(a));
-        }
-        if !self.brokers.contains_key(&b) {
-            return Err(OverlayError::UnknownBroker(b));
-        }
-        if !self.transport.disconnect(a, b) {
-            return Err(OverlayError::NoSuchLink(a, b));
-        }
-        let out_a = self
-            .brokers
-            .get_mut(&a)
-            .expect("checked")
-            .remove_neighbor(b);
-        self.send_all(a, out_a);
-        let out_b = self
-            .brokers
-            .get_mut(&b)
-            .expect("checked")
-            .remove_neighbor(a);
-        self.send_all(b, out_b);
-        Ok(())
-    }
-
-    /// Crash a broker (mesh only): every link it held dies as in
-    /// [`Overlay::unlink`], its clients (and their subscriptions) vanish
-    /// with it, and the surviving brokers converge on routes that avoid
-    /// it.
-    ///
-    /// # Errors
-    ///
-    /// [`OverlayError::RequiresMesh`] on a tree overlay,
-    /// [`OverlayError::UnknownBroker`] if the broker does not exist.
-    pub fn crash_broker(&mut self, broker: NodeId) -> Result<(), OverlayError> {
-        if !self.mesh {
-            return Err(OverlayError::RequiresMesh);
-        }
-        if !self.brokers.contains_key(&broker) {
-            return Err(OverlayError::UnknownBroker(broker));
-        }
-        let peers: Vec<NodeId> = self
-            .brokers
-            .iter()
-            .filter(|(id, node)| **id != broker && node.neighbors().contains(&broker))
-            .map(|(id, _)| *id)
-            .collect();
-        for peer in peers {
-            self.transport.disconnect(peer, broker);
-            let out = self
-                .brokers
-                .get_mut(&peer)
-                .expect("peer exists")
-                .remove_neighbor(broker);
-            self.send_all(peer, out);
-        }
-        self.brokers.remove(&broker);
-        self.clients.retain(|_, state| state.broker != broker);
-        Ok(())
-    }
-
-    /// Drive one periodic refresh round: every broker re-sends its
-    /// current advertisements (no-op per node on tree overlays). Call
-    /// [`Overlay::run_until_idle`] afterwards to let tables converge.
-    pub fn refresh_all(&mut self) {
-        let mut ids: Vec<NodeId> = self.brokers.keys().copied().collect();
-        ids.sort_unstable_by_key(|n| n.0);
-        for id in ids {
-            let messages = self
-                .brokers
-                .get_mut(&id)
-                .expect("listed broker exists")
-                .refresh();
-            self.send_all(id, messages);
-        }
-    }
-
-    /// Attach a client to a broker.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OverlayError::UnknownBroker`] if the broker does not exist.
-    pub fn attach_client(&mut self, broker: NodeId) -> Result<ClientId, OverlayError> {
-        if !self.brokers.contains_key(&broker) {
-            return Err(OverlayError::UnknownBroker(broker));
-        }
-        let id = ClientId(self.next_client);
-        self.next_client += 1;
-        self.clients.insert(
-            id,
-            ClientState {
-                broker,
-                mailbox: Vec::new(),
-                subs: HashSet::new(),
-            },
-        );
-        Ok(id)
-    }
-
-    /// Place a subscription for `client`. Propagation messages are queued;
-    /// call [`Overlay::run_until_idle`] to flush them through the tree.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OverlayError::UnknownClient`] if the client is not
-    /// attached.
-    pub fn subscribe(
-        &mut self,
-        client: ClientId,
-        filter: Filter,
-    ) -> Result<GlobalSubId, OverlayError> {
-        let broker_id = self
-            .clients
-            .get(&client)
-            .ok_or(OverlayError::UnknownClient(client))?
-            .broker;
-        let sub = GlobalSubId(self.next_sub);
-        self.next_sub += 1;
-        let broker = self
-            .brokers
-            .get_mut(&broker_id)
-            .expect("client broker exists");
-        let messages = broker.subscribe_local(sub, client, filter);
-        self.clients
-            .get_mut(&client)
-            .expect("checked")
-            .subs
-            .insert(sub);
-        self.send_all(broker_id, messages);
-        Ok(sub)
-    }
-
-    /// Withdraw a subscription.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OverlayError::UnknownClient`] if no client owns `sub`.
-    pub fn unsubscribe(&mut self, sub: GlobalSubId) -> Result<(), OverlayError> {
-        let owner = self
-            .clients
-            .iter()
-            .find(|(_, c)| c.subs.contains(&sub))
-            .map(|(id, c)| (*id, c.broker));
-        let (client, broker_id) = owner.ok_or(OverlayError::UnknownClient(ClientId(u64::MAX)))?;
-        self.clients
-            .get_mut(&client)
-            .expect("checked")
-            .subs
-            .remove(&sub);
-        let broker = self
-            .brokers
-            .get_mut(&broker_id)
-            .expect("client broker exists");
-        let messages = broker.unsubscribe_local(sub);
-        self.send_all(broker_id, messages);
-        Ok(())
-    }
-
-    /// Publish an event from `client`. Local deliveries happen immediately;
-    /// remote deliveries after [`Overlay::run_until_idle`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OverlayError::UnknownClient`] if the client is not
-    /// attached.
-    pub fn publish(&mut self, client: ClientId, event: Event) -> Result<EventId, OverlayError> {
-        let broker_id = self
-            .clients
-            .get(&client)
-            .ok_or(OverlayError::UnknownClient(client))?
-            .broker;
-        let id = EventId(self.next_event);
-        self.next_event += 1;
-        let published = PublishedEvent {
-            id,
-            published_at: self.transport.now(),
-            event,
-        };
-        let output = self
-            .brokers
-            .get_mut(&broker_id)
-            .expect("client broker exists")
-            .publish_local(published);
-        self.apply(broker_id, output);
-        Ok(id)
-    }
-
-    /// Hand a node's requested effects to the mailboxes and the transport.
-    fn apply(&mut self, at: NodeId, output: NodeOutput) {
-        for (client, event) in output.deliveries {
-            if let Some(state) = self.clients.get_mut(&client) {
-                state.mailbox.push(event);
-            }
-        }
-        self.send_all(at, output.messages);
-    }
-
-    fn send_all(&mut self, from: NodeId, messages: Vec<(NodeId, PeerMsg)>) {
-        for (to, msg) in messages {
-            self.transport.send(from, to, msg).expect("linked neighbor");
-        }
-    }
-
-    /// Process queued messages until the network is idle. Returns the number
-    /// of messages processed.
-    pub fn run_until_idle(&mut self) -> usize {
-        let mut processed = 0;
-        while let Some(delivery) = self.transport.recv() {
-            processed += 1;
-            let output = self
-                .brokers
-                .get_mut(&delivery.dst)
-                .expect("broker exists")
-                .handle(delivery.src, delivery.msg);
-            self.apply(delivery.dst, output);
-        }
-        processed
-    }
-
-    /// Take all events delivered to `client` so far.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OverlayError::UnknownClient`] if the client is not
-    /// attached.
-    pub fn take_delivered(
-        &mut self,
-        client: ClientId,
-    ) -> Result<Vec<PublishedEvent>, OverlayError> {
-        let state = self
-            .clients
-            .get_mut(&client)
-            .ok_or(OverlayError::UnknownClient(client))?;
-        Ok(std::mem::take(&mut state.mailbox))
-    }
-
-    /// Aggregate network statistics (messages, bytes, in-flight).
-    pub fn net_stats(&self) -> NetStats {
-        self.transport.stats()
-    }
-
-    /// Total routing-table entries across all brokers (known subscriptions,
-    /// local + remote). The covering ablation compares this with covering
-    /// on and off.
-    pub fn routing_entries(&self) -> usize {
-        self.brokers.values().map(BrokerNode::routing_entries).sum()
-    }
-
-    /// Routing-table entries held by one broker.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OverlayError::UnknownBroker`] if the broker does not exist.
-    pub fn routing_entries_at(&self, broker: NodeId) -> Result<usize, OverlayError> {
-        self.brokers
-            .get(&broker)
-            .map(BrokerNode::routing_entries)
-            .ok_or(OverlayError::UnknownBroker(broker))
-    }
-
-    /// Total advertisements currently held toward neighbors.
-    pub fn advertisement_count(&self) -> usize {
-        self.brokers
-            .values()
-            .map(BrokerNode::advertisement_count)
-            .sum()
-    }
-
-    /// Failover routes held beyond fast paths, summed across brokers
-    /// (mesh overlays; always 0 on trees).
-    pub fn mesh_alternates(&self) -> usize {
-        self.brokers.values().map(BrokerNode::mesh_alternates).sum()
-    }
-
-    /// Fast-path promotions after route loss, summed across brokers.
-    pub fn mesh_reroutes(&self) -> u64 {
-        self.brokers.values().map(BrokerNode::mesh_reroutes).sum()
-    }
-
-    /// Duplicate event copies suppressed, summed across brokers.
-    pub fn mesh_duplicates_suppressed(&self) -> u64 {
-        self.brokers
-            .values()
-            .map(BrokerNode::mesh_duplicates_suppressed)
-            .sum()
-    }
-
-    /// Current virtual time of the underlying network.
-    pub fn now(&self) -> u64 {
-        self.transport.now()
-    }
-
-    /// Number of brokers.
-    pub fn broker_count(&self) -> usize {
-        self.brokers.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::{Event, EventId};
     use crate::filter::Op;
 
-    /// Build a 3-broker chain b0 - b1 - b2 with one client per broker.
-    fn chain() -> (Overlay, Vec<NodeId>, Vec<ClientId>) {
-        let mut ov = Overlay::new(true);
-        let brokers: Vec<NodeId> = (0..3).map(|_| ov.add_broker()).collect();
-        ov.link(brokers[0], brokers[1], 5).unwrap();
-        ov.link(brokers[1], brokers[2], 5).unwrap();
-        let clients: Vec<ClientId> = brokers
-            .iter()
-            .map(|b| ov.attach_client(*b).unwrap())
-            .collect();
-        (ov, brokers, clients)
-    }
-
-    #[test]
-    fn event_crosses_the_tree_to_remote_subscriber() {
-        let (mut ov, _b, c) = chain();
-        ov.subscribe(c[2], Filter::topic("t")).unwrap();
-        ov.run_until_idle();
-        ov.publish(c[0], Event::topical("t", "x")).unwrap();
-        ov.run_until_idle();
-        assert_eq!(ov.take_delivered(c[2]).unwrap().len(), 1);
-        assert!(ov.take_delivered(c[0]).unwrap().is_empty());
-        assert!(ov.take_delivered(c[1]).unwrap().is_empty());
-    }
-
-    #[test]
-    fn local_delivery_is_immediate() {
-        let (mut ov, _b, c) = chain();
-        ov.subscribe(c[0], Filter::topic("t")).unwrap();
-        ov.publish(c[0], Event::topical("t", "x")).unwrap();
-        // No run_until_idle needed for same-broker delivery.
-        assert_eq!(ov.take_delivered(c[0]).unwrap().len(), 1);
-    }
-
-    #[test]
-    fn non_matching_events_are_not_forwarded() {
-        let (mut ov, _b, c) = chain();
-        ov.subscribe(c[2], Filter::topic("t")).unwrap();
-        ov.run_until_idle();
-        let before = ov.net_stats().messages;
-        ov.publish(c[0], Event::topical("other", "x")).unwrap();
-        ov.run_until_idle();
-        assert_eq!(ov.net_stats().messages, before);
-        assert!(ov.take_delivered(c[2]).unwrap().is_empty());
-    }
-
-    #[test]
-    fn unsubscribe_withdraws_interest() {
-        let (mut ov, _b, c) = chain();
-        let sub = ov.subscribe(c[2], Filter::topic("t")).unwrap();
-        ov.run_until_idle();
-        ov.unsubscribe(sub).unwrap();
-        ov.run_until_idle();
-        ov.publish(c[0], Event::topical("t", "x")).unwrap();
-        ov.run_until_idle();
-        assert!(ov.take_delivered(c[2]).unwrap().is_empty());
-        assert_eq!(ov.routing_entries(), 0);
-    }
-
-    #[test]
-    fn covering_prunes_advertisements() {
-        let run = |covering: bool| -> (usize, u64) {
-            let mut ov = Overlay::new(covering);
-            let b0 = ov.add_broker();
-            let b1 = ov.add_broker();
-            ov.link(b0, b1, 1).unwrap();
-            let c = ov.attach_client(b0).unwrap();
-            // One wide filter plus many narrow ones it covers.
-            ov.subscribe(c, Filter::new().and("x", Op::Gt, 0)).unwrap();
-            for i in 1..20 {
-                ov.subscribe(
-                    c,
-                    Filter::new().and("x", Op::Gt, 0).and("y", Op::Eq, i as i64),
-                )
-                .unwrap();
-            }
-            ov.run_until_idle();
-            (ov.advertisement_count(), ov.net_stats().messages)
-        };
-        let (ads_cov, msgs_cov) = run(true);
-        let (ads_flood, msgs_flood) = run(false);
-        assert_eq!(ads_cov, 1, "only the covering filter is advertised");
-        assert_eq!(ads_flood, 20);
-        assert!(msgs_cov < msgs_flood);
-    }
-
-    #[test]
-    fn covered_subscriber_still_receives_events() {
-        // Covering must not lose deliveries: the covered subscription's
-        // events still flow because the covering one forwards them.
-        let mut ov = Overlay::new(true);
-        let b0 = ov.add_broker();
-        let b1 = ov.add_broker();
-        ov.link(b0, b1, 1).unwrap();
-        let wide = ov.attach_client(b0).unwrap();
-        let narrow = ov.attach_client(b0).unwrap();
-        let publisher = ov.attach_client(b1).unwrap();
-        ov.subscribe(wide, Filter::new().and("x", Op::Gt, 0))
-            .unwrap();
-        ov.subscribe(narrow, Filter::new().and("x", Op::Gt, 5))
-            .unwrap();
-        ov.run_until_idle();
-        ov.publish(publisher, Event::builder().attr("x", 10).build())
-            .unwrap();
-        ov.run_until_idle();
-        assert_eq!(ov.take_delivered(wide).unwrap().len(), 1);
-        assert_eq!(ov.take_delivered(narrow).unwrap().len(), 1);
-    }
-
-    #[test]
-    fn unsubscribing_covering_filter_readvertises_covered() {
-        let mut ov = Overlay::new(true);
-        let b0 = ov.add_broker();
-        let b1 = ov.add_broker();
-        ov.link(b0, b1, 1).unwrap();
-        let c0 = ov.attach_client(b0).unwrap();
-        let c1 = ov.attach_client(b1).unwrap();
-        let wide = ov.subscribe(c0, Filter::new().and("x", Op::Gt, 0)).unwrap();
-        ov.subscribe(c0, Filter::new().and("x", Op::Gt, 5)).unwrap();
-        ov.run_until_idle();
-        assert_eq!(ov.advertisement_count(), 1);
-        ov.unsubscribe(wide).unwrap();
-        ov.run_until_idle();
-        // The narrow filter must now be advertised and still routable.
-        assert_eq!(ov.advertisement_count(), 1);
-        ov.publish(c1, Event::builder().attr("x", 10).build())
-            .unwrap();
-        ov.run_until_idle();
-        assert_eq!(ov.take_delivered(c0).unwrap().len(), 1);
-    }
-
-    #[test]
-    fn cycle_links_are_rejected() {
-        let mut ov = Overlay::new(true);
-        let a = ov.add_broker();
-        let b = ov.add_broker();
-        let c = ov.add_broker();
-        ov.link(a, b, 1).unwrap();
-        ov.link(b, c, 1).unwrap();
-        assert!(matches!(
-            ov.link(a, c, 1),
-            Err(OverlayError::WouldCreateCycle(_, _))
-        ));
-    }
-
-    #[test]
-    fn identical_filters_from_different_clients_both_deliver() {
-        let (mut ov, _b, c) = chain();
-        ov.subscribe(c[0], Filter::topic("t")).unwrap();
-        ov.subscribe(c[2], Filter::topic("t")).unwrap();
-        ov.run_until_idle();
-        ov.publish(c[1], Event::topical("t", "x")).unwrap();
-        ov.run_until_idle();
-        assert_eq!(ov.take_delivered(c[0]).unwrap().len(), 1);
-        assert_eq!(ov.take_delivered(c[2]).unwrap().len(), 1);
-    }
-
-    #[test]
-    fn star_topology_fanout() {
-        let mut ov = Overlay::new(true);
-        let hub = ov.add_broker();
-        let mut leaf_clients = Vec::new();
-        for _ in 0..5 {
-            let leaf = ov.add_broker();
-            ov.link(hub, leaf, 2).unwrap();
-            let c = ov.attach_client(leaf).unwrap();
-            ov.subscribe(c, Filter::topic("t")).unwrap();
-            leaf_clients.push(c);
-        }
-        let publisher = ov.attach_client(hub).unwrap();
-        ov.run_until_idle();
-        ov.publish(publisher, Event::topical("t", "x")).unwrap();
-        ov.run_until_idle();
-        for c in leaf_clients {
-            assert_eq!(ov.take_delivered(c).unwrap().len(), 1);
-        }
-    }
-
-    #[test]
-    fn unknown_ids_error() {
-        let mut ov = Overlay::new(true);
-        assert!(matches!(
-            ov.attach_client(NodeId(9)),
-            Err(OverlayError::UnknownBroker(_))
-        ));
-        assert!(matches!(
-            ov.subscribe(ClientId(9), Filter::new()),
-            Err(OverlayError::UnknownClient(_))
-        ));
-        assert!(matches!(
-            ov.publish(ClientId(9), Event::new()),
-            Err(OverlayError::UnknownClient(_))
-        ));
-        assert!(matches!(
-            ov.unsubscribe(GlobalSubId(9)),
-            Err(OverlayError::UnknownClient(_))
-        ));
-    }
-
-    #[test]
-    fn deep_chain_propagation() {
-        let mut ov = Overlay::new(true);
-        let brokers: Vec<NodeId> = (0..8).map(|_| ov.add_broker()).collect();
-        for w in brokers.windows(2) {
-            ov.link(w[0], w[1], 3).unwrap();
-        }
-        let first = ov.attach_client(brokers[0]).unwrap();
-        let last = ov.attach_client(brokers[7]).unwrap();
-        ov.subscribe(last, Filter::topic("deep")).unwrap();
-        ov.run_until_idle();
-        ov.publish(first, Event::topical("deep", "x")).unwrap();
-        ov.run_until_idle();
-        let got = ov.take_delivered(last).unwrap();
-        assert_eq!(got.len(), 1);
-        // 7 hops * 3 latency each, at minimum.
-        assert!(ov.now() >= 21);
-    }
-
-    // ------------------------------------------------------------------
-    // Sans-io BrokerNode unit tests: the core driven entirely by hand,
-    // with no transport at all.
-    // ------------------------------------------------------------------
+    // The core driven entirely by hand, with no transport at all.
 
     fn published(event: Event) -> PublishedEvent {
         PublishedEvent {
@@ -1630,126 +930,6 @@ mod tests {
         assert!(matches!(
             out.messages.as_slice(),
             [(n, PeerMsg::EventFwd { hops: 4, .. })] if *n == c
-        ));
-    }
-
-    // ------------------------------------------------------------------
-    // Mesh overlay: cyclic topologies, link loss, failover.
-    // ------------------------------------------------------------------
-
-    /// 3-broker ring b0 - b1 - b2 - b0 with one client per broker.
-    fn mesh_ring() -> (Overlay, Vec<NodeId>, Vec<ClientId>) {
-        let mut ov = Overlay::new_mesh();
-        let brokers: Vec<NodeId> = (0..3).map(|_| ov.add_broker()).collect();
-        ov.link(brokers[0], brokers[1], 5).unwrap();
-        ov.link(brokers[1], brokers[2], 5).unwrap();
-        ov.link(brokers[2], brokers[0], 5).unwrap();
-        let clients: Vec<ClientId> = brokers
-            .iter()
-            .map(|b| ov.attach_client(*b).unwrap())
-            .collect();
-        (ov, brokers, clients)
-    }
-
-    #[test]
-    fn mesh_accepts_cyclic_links() {
-        let (ov, _b, _c) = mesh_ring();
-        assert!(ov.is_mesh());
-    }
-
-    #[test]
-    fn mesh_ring_delivers_exactly_once_and_suppresses_duplicates() {
-        let (mut ov, _b, c) = mesh_ring();
-        ov.subscribe(c[2], Filter::topic("t")).unwrap();
-        ov.run_until_idle();
-        // The subscriber's broker holds an alternate route somewhere in
-        // the ring (two disjoint paths from any publisher).
-        assert!(ov.mesh_alternates() > 0, "ring yields redundant routes");
-        ov.publish(c[0], Event::topical("t", "x")).unwrap();
-        ov.run_until_idle();
-        assert_eq!(ov.take_delivered(c[2]).unwrap().len(), 1, "exactly once");
-        assert!(
-            ov.mesh_duplicates_suppressed() > 0,
-            "the redundant copy was suppressed, not delivered"
-        );
-    }
-
-    #[test]
-    fn mesh_link_kill_fails_over_to_alternate_path() {
-        let (mut ov, b, c) = mesh_ring();
-        ov.subscribe(c[2], Filter::topic("t")).unwrap();
-        ov.run_until_idle();
-        // Kill the direct b0-b2 link; the b0-b1-b2 path must take over.
-        ov.unlink(b[0], b[2]).unwrap();
-        ov.run_until_idle();
-        ov.publish(c[0], Event::topical("t", "x")).unwrap();
-        ov.run_until_idle();
-        assert_eq!(ov.take_delivered(c[2]).unwrap().len(), 1);
-        assert!(ov.mesh_reroutes() > 0, "losing the fast path is a reroute");
-    }
-
-    #[test]
-    fn mesh_unsubscribe_withdraws_all_routes() {
-        let (mut ov, _b, c) = mesh_ring();
-        let sub = ov.subscribe(c[2], Filter::topic("t")).unwrap();
-        ov.run_until_idle();
-        assert!(ov.routing_entries() > 0);
-        ov.unsubscribe(sub).unwrap();
-        ov.run_until_idle();
-        assert_eq!(ov.routing_entries(), 0);
-        ov.publish(c[0], Event::topical("t", "x")).unwrap();
-        ov.run_until_idle();
-        assert!(ov.take_delivered(c[2]).unwrap().is_empty());
-    }
-
-    #[test]
-    fn mesh_crash_reroutes_around_dead_broker() {
-        // Diamond: 0-1, 0-2, 1-3, 2-3. Subscriber at 3, publisher at 0.
-        let mut ov = Overlay::new_mesh();
-        let b: Vec<NodeId> = (0..4).map(|_| ov.add_broker()).collect();
-        ov.link(b[0], b[1], 1).unwrap();
-        ov.link(b[0], b[2], 1).unwrap();
-        ov.link(b[1], b[3], 1).unwrap();
-        ov.link(b[2], b[3], 1).unwrap();
-        let publisher = ov.attach_client(b[0]).unwrap();
-        let subscriber = ov.attach_client(b[3]).unwrap();
-        ov.subscribe(subscriber, Filter::topic("t")).unwrap();
-        ov.run_until_idle();
-        ov.crash_broker(b[1]).unwrap();
-        ov.run_until_idle();
-        ov.publish(publisher, Event::topical("t", "x")).unwrap();
-        ov.run_until_idle();
-        assert_eq!(
-            ov.take_delivered(subscriber).unwrap().len(),
-            1,
-            "delivery survives the crash via 0-2-3"
-        );
-        assert_eq!(ov.broker_count(), 3);
-    }
-
-    #[test]
-    fn mesh_refresh_is_idempotent_when_converged() {
-        let (mut ov, _b, c) = mesh_ring();
-        ov.subscribe(c[2], Filter::topic("t")).unwrap();
-        ov.run_until_idle();
-        let entries = ov.routing_entries();
-        let ads = ov.advertisement_count();
-        ov.refresh_all();
-        ov.run_until_idle();
-        assert_eq!(ov.routing_entries(), entries);
-        assert_eq!(ov.advertisement_count(), ads);
-    }
-
-    #[test]
-    fn tree_overlay_rejects_mesh_churn_operations() {
-        let (mut ov, b, _c) = chain();
-        assert!(matches!(
-            ov.unlink(b[0], b[1]),
-            Err(OverlayError::RequiresMesh)
-        ));
-        assert!(matches!(
-            ov.crash_broker(b[0]),
-            Err(OverlayError::RequiresMesh)
         ));
     }
 

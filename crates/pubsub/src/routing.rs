@@ -1,6 +1,6 @@
 //! Path-vector mesh routing: redundant links as failover, not faults.
 //!
-//! The tree overlay ([`crate::Overlay`]) forbids cycles because classic
+//! A tree-mode [`crate::BrokerNode`] forbids cycles because classic
 //! reverse-path forwarding duplicates events on redundant links. This
 //! module supplies the opposite trade, in the tradition of PSVR-style
 //! self-stabilizing pub/sub routing: cycles are *allowed*, redundancy is
@@ -24,7 +24,7 @@
 //! `reroutes`) and the resulting advertisement diff is pushed to the
 //! remaining neighbors, so tables converge without waiting for timers.
 //! A periodic full re-advertisement (`MeshRouter::clear_advertised` +
-//! re-sync, driven by the overlay's or daemon's refresh timer) heals any
+//! re-sync, driven by the simulator's or daemon's refresh timer) heals any
 //! state a lossy or crashed peer missed.
 //!
 //! [`MeshRouter`] holds only the *remote* route state; the owning
@@ -36,8 +36,7 @@
 
 use crate::event::EventId;
 use crate::filter::Filter;
-use crate::net::NodeId;
-use crate::overlay::{GlobalSubId, PeerMsg};
+use crate::overlay::{GlobalSubId, NodeId, PeerMsg};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 

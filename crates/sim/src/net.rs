@@ -315,6 +315,35 @@ mod tests {
         let got: Vec<PeerMsg> = std::iter::from_fn(|| net.pop().map(|d| d.msg)).collect();
         assert_eq!(got, vec![msg(3), msg(1), msg(2)]);
         assert!(net.is_idle());
+
+        // Equal delays on one link tie-break FIFO.
+        let mut net = FaultyNet::new();
+        let fixed = LinkFaults {
+            delay_min: 5,
+            delay_max: 5,
+            ..LinkFaults::default()
+        };
+        for i in 0..10 {
+            net.send(0, 1, H, msg(i), fixed, &mut rng);
+        }
+        let got: Vec<PeerMsg> = std::iter::from_fn(|| net.pop().map(|d| d.msg)).collect();
+        assert_eq!(got, (0..10).map(msg).collect::<Vec<_>>());
+
+        // The clock advances to each arrival (send time + 1 + delay), and
+        // a reply sent after receipt is scheduled from the new time.
+        let mut net = FaultyNet::new();
+        let seven = LinkFaults {
+            delay_min: 7,
+            delay_max: 7,
+            ..LinkFaults::default()
+        };
+        net.send(0, 1, H, msg(1), seven, &mut rng);
+        assert_eq!(net.pop().map(|d| d.msg), Some(msg(1)));
+        assert_eq!(net.now(), 8);
+        net.send(1, 0, H, msg(2), seven, &mut rng);
+        assert_eq!(net.now(), 8, "sending does not move the clock");
+        assert_eq!(net.pop().map(|d| d.msg), Some(msg(2)));
+        assert_eq!(net.now(), 16);
     }
 
     #[test]

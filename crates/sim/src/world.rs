@@ -1,10 +1,11 @@
-//! The simulated federation: N real broker cores, one virtual clock,
+//! Plan execution: a mesh [`Cluster`] plus one click store per broker,
 //! four oracles, and a trace minimizer.
 //!
-//! Each simulated broker is a real [`BrokerNode`] in mesh mode plus a
-//! real [`DurableClickStore`] persisting to its own on-disk directory —
-//! the exact state machines the TCP federation drives, with every
-//! ambient effect (time, randomness, sockets) replaced by the harness.
+//! Each simulated broker is a real `BrokerNode` in mesh mode, driven by
+//! the [`Cluster`], plus a real [`DurableClickStore`] persisting to its
+//! own on-disk directory — the exact state machines the TCP federation
+//! drives, with every ambient effect (time, randomness, sockets) replaced
+//! by the harness.
 //! Killing a broker drops its in-memory state and optionally shears
 //! bytes off its last WAL segment; restarting replays the WAL bytes
 //! through the real recovery path and checks the result against the
@@ -33,21 +34,15 @@
 //! is gone, so any subset is a valid plan) and reports the seed plus the
 //! minimized trace.
 
-use crate::net::{FaultyNet, NetFaultStats};
+use crate::cluster::Cluster;
+use crate::net::{LinkFaults, NetFaultStats};
 use crate::plan::{SimPlan, SimStep};
-use crate::rng::SimRng;
 use reef_attention::{Click, ClickBatch, DurableClickStore, PersistConfig};
-use reef_pubsub::{
-    BrokerNode, ClientId, Event, EventId, Filter, GlobalSubId, NodeId, PublishedEvent,
-};
+use reef_pubsub::{ClientId, Event, Filter, GlobalSubId};
 use reef_simweb::UserId;
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
-
-/// Delivered-message budget per settle phase; exceeding it means the
-/// protocol is flooding (itself an oracle failure, not a hang).
-const SETTLE_BUDGET: u64 = 200_000;
 
 /// User id reserved for forged-cookie clicks; it must never appear in
 /// any recovered store.
@@ -137,14 +132,15 @@ pub fn execute_plan(plan: &SimPlan) -> Result<SimStats, String> {
     world.quiesce_and_check("initial convergence")?;
     for (idx, step) in plan.steps.iter().enumerate() {
         let ctx = format!("step {idx} {step:?}");
-        world.net.set_lossy(true);
+        world.cluster.set_lossy(true);
         world.apply(step).map_err(|e| format!("{ctx}: {e}"))?;
         world
             .quiesce_and_check(&ctx)
             .map_err(|e| format!("{ctx}: {e}"))?;
         world.stats.steps += 1;
     }
-    world.stats.net = world.net.stats();
+    world.stats.link_resets = world.cluster.link_resets();
+    world.stats.net = world.cluster.fault_stats();
     Ok(world.stats)
 }
 
@@ -190,25 +186,10 @@ fn minimize(plan: &SimPlan) -> Vec<SimStep> {
     steps
 }
 
-/// A link's administrative and connection state.
-#[derive(Debug)]
-struct LinkState {
-    /// Administratively up (a `LinkDown` step flips this off).
-    up: bool,
-    /// Fault profile drawn at plan time.
-    faults: crate::net::LinkFaults,
-    /// Live connection epoch: `(handle at a for b, handle at b for a)`
-    /// for the normalized key `(a, b)`; `None` while disconnected.
-    conn: Option<(NodeId, NodeId)>,
-}
-
-/// One simulated broker: the real routing core plus the real durable
-/// store, and the bookkeeping the oracles need.
-struct SimNode {
-    /// The routing state machine; `None` while crashed.
-    broker: Option<BrokerNode>,
-    /// This node's link handles → peer broker index.
-    peer_of: BTreeMap<NodeId, usize>,
+/// One simulated host's durable half: the real click store and the
+/// bookkeeping the oracles need. Its routing half lives in the
+/// [`Cluster`].
+struct Host {
     /// Live local subscriptions: `(sub, client, topic)`.
     subs: Vec<(GlobalSubId, ClientId, &'static str)>,
     /// The durable click store; `None` while crashed.
@@ -223,25 +204,11 @@ struct SimNode {
     last_kill_torn: u16,
 }
 
-impl SimNode {
-    fn alive(&self) -> bool {
-        self.broker.is_some()
-    }
-}
-
-/// The whole simulated federation.
+/// The whole simulated federation: a mesh [`Cluster`] plus one
+/// durable store per broker.
 struct World {
-    rng: SimRng,
-    net: FaultyNet,
-    nodes: Vec<SimNode>,
-    /// Normalized `(a, b)` with `a < b` → link state.
-    topo: BTreeMap<(usize, usize), LinkState>,
-    next_node_id: u32,
-    next_sub: u64,
-    next_event: u64,
-    /// Deliveries observed during the current probe:
-    /// `(broker, client, event id) → count`.
-    probe_log: BTreeMap<(usize, u64, u64), u64>,
+    cluster: Cluster,
+    hosts: Vec<Host>,
     stats: SimStats,
     base_dir: PathBuf,
 }
@@ -249,8 +216,8 @@ struct World {
 impl Drop for World {
     fn drop(&mut self) {
         // Stores hold open files in `base_dir`; close them first.
-        for node in &mut self.nodes {
-            node.store = None;
+        for host in &mut self.hosts {
+            host.store = None;
         }
         let _ = fs::remove_dir_all(&self.base_dir);
     }
@@ -266,14 +233,8 @@ impl World {
             NEXT_DIR.fetch_add(1, Ordering::Relaxed)
         ));
         let mut world = World {
-            rng: SimRng::new(plan.seed),
-            net: FaultyNet::new(),
-            nodes: Vec::new(),
-            topo: BTreeMap::new(),
-            next_node_id: 0,
-            next_sub: 0,
-            next_event: 0,
-            probe_log: BTreeMap::new(),
+            cluster: Cluster::mesh(plan.seed),
+            hosts: Vec::new(),
             stats: SimStats::default(),
             base_dir,
         };
@@ -281,9 +242,8 @@ impl World {
             let data_dir = world.base_dir.join(format!("broker-{i}"));
             let store = DurableClickStore::open(persist_config(&data_dir))
                 .map_err(|e| format!("broker {i}: open store: {e}"))?;
-            world.nodes.push(SimNode {
-                broker: Some(BrokerNode::new_mesh(i as u32)),
-                peer_of: BTreeMap::new(),
+            world.cluster.add_broker();
+            world.hosts.push(Host {
                 subs: Vec::new(),
                 store: Some(store),
                 data_dir,
@@ -293,22 +253,16 @@ impl World {
             });
             world.subscribe_locals(i);
         }
-        for &(a, b, faults) in &plan.links {
-            if a == b || a.max(b) >= plan.brokers {
-                return Err(format!("plan names an invalid link ({a}, {b})"));
-            }
-            world.topo.insert(
-                (a.min(b), a.max(b)),
-                LinkState {
-                    up: true,
-                    faults,
-                    conn: None,
-                },
-            );
-        }
-        let keys: Vec<(usize, usize)> = world.topo.keys().copied().collect();
-        for (a, b) in keys {
-            world.connect(a, b);
+        let links: BTreeMap<(usize, usize), LinkFaults> = plan
+            .links
+            .iter()
+            .map(|&(a, b, faults)| ((a.min(b), a.max(b)), faults))
+            .collect();
+        for ((a, b), faults) in links {
+            world
+                .cluster
+                .link(a, b, faults)
+                .map_err(|e| format!("plan names an {e}"))?;
         }
         Ok(world)
     }
@@ -321,242 +275,43 @@ impl World {
         if i.is_multiple_of(2) {
             wanted.push("alt");
         }
-        self.nodes[i].subs.clear();
+        self.hosts[i].subs.clear();
         for topic in wanted {
-            let sub = GlobalSubId(self.next_sub);
-            let client = ClientId(self.next_sub);
-            self.next_sub += 1;
-            self.nodes[i].subs.push((sub, client, topic));
-            let out = self.nodes[i]
-                .broker
-                .as_mut()
-                .expect("subscribing on a live broker")
-                .subscribe_local(sub, client, Filter::topic(topic));
-            self.route(i, out);
+            let client = self.cluster.attach(i);
+            let sub = self.cluster.subscribe(client, Filter::topic(topic));
+            self.hosts[i].subs.push((sub, client, topic));
         }
     }
 
-    /// Feed a broker's outgoing messages into the network, resolving
-    /// each link handle to the peer, the link's fault profile, and the
-    /// receiver-side handle of the current connection epoch.
-    fn route(&mut self, src: usize, msgs: Vec<(NodeId, PeerMsg)>) {
-        for (handle, msg) in msgs {
-            let Some(&dst) = self.nodes[src].peer_of.get(&handle) else {
-                continue;
-            };
-            let key = (src.min(dst), src.max(dst));
-            let Some(link) = self.topo.get(&key) else {
-                continue;
-            };
-            let Some((ha, hb)) = link.conn else {
-                continue;
-            };
-            let recv_handle = if src == key.0 { hb } else { ha };
-            self.net
-                .send(src, dst, recv_handle, msg, link.faults, &mut self.rng);
-        }
-    }
-
-    /// Drain the network to quiescence, feeding every delivery through
-    /// the real `BrokerNode::handle` and routing its follow-ups.
-    fn settle(&mut self) -> Result<(), String> {
-        for _ in 0..SETTLE_BUDGET {
-            let Some(d) = self.net.pop() else {
-                return Ok(());
-            };
-            let node = &mut self.nodes[d.dst];
-            let Some(broker) = node.broker.as_mut() else {
-                continue; // delivered to a crashed broker: lost, as on a dead socket
-            };
-            if node.peer_of.get(&d.handle) != Some(&d.src) {
-                continue; // stale connection epoch: the link was reset in flight
-            }
-            let out = broker.handle(d.handle, d.msg);
-            for (client, event) in &out.deliveries {
-                *self
-                    .probe_log
-                    .entry((d.dst, client.0, event.id.0))
-                    .or_insert(0) += 1;
-            }
-            self.route(d.dst, out.messages);
-        }
-        Err(format!(
-            "settle exceeded {SETTLE_BUDGET} deliveries: the protocol is flooding"
-        ))
-    }
-
-    /// Establish the connection on link `(a, b)` if it is up, both ends
-    /// are alive, and no partition separates them. Idempotent.
-    fn connect(&mut self, a: usize, b: usize) {
-        let key = (a.min(b), a.max(b));
-        if self.net.partitioned(key.0, key.1)
-            || !self.nodes[key.0].alive()
-            || !self.nodes[key.1].alive()
-        {
-            return;
-        }
-        let Some(link) = self.topo.get_mut(&key) else {
-            return;
-        };
-        if !link.up || link.conn.is_some() {
-            return;
-        }
-        let ha = NodeId(self.next_node_id);
-        let hb = NodeId(self.next_node_id + 1);
-        self.next_node_id += 2;
-        link.conn = Some((ha, hb));
-        self.nodes[key.0].peer_of.insert(ha, key.1);
-        self.nodes[key.1].peer_of.insert(hb, key.0);
-        for (idx, handle, peer) in [(key.0, ha, key.1 as u32), (key.1, hb, key.0 as u32)] {
-            let out = self.nodes[idx]
-                .broker
-                .as_mut()
-                .expect("connect checked liveness")
-                .add_mesh_neighbor(handle, peer);
-            self.route(idx, out);
-        }
-    }
-
-    /// Tear down the connection on link `(a, b)`, if any. Both
-    /// surviving ends run the real `remove_neighbor` teardown (route
-    /// withdrawal + re-advertisement); a broker named in `dying` is
-    /// crashing and sends nothing.
-    fn disconnect(&mut self, a: usize, b: usize, dying: Option<usize>) {
-        let key = (a.min(b), a.max(b));
-        let Some(link) = self.topo.get_mut(&key) else {
-            return;
-        };
-        let Some((ha, hb)) = link.conn.take() else {
-            return;
-        };
-        self.nodes[key.0].peer_of.remove(&ha);
-        self.nodes[key.1].peer_of.remove(&hb);
-        for (idx, handle) in [(key.0, ha), (key.1, hb)] {
-            if dying == Some(idx) {
-                continue;
-            }
-            if let Some(broker) = self.nodes[idx].broker.as_mut() {
-                let out = broker.remove_neighbor(handle);
-                self.route(idx, out);
-            }
-        }
-    }
-
-    /// Reset every link that dropped a message — the broken-connection
-    /// model: a drop is a dead TCP connection, and reconnecting through
-    /// the real teardown/handshake path regenerates the state the drop
-    /// destroyed. Resets can trip further links while drops stay
-    /// enabled, so after a bounded number of lossy rounds the cascade is
-    /// finished loss-free (the fairness assumption).
-    fn reset_tripped(&mut self) -> Result<(), String> {
-        for round in 0..16 {
-            if round == 12 {
-                self.net.set_lossy(false);
-            }
-            let tripped = self.net.take_tripped();
-            if tripped.is_empty() {
-                return Ok(());
-            }
-            for (a, b) in tripped {
-                self.stats.link_resets += 1;
-                self.disconnect(a, b, None);
-                self.connect(a, b);
-            }
-            self.settle()?;
-        }
-        Err("link-reset cascade failed to terminate".into())
-    }
-
-    /// Drive every live broker's periodic refresh until routing tables
-    /// reach a fixpoint (two identical consecutive quiescent snapshots),
-    /// loss-free. Duplication and delay faults stay on.
-    fn stabilize(&mut self) -> Result<(), String> {
-        self.net.set_lossy(false);
-        type RouteSnapshot = Vec<Vec<(GlobalSubId, NodeId, Vec<u32>)>>;
-        let mut prev: Option<RouteSnapshot> = None;
-        for _ in 0..(2 * self.nodes.len() + 4) {
-            for i in 0..self.nodes.len() {
-                if let Some(broker) = self.nodes[i].broker.as_mut() {
-                    let out = broker.refresh();
-                    self.route(i, out);
-                }
-            }
-            self.settle()?;
-            let snap: Vec<Vec<(GlobalSubId, NodeId, Vec<u32>)>> = self
-                .nodes
-                .iter()
-                .map(|n| {
-                    n.broker
-                        .as_ref()
-                        .map_or_else(Vec::new, BrokerNode::mesh_route_table)
-                })
-                .collect();
-            if prev.as_ref() == Some(&snap) {
-                return Ok(());
-            }
-            prev = Some(snap);
-        }
-        Err("routing tables did not reach a fixpoint within the refresh bound".into())
-    }
-
-    /// Settle, reset tripped links, stabilize, then run the routing and
-    /// delivery oracles — the full quiescent-point check.
+    /// Quiesce the cluster, then run the routing and delivery oracles —
+    /// the full quiescent-point check.
     fn quiesce_and_check(&mut self, ctx: &str) -> Result<(), String> {
-        self.settle()?;
-        self.reset_tripped()?;
-        self.stabilize()?;
+        self.cluster.quiesce()?;
         self.check_routing()
             .map_err(|e| format!("routing oracle after {ctx}: {e}"))?;
         self.probe()
             .map_err(|e| format!("delivery oracle after {ctx}: {e}"))
     }
 
-    /// Hop distances from `start` over live, connected links.
-    fn distances(&self, start: usize) -> BTreeMap<usize, usize> {
-        let mut dist = BTreeMap::new();
-        if !self.nodes[start].alive() {
-            return dist;
-        }
-        dist.insert(start, 0);
-        let mut frontier = vec![start];
-        while !frontier.is_empty() {
-            let mut next = Vec::new();
-            for &n in &frontier {
-                for (&(a, b), link) in &self.topo {
-                    if link.conn.is_none() || (a != n && b != n) {
-                        continue;
-                    }
-                    let other = if a == n { b } else { a };
-                    if self.nodes[other].alive() && !dist.contains_key(&other) {
-                        dist.insert(other, dist[&n] + 1);
-                        next.push(other);
-                    }
-                }
-            }
-            frontier = next;
-        }
-        dist
-    }
-
     /// Oracles 2 and 3: every retained route is structurally live, and
     /// every fast path is exactly as long as the graph's shortest path
     /// to the subscription's owner — no more, no less, and complete.
     fn check_routing(&self) -> Result<(), String> {
+        let cluster = &self.cluster;
         let owners: BTreeMap<GlobalSubId, usize> = self
-            .nodes
+            .hosts
             .iter()
             .enumerate()
-            .filter(|(_, n)| n.alive())
-            .flat_map(|(i, n)| n.subs.iter().map(move |&(sub, _, _)| (sub, i)))
+            .filter(|&(i, _)| cluster.alive(i))
+            .flat_map(|(i, h)| h.subs.iter().map(move |&(sub, _, _)| (sub, i)))
             .collect();
-        for (i, node) in self.nodes.iter().enumerate() {
-            if !node.alive() {
+        for i in 0..cluster.broker_count() {
+            let Some(broker) = cluster.broker(i) else {
                 continue;
-            }
-            let broker = node.broker.as_ref().expect("checked alive");
-            let dist = self.distances(i);
+            };
+            let dist = cluster.distances(i);
             for (sub, link, path) in broker.mesh_route_table() {
-                if !node.peer_of.contains_key(&link) {
+                if !cluster.holds_link(i, link) {
                     return Err(format!(
                         "broker {i} retains a route for {sub:?} via dead link {link:?}"
                     ));
@@ -573,7 +328,7 @@ impl World {
                 }
                 for &hop in &path {
                     let hop = hop as usize;
-                    if hop >= self.nodes.len() || !self.nodes[hop].alive() {
+                    if hop >= cluster.broker_count() || !cluster.alive(hop) {
                         return Err(format!(
                             "broker {i}: route for {sub:?} crosses dead broker {hop} (path {path:?})"
                         ));
@@ -621,51 +376,40 @@ impl World {
     /// subscription, zero everywhere else — with duplication and delay
     /// faults still live.
     fn probe(&mut self) -> Result<(), String> {
-        let live: Vec<usize> = (0..self.nodes.len())
-            .filter(|&i| self.nodes[i].alive())
+        let live: Vec<usize> = (0..self.hosts.len())
+            .filter(|&i| self.cluster.alive(i))
             .collect();
-        let Some(&publisher) = live.get(self.rng.below(live.len())).or(live.first()) else {
+        let Some(&publisher) = live
+            .get(self.cluster.rng.below(live.len()))
+            .or(live.first())
+        else {
             return Ok(());
         };
-        let reachable = self.distances(publisher);
+        let reachable = self.cluster.distances(publisher);
+        // Every live broker holds a `probe` subscriber; it publishes.
+        let (_, sender, _) = self.hosts[publisher].subs[0];
         for topic in ["probe", "alt"] {
-            let id = EventId(((publisher as u64) << 32) | self.next_event);
-            self.next_event += 1;
-            let event = PublishedEvent {
-                id,
-                published_at: self.net.now(),
-                event: Event::topical(topic, "sim probe"),
-            };
-            self.probe_log.clear();
-            let out = self.nodes[publisher]
-                .broker
-                .as_mut()
-                .expect("publisher is live")
-                .publish_local(event);
-            for (client, ev) in &out.deliveries {
-                *self
-                    .probe_log
-                    .entry((publisher, client.0, ev.id.0))
-                    .or_insert(0) += 1;
-            }
-            self.route(publisher, out.messages);
-            self.settle()?;
+            let id = self
+                .cluster
+                .publish(sender, Event::topical(topic, "sim probe"));
+            self.cluster.run_until_idle()?;
+            // `(broker, client, event id) → count`, delivered vs expected.
+            let mut delivered: BTreeMap<(usize, u64, u64), u64> = BTreeMap::new();
             let mut expected: BTreeMap<(usize, u64, u64), u64> = BTreeMap::new();
             for &i in &live {
-                if !reachable.contains_key(&i) {
-                    continue;
-                }
-                for &(_, client, sub_topic) in &self.nodes[i].subs {
-                    if sub_topic == topic {
+                for &(_, client, sub_topic) in &self.hosts[i].subs {
+                    for event in self.cluster.take_delivered(client) {
+                        *delivered.entry((i, client.0, event.id.0)).or_insert(0) += 1;
+                    }
+                    if sub_topic == topic && reachable.contains_key(&i) {
                         expected.insert((i, client.0, id.0), 1);
                     }
                 }
             }
-            if self.probe_log != expected {
+            if delivered != expected {
                 return Err(format!(
                     "probe {id:?} on topic {topic:?} from broker {publisher}: \
-                     deliveries {:?} != expected {:?}",
-                    self.probe_log, expected
+                     deliveries {delivered:?} != expected {expected:?}"
                 ));
             }
             self.stats.probes += 1;
@@ -678,35 +422,10 @@ impl World {
     /// link…) so the minimizer can replay arbitrary subsets.
     fn apply(&mut self, step: &SimStep) -> Result<(), String> {
         match step {
-            SimStep::LinkDown { a, b } => {
-                if let Some(link) = self.topo.get_mut(&(*a.min(b), *a.max(b))) {
-                    link.up = false;
-                }
-                self.disconnect(*a, *b, None);
-            }
-            SimStep::LinkUp { a, b, faults } => {
-                if let Some(link) = self.topo.get_mut(&(*a.min(b), *a.max(b))) {
-                    link.up = true;
-                    link.faults = *faults;
-                }
-                self.connect(*a, *b);
-            }
-            SimStep::Partition { group } => {
-                self.net.partition(group.clone());
-                let keys: Vec<(usize, usize)> = self.topo.keys().copied().collect();
-                for (a, b) in keys {
-                    if self.net.partitioned(a, b) {
-                        self.disconnect(a, b, None);
-                    }
-                }
-            }
-            SimStep::Heal => {
-                self.net.heal();
-                let keys: Vec<(usize, usize)> = self.topo.keys().copied().collect();
-                for (a, b) in keys {
-                    self.connect(a, b);
-                }
-            }
+            SimStep::LinkDown { a, b } => self.cluster.unlink(*a, *b),
+            SimStep::LinkUp { a, b, faults } => self.cluster.link(*a, *b, *faults)?,
+            SimStep::Partition { group } => self.cluster.partition(group.clone()),
+            SimStep::Heal => self.cluster.heal(),
             SimStep::Kill { broker, torn } => self.kill(*broker, *torn)?,
             SimStep::Restart { broker } => self.restart(*broker)?,
             SimStep::ClickUpload { broker, forged } => self.upload(*broker, *forged)?,
@@ -718,23 +437,16 @@ impl World {
     /// vanishes, and `torn` bytes are sheared off the WAL tail (a crash
     /// mid-write, past what the flush-then-ack discipline covers).
     fn kill(&mut self, broker: usize, torn: u16) -> Result<(), String> {
-        if !self.nodes[broker].alive() {
+        if !self.cluster.alive(broker) {
             return Ok(());
         }
-        let keys: Vec<(usize, usize)> = self.topo.keys().copied().collect();
-        for (a, b) in keys {
-            if a == broker || b == broker {
-                self.disconnect(a, b, Some(broker));
-            }
-        }
-        let node = &mut self.nodes[broker];
-        node.broker = None;
-        node.store = None; // closes the WAL file handles
-        node.subs.clear();
-        node.peer_of.clear();
-        node.last_kill_torn = torn;
+        self.cluster.crash(broker);
+        let host = &mut self.hosts[broker];
+        host.store = None; // closes the WAL file handles
+        host.subs.clear();
+        host.last_kill_torn = torn;
         if torn > 0 {
-            tear_wal_tail(&node.data_dir, torn)
+            tear_wal_tail(&host.data_dir, torn)
                 .map_err(|e| format!("broker {broker}: tearing WAL tail: {e}"))?;
         }
         Ok(())
@@ -744,11 +456,11 @@ impl World {
     /// bytes the kill left, check oracle 4, rejoin the mesh, and
     /// re-issue local subscriptions under fresh ids.
     fn restart(&mut self, broker: usize) -> Result<(), String> {
-        if self.nodes[broker].alive() {
+        if self.cluster.alive(broker) {
             return Ok(());
         }
-        let node = &mut self.nodes[broker];
-        let store = DurableClickStore::open(persist_config(&node.data_dir))
+        let host = &mut self.hosts[broker];
+        let store = DurableClickStore::open(persist_config(&host.data_dir))
             .map_err(|e| format!("broker {broker}: recovery: {e}"))?;
         let recovered = store.clicks_of(UserId(broker as u32));
         if !store.clicks_of(FORGED_USER).is_empty() {
@@ -758,7 +470,7 @@ impl World {
         }
         let mut consumed = 0usize;
         let mut batches_kept = 0usize;
-        for batch in &node.acked {
+        for batch in &host.acked {
             let end = consumed + batch.len();
             if recovered.len() >= end && recovered[consumed..end] == batch[..] {
                 consumed = end;
@@ -775,23 +487,17 @@ impl World {
                 consumed
             ));
         }
-        if node.last_kill_torn == 0 && batches_kept != node.acked.len() {
+        if host.last_kill_torn == 0 && batches_kept != host.acked.len() {
             return Err(format!(
                 "broker {broker}: clean kill lost acked batches ({batches_kept} of {} recovered)",
-                node.acked.len()
+                host.acked.len()
             ));
         }
-        node.acked.truncate(batches_kept);
-        node.store = Some(store);
-        node.broker = Some(BrokerNode::new_mesh(broker as u32));
+        host.acked.truncate(batches_kept);
+        host.store = Some(store);
         self.stats.restarts += 1;
+        self.cluster.restart(broker);
         self.subscribe_locals(broker);
-        let keys: Vec<(usize, usize)> = self.topo.keys().copied().collect();
-        for (a, b) in keys {
-            if a == broker || b == broker {
-                self.connect(a, b);
-            }
-        }
         Ok(())
     }
 
@@ -799,16 +505,16 @@ impl World {
     /// `forged` is set the batch carries one wrong-cookie click the
     /// store must reject without poisoning the rest.
     fn upload(&mut self, broker: usize, forged: bool) -> Result<(), String> {
-        if self.nodes[broker].store.is_none() {
+        if self.hosts[broker].store.is_none() {
             return Ok(());
         }
-        let count = 1 + self.rng.below(3);
-        let node = &mut self.nodes[broker];
+        let count = 1 + self.cluster.rng.below(3);
+        let host = &mut self.hosts[broker];
         let user = UserId(broker as u32);
         let valid: Vec<Click> = (0..count)
             .map(|_| {
-                let tick = node.next_tick;
-                node.next_tick += 1;
+                let tick = host.next_tick;
+                host.next_tick += 1;
                 Click {
                     user,
                     day: (tick / 10) as u32,
@@ -825,12 +531,12 @@ impl World {
             clicks.push(Click {
                 user: FORGED_USER,
                 day: 0,
-                tick: node.next_tick,
+                tick: host.next_tick,
                 url: "http://forged.example/".into(),
                 referrer: None,
             });
         }
-        let receipt = node
+        let receipt = host
             .store
             .as_mut()
             .expect("checked above")
@@ -843,13 +549,11 @@ impl World {
                 valid.len()
             ));
         }
-        node.acked.push(valid);
+        host.acked.push(valid);
         self.stats.uploads += 1;
         Ok(())
     }
 }
-
-use reef_pubsub::PeerMsg;
 
 fn persist_config(dir: &Path) -> PersistConfig {
     PersistConfig {
@@ -887,9 +591,9 @@ mod tests {
             seed: 0,
             brokers: 3,
             links: vec![
-                (0, 1, crate::net::LinkFaults::default()),
-                (1, 2, crate::net::LinkFaults::default()),
-                (0, 2, crate::net::LinkFaults::default()),
+                (0, 1, LinkFaults::default()),
+                (1, 2, LinkFaults::default()),
+                (0, 2, LinkFaults::default()),
             ],
             steps: vec![
                 SimStep::ClickUpload {
@@ -900,7 +604,7 @@ mod tests {
                 SimStep::LinkUp {
                     a: 0,
                     b: 1,
-                    faults: crate::net::LinkFaults::default(),
+                    faults: LinkFaults::default(),
                 },
             ],
         };
@@ -915,10 +619,7 @@ mod tests {
         let plan = SimPlan {
             seed: 0,
             brokers: 3,
-            links: vec![
-                (0, 1, crate::net::LinkFaults::default()),
-                (1, 2, crate::net::LinkFaults::default()),
-            ],
+            links: vec![(0, 1, LinkFaults::default()), (1, 2, LinkFaults::default())],
             steps: vec![
                 SimStep::ClickUpload {
                     broker: 2,

@@ -1,16 +1,16 @@
 //! Broker federation: the sans-io routing core driven over TCP.
 //!
 //! `reef-pubsub` ships the routing brain — [`BrokerNode`], a state machine
-//! that consumes and emits [`PeerMsg`]s but performs no I/O — and drives
-//! it over a simulated network in `Overlay`. This module is the other
-//! driver: the same core, the same messages, but carried between daemons
-//! on OS sockets.
+//! that consumes and emits [`PeerMsg`]s but performs no I/O — and
+//! `reef-sim` drives it over a simulated network. This module is the
+//! daemon's driver: the same core, the same messages, but carried between
+//! daemons on OS sockets.
 //!
 //! [`Federation`] owns the [`BrokerNode`], the registry of peer links and
 //! the queues between them; the server's event loop moves the bytes.
 //! Shard 0 of the loop owns every peer socket: it reads `PeerMsg` frames
 //! into [`Federation::incoming`], routes them through the core
-//! (`drain_incoming` — `Overlay::run_until_idle` in continuous,
+//! (`drain_incoming` — the simulator's `run_until_idle` in continuous,
 //! wall-clock form), encodes each link's outgoing queue into the socket's
 //! outbound buffer, and runs `tick` for keepalive and mesh refresh. The
 //! federation reaches the loop through one hook, registered once: dialed
@@ -68,7 +68,6 @@ use crate::protocol::{ClientFrame, Request, Response, ServerFrame};
 use crate::stats::{FederationStatsSnapshot, PeerStatsSnapshot, WireStats};
 use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::Mutex;
-use reef_pubsub::net::TransportDelivery;
 use reef_pubsub::{
     Broker, BrokerNode, ClientId, Clock, Event, Filter, FilterKey, GlobalSubId, NodeId, PeerMsg,
     PublishOutcome, PublishedEvent, SubscriptionId, SystemClock,
@@ -201,6 +200,14 @@ impl PeerLink {
     fn close_socket(&self) {
         let _ = self.control.shutdown(Shutdown::Both);
     }
+}
+
+/// One message read off a peer link, queued for the routing core.
+struct TransportDelivery {
+    /// The link it arrived on.
+    src: NodeId,
+    /// The routing message.
+    msg: PeerMsg,
 }
 
 /// Registry of live peer links plus the inbound message queue they feed.
@@ -575,11 +582,10 @@ impl Federation {
         if let Some(link) = self.links.map.lock().get(&from) {
             link.last_rx.store(self.now_ms(), Ordering::Relaxed);
         }
-        let _ = self.links.incoming_tx.send(TransportDelivery {
-            src: from,
-            dst: LOCAL_NODE,
-            msg,
-        });
+        let _ = self
+            .links
+            .incoming_tx
+            .send(TransportDelivery { src: from, msg });
     }
 
     /// Milliseconds on the federation's injected clock.

@@ -10,7 +10,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`pubsub`] | `reef-pubsub` | events, filters, matchers, broker, overlay, simulated network |
+//! | [`pubsub`] | `reef-pubsub` | events, filters, matchers, broker, sans-io broker routing core |
 //! | [`simweb`] | `reef-simweb` | topic model, synthetic Web, browsing workload |
 //! | [`textindex`] | `reef-textindex` | tokenizer, Porter stemmer, BM25, Offer Weight, metrics |
 //! | [`feeds`] | `reef-feeds` | XML parser, RSS/Atom/RDF, WAIF FeedEvents proxy |

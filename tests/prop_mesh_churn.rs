@@ -1,33 +1,17 @@
-//! Mesh self-stabilization under churn: on the simulated transport, a
-//! mesh overlay whose links are killed and re-joined at random must keep
-//! delivering events **exactly once** to every subscriber whose broker is
-//! reachable from the publisher in the *current* link graph, deliver
-//! nothing to unreachable brokers, and converge to a routing state that a
-//! further refresh round no longer changes.
+//! Mesh self-stabilization under churn: a mesh federation whose links are
+//! killed and re-joined at random must, after every churn step, deliver
+//! events **exactly once** to every subscriber whose broker is reachable
+//! from the publisher in the *current* link graph and to no one else,
+//! route every subscription along a shortest live path, and retain no
+//! route through a dead link. Each case is a `reef_sim` plan of
+//! `LinkDown`/`LinkUp` steps; `execute_plan` checks those oracles at
+//! every quiescent point, and a failure names the seed that replays it.
 
 use proptest::prelude::*;
-use reef::pubsub::{ClientId, Event, Filter, NodeId, Overlay, TOPIC_ATTR};
+use reef_sim::{execute_plan, LinkFaults, SimPlan, SimStep};
 use std::collections::BTreeSet;
 
 const BROKERS: usize = 4;
-
-/// One churn step: flip a link, then publish from one broker.
-#[derive(Debug, Clone)]
-struct Step {
-    /// Edge to toggle, as an index into the distinct unordered pairs of
-    /// `BROKERS` brokers (kill it when present, join it when absent).
-    edge: usize,
-    /// Broker whose client publishes after the flip settles.
-    publisher: usize,
-}
-
-fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
-    let pairs = BROKERS * (BROKERS - 1) / 2;
-    prop::collection::vec(
-        (0..pairs, 0..BROKERS).prop_map(|(edge, publisher)| Step { edge, publisher }),
-        1..12,
-    )
-}
 
 /// All distinct unordered broker pairs, the edge universe churn picks from.
 fn edge_universe() -> Vec<(usize, usize)> {
@@ -40,124 +24,56 @@ fn edge_universe() -> Vec<(usize, usize)> {
     pairs
 }
 
-/// Brokers reachable from `from` over the current undirected edge set.
-fn reachable(edges: &BTreeSet<(usize, usize)>, from: usize) -> BTreeSet<usize> {
-    let mut seen = BTreeSet::from([from]);
-    let mut frontier = vec![from];
-    while let Some(node) = frontier.pop() {
-        for &(a, b) in edges {
-            let next = match () {
-                _ if a == node => b,
-                _ if b == node => a,
-                _ => continue,
-            };
-            if seen.insert(next) {
-                frontier.push(next);
-            }
+/// Fault profile of a re-joined link: delay always, sometimes
+/// duplicates and drops.
+fn arb_faults() -> impl Strategy<Value = LinkFaults> {
+    (0u64..2, 0u64..3, any::<bool>(), any::<bool>()).prop_map(|(lo, spread, dup, drop)| {
+        LinkFaults {
+            drop_p: if drop { 0.1 } else { 0.0 },
+            dup_p: if dup { 0.2 } else { 0.0 },
+            delay_min: lo,
+            delay_max: lo + spread,
         }
-    }
-    seen
+    })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn mesh_survives_link_churn_with_exactly_once_delivery(steps in arb_steps()) {
+    fn mesh_survives_link_churn_with_exactly_once_delivery(
+        churn in prop::collection::vec((0..BROKERS * (BROKERS - 1) / 2, arb_faults()), 1..12),
+        seed in any::<u64>(),
+    ) {
         let universe = edge_universe();
-        let mut overlay = Overlay::new_mesh();
-        let brokers: Vec<NodeId> = (0..BROKERS).map(|_| overlay.add_broker()).collect();
-        let clients: Vec<ClientId> = brokers
-            .iter()
-            .map(|b| overlay.attach_client(*b).expect("attach"))
-            .collect();
-        for client in &clients {
-            overlay
-                .subscribe(*client, Filter::topic("churn"))
-                .expect("subscribe");
-        }
-
         // Start from a ring: every broker reachable, every route redundant.
-        let mut edges: BTreeSet<(usize, usize)> = BTreeSet::new();
-        for i in 0..BROKERS {
-            let (a, b) = (i.min((i + 1) % BROKERS), i.max((i + 1) % BROKERS));
-            overlay.link(brokers[a], brokers[b], 1).expect("ring link");
-            edges.insert((a, b));
-        }
-        overlay.run_until_idle();
-
-        for (round, step) in steps.iter().enumerate() {
-            // Churn: kill the edge if it is up, join it if it is down.
-            let (a, b) = universe[step.edge];
-            if edges.remove(&(a, b)) {
-                overlay.unlink(brokers[a], brokers[b]).expect("unlink");
-            } else {
-                overlay.link(brokers[a], brokers[b], 1).expect("link");
-                edges.insert((a, b));
-            }
-            // Let the withdrawal/advertisement wave settle, then run one
-            // refresh round — the self-stabilization path a real daemon
-            // drives on a timer.
-            overlay.run_until_idle();
-            overlay.refresh_all();
-            overlay.run_until_idle();
-
-            // Oracle: exactly-once to reachable brokers, nothing elsewhere.
-            let body = format!("round-{round}");
-            overlay
-                .publish(clients[step.publisher], Event::topical("churn", &body))
-                .expect("publish");
-            overlay.run_until_idle();
-            let expect = reachable(&edges, step.publisher);
-            for (i, client) in clients.iter().enumerate() {
-                let got = overlay.take_delivered(*client).expect("take");
-                let copies = got
-                    .iter()
-                    .filter(|p| p.event.get("body").and_then(|v| v.as_str()) == Some(&body))
-                    .count();
-                let want = usize::from(expect.contains(&i));
-                prop_assert_eq!(
-                    copies,
-                    want,
-                    "round {}: broker {} got {} copies, expected {} (publisher {}, edges {:?})",
-                    round,
-                    i,
-                    copies,
-                    want,
-                    step.publisher,
-                    edges
-                );
-                prop_assert!(
-                    got.iter().all(|p| {
-                        p.event.get(TOPIC_ATTR).and_then(|v| v.as_str()) == Some("churn")
-                    }),
-                    "round {}: broker {} received a non-matching event",
-                    round,
-                    i
-                );
-            }
-        }
-
-        // Convergence: once churn stops, a further refresh round is a
-        // no-op — routing tables and gauges no longer move.
-        overlay.refresh_all();
-        overlay.run_until_idle();
-        let settled: Vec<usize> = brokers
-            .iter()
-            .map(|b| overlay.routing_entries_at(*b).expect("entries"))
+        let links: Vec<(usize, usize, LinkFaults)> = (0..BROKERS)
+            .map(|i| {
+                let j = (i + 1) % BROKERS;
+                (i.min(j), i.max(j), LinkFaults::default())
+            })
             .collect();
-        let alternates = overlay.mesh_alternates();
-        overlay.refresh_all();
-        overlay.run_until_idle();
-        let again: Vec<usize> = brokers
+        let mut up: BTreeSet<(usize, usize)> = links.iter().map(|&(a, b, _)| (a, b)).collect();
+        // Churn: kill the edge if it is up, join it if it is down.
+        let steps: Vec<SimStep> = churn
             .iter()
-            .map(|b| overlay.routing_entries_at(*b).expect("entries"))
+            .map(|&(edge, faults)| {
+                let (a, b) = universe[edge];
+                if up.remove(&(a, b)) {
+                    SimStep::LinkDown { a, b }
+                } else {
+                    up.insert((a, b));
+                    SimStep::LinkUp { a, b, faults }
+                }
+            })
             .collect();
-        prop_assert_eq!(settled, again, "routing tables moved on an idle refresh");
-        prop_assert_eq!(
-            alternates,
-            overlay.mesh_alternates(),
-            "alternate-route count moved on an idle refresh"
-        );
+        let plan = SimPlan { seed, brokers: BROKERS, links, steps };
+        let stats = execute_plan(&plan).map_err(|e| {
+            TestCaseError::fail(format!("seed {seed}: {e}\nsteps: {:?}", plan.steps))
+        })?;
+        prop_assert_eq!(stats.steps, plan.steps.len() as u64);
+        // Two probe topics per quiescent point: the initial one and one
+        // after every step.
+        prop_assert_eq!(stats.probes, 2 * (stats.steps + 1));
     }
 }

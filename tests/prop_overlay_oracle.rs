@@ -1,9 +1,11 @@
-//! Oracle property: a distributed broker overlay must deliver exactly the
-//! same events as a single flat broker, for any workload and any tree
-//! topology — covering optimization on or off.
+//! Oracle property: a federation of tree-mode brokers (a simulated
+//! `reef_sim::Cluster`) must deliver exactly the same events as a single
+//! flat broker, for any workload and any tree topology — covering
+//! optimization on or off.
 
 use proptest::prelude::*;
-use reef::pubsub::{Broker, ClientId, Event, Filter, Op, Overlay, Value};
+use reef::pubsub::{Broker, ClientId, Event, Filter, Op, Value};
+use reef_sim::{Cluster, LinkFaults};
 use std::collections::BTreeMap;
 
 const ATTRS: [&str; 3] = ["x", "y", "z"];
@@ -52,27 +54,29 @@ proptest! {
             .collect();
         let n_clients = 6usize;
 
-        // --- Overlay under test: random tree over n_brokers. ---
-        let mut overlay = Overlay::new(covering);
-        let brokers: Vec<_> = (0..n_brokers).map(|_| overlay.add_broker()).collect();
+        // --- Federation under test: random tree over n_brokers. ---
+        let mut cluster = Cluster::tree(covering, topology_seed);
+        let brokers: Vec<usize> = (0..n_brokers).map(|_| cluster.add_broker()).collect();
         // Random tree: parent of node i is some j < i.
         let mut state = topology_seed.wrapping_add(7);
         for i in 1..n_brokers {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
             let parent = (state >> 33) as usize % i;
-            overlay.link(brokers[parent], brokers[i], 1 + (i as u64 % 3)).expect("tree link");
+            let latency = 1 + (i as u64 % 3);
+            let faults = LinkFaults { delay_min: latency, delay_max: latency, ..LinkFaults::default() };
+            cluster.link(brokers[parent], brokers[i], faults).expect("tree link");
         }
         let clients: Vec<ClientId> = (0..n_clients)
-            .map(|i| overlay.attach_client(brokers[i % n_brokers]).expect("attach"))
+            .map(|i| cluster.attach(brokers[i % n_brokers]))
             .collect();
         for sub in &subs {
-            overlay.subscribe(clients[sub.client], sub.filter.clone()).expect("subscribe");
+            cluster.subscribe(clients[sub.client], sub.filter.clone());
         }
-        overlay.run_until_idle();
+        cluster.run_until_idle().expect("subscriptions settle");
         for (publisher, event) in &events {
-            overlay.publish(clients[*publisher], event.clone()).expect("publish");
+            cluster.publish(clients[*publisher], event.clone());
         }
-        overlay.run_until_idle();
+        cluster.run_until_idle().expect("events settle");
 
         // --- Oracle: one flat broker with the same subscriptions. ---
         let flat = Broker::new();
@@ -87,7 +91,7 @@ proptest! {
         // Compare delivery multisets per client (event payloads, order-free).
         for (i, client) in clients.iter().enumerate() {
             let mut got: BTreeMap<String, usize> = BTreeMap::new();
-            for delivery in overlay.take_delivered(*client).expect("client") {
+            for delivery in cluster.take_delivered(*client) {
                 *got.entry(delivery.event.to_string()).or_insert(0) += 1;
             }
             let mut want: BTreeMap<String, usize> = BTreeMap::new();

@@ -1,15 +1,15 @@
 //! Transport-equivalence property: the sans-io `BrokerNode` routing core
 //! must behave identically no matter what carries its `PeerMsg`s. For the
-//! same scripted workload on the same 3-broker chain, the
-//! `SimTransport`-backed `Overlay` (virtual time, in-process) and a
-//! federation of real `BrokerServer`s over TCP must converge to the same
-//! routing-table sizes and deliver the same event sets to the same
-//! clients. A single daemon, sharded or not, must deliver exactly what a
+//! same scripted workload on the same 3-broker topology, a simulated
+//! `reef_sim::Cluster` (virtual time, in-process) and a federation of
+//! real `BrokerServer`s over TCP must converge to the same routing-table
+//! sizes and deliver the same event sets to the same clients. A single daemon, sharded or not, must deliver exactly what a
 //! linear matching model predicts.
 
 use proptest::prelude::*;
-use reef::pubsub::{ClientId, Event, Filter, Op, Overlay, Value};
+use reef::pubsub::{ClientId, Event, Filter, Op, Value};
 use reef::wire::{BrokerServer, Client};
+use reef_sim::{Cluster, LinkFaults};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
@@ -118,6 +118,35 @@ fn linear_oracle(subs: &[(usize, Filter)], events: &[(usize, Event)]) -> Vec<Mul
     want.into_iter().map(into_multiset).collect()
 }
 
+/// Run the workload on a linked simulated cluster with one client per
+/// broker. Returns each client's delivered event multiset and each
+/// broker's routing-table size once subscriptions settled.
+fn run_sim(
+    cluster: &mut Cluster,
+    brokers: &[usize],
+    subs: &[(usize, Filter)],
+    events: &[(usize, Event)],
+) -> (Vec<Multiset>, Vec<usize>) {
+    let clients: Vec<ClientId> = brokers.iter().map(|&b| cluster.attach(b)).collect();
+    for (client, filter) in subs {
+        cluster.subscribe(clients[*client], filter.clone());
+    }
+    cluster.run_until_idle().expect("subscriptions settle");
+    let entries = brokers
+        .iter()
+        .map(|&b| cluster.routing_entries_at(b))
+        .collect();
+    for (publisher, event) in events {
+        cluster.publish(clients[*publisher], event.clone());
+    }
+    cluster.run_until_idle().expect("events settle");
+    let delivered = clients
+        .iter()
+        .map(|&c| into_multiset(cluster.take_delivered(c).into_iter().map(|p| p.event)))
+        .collect();
+    (delivered, entries)
+}
+
 proptest! {
     // Each case spins up two or three real TCP daemons; keep the case
     // count low enough that the suite stays fast.
@@ -156,39 +185,12 @@ proptest! {
         subs in prop::collection::vec((0usize..3, arb_filter()), 1..6),
         events in prop::collection::vec((0usize..3, arb_event()), 1..8),
     ) {
-        // --- Oracle: the SimTransport-backed Overlay on a 3-chain. ---
-        let mut overlay = Overlay::new(covering);
-        let sim_brokers: Vec<_> = (0..3).map(|_| overlay.add_broker()).collect();
-        overlay.link(sim_brokers[0], sim_brokers[1], 1).expect("link");
-        overlay.link(sim_brokers[1], sim_brokers[2], 1).expect("link");
-        let sim_clients: Vec<ClientId> = sim_brokers
-            .iter()
-            .map(|b| overlay.attach_client(*b).expect("attach"))
-            .collect();
-        for (client, filter) in &subs {
-            overlay.subscribe(sim_clients[*client], filter.clone()).expect("subscribe");
-        }
-        overlay.run_until_idle();
-        let sim_entries: Vec<usize> = sim_brokers
-            .iter()
-            .map(|b| overlay.routing_entries_at(*b).expect("entries"))
-            .collect();
-        for (publisher, event) in &events {
-            overlay.publish(sim_clients[*publisher], event.clone()).expect("publish");
-        }
-        overlay.run_until_idle();
-        let expected: Vec<Multiset> = sim_clients
-            .iter()
-            .map(|c| {
-                into_multiset(
-                    overlay
-                        .take_delivered(*c)
-                        .expect("delivered")
-                        .into_iter()
-                        .map(|p| p.event),
-                )
-            })
-            .collect();
+        // --- Oracle: a simulated tree cluster on a 3-chain. ---
+        let mut cluster = Cluster::tree(covering, 0);
+        let sim_brokers: Vec<usize> = (0..3).map(|_| cluster.add_broker()).collect();
+        cluster.link(sim_brokers[0], sim_brokers[1], LinkFaults::default()).expect("link");
+        cluster.link(sim_brokers[1], sim_brokers[2], LinkFaults::default()).expect("link");
+        let (expected, sim_entries) = run_sim(&mut cluster, &sim_brokers, &subs, &events);
 
         // --- Same workload over TCP: three federated daemons. ---
         let a = BrokerServer::builder().name("eq-a").covering(covering)
@@ -286,14 +288,14 @@ proptest! {
 
     /// The same equivalence on a *cyclic* topology: a 3-broker mesh ring
     /// (path-vector routing, duplicate suppression, redundant paths)
-    /// must deliver the same event multisets over SimTransport and TCP.
+    /// must deliver the same event multisets in the simulator and over TCP.
     #[test]
     fn sim_and_tcp_mesh_rings_deliver_identical_event_sets(
         subs in prop::collection::vec((0usize..3, arb_filter()), 1..6),
         events in prop::collection::vec((0usize..3, arb_event()), 1..8),
     ) {
         // The TCP federation aggregates identical filters placed through
-        // the same daemon into one advertisement; the sim overlay keeps
+        // the same daemon into one advertisement; the simulator keeps
         // them distinct. Dedup the workload so routing-entry counts are
         // comparable across transports.
         let mut seen = std::collections::BTreeSet::new();
@@ -302,40 +304,13 @@ proptest! {
             .filter(|(client, filter)| seen.insert((*client, filter.to_string())))
             .collect();
 
-        // --- Oracle: the SimTransport-backed mesh Overlay on a ring. ---
-        let mut overlay = Overlay::new_mesh();
-        let sim_brokers: Vec<_> = (0..3).map(|_| overlay.add_broker()).collect();
-        overlay.link(sim_brokers[0], sim_brokers[1], 1).expect("link");
-        overlay.link(sim_brokers[1], sim_brokers[2], 1).expect("link");
-        overlay.link(sim_brokers[2], sim_brokers[0], 1).expect("link");
-        let sim_clients: Vec<ClientId> = sim_brokers
-            .iter()
-            .map(|b| overlay.attach_client(*b).expect("attach"))
-            .collect();
-        for (client, filter) in &subs {
-            overlay.subscribe(sim_clients[*client], filter.clone()).expect("subscribe");
+        // --- Oracle: a simulated mesh cluster on a ring. ---
+        let mut cluster = Cluster::mesh(0);
+        let sim_brokers: Vec<usize> = (0..3).map(|_| cluster.add_broker()).collect();
+        for (x, y) in [(0, 1), (1, 2), (2, 0)] {
+            cluster.link(sim_brokers[x], sim_brokers[y], LinkFaults::default()).expect("link");
         }
-        overlay.run_until_idle();
-        let sim_entries: Vec<usize> = sim_brokers
-            .iter()
-            .map(|b| overlay.routing_entries_at(*b).expect("entries"))
-            .collect();
-        for (publisher, event) in &events {
-            overlay.publish(sim_clients[*publisher], event.clone()).expect("publish");
-        }
-        overlay.run_until_idle();
-        let expected: Vec<Multiset> = sim_clients
-            .iter()
-            .map(|c| {
-                into_multiset(
-                    overlay
-                        .take_delivered(*c)
-                        .expect("delivered")
-                        .into_iter()
-                        .map(|p| p.event),
-                )
-            })
-            .collect();
+        let (expected, sim_entries) = run_sim(&mut cluster, &sim_brokers, &subs, &events);
 
         // --- Same workload over TCP: a ring of --mesh daemons. ---
         let a = BrokerServer::builder().name("meq-a").mesh(true)

@@ -1,12 +1,14 @@
-//! Deterministic-simulation scenarios: the seeded smoke sweep plus
-//! virtual-time ports of the flakiest wall-clock integration suites
-//! (ring failover, crash-recovery kill points, mesh churn).
+//! Deterministic-simulation scenarios: the seeded smoke sweep, virtual-time
+//! ports of the flakiest wall-clock integration suites (ring failover,
+//! crash-recovery kill points, mesh churn), and `reefd`'s default tree
+//! routing under faults.
 //!
 //! Every run here is a pure function of a `u64` seed. On failure the
 //! harness prints the seed and a minimized step trace; replay it with
 //! `REEF_SIM_SEED=<seed> cargo test --test sim_scenarios seeded`.
 
-use reef_sim::{run_seed, LinkFaults, SimPlan, SimStep};
+use reef::pubsub::{ClientId, Event, Filter, Op};
+use reef_sim::{run_seed, Cluster, LinkFaults, SimPlan, SimStep};
 use std::collections::BTreeSet;
 
 /// How many seeds the smoke sweep covers. Each seed derives its own
@@ -183,4 +185,114 @@ fn mesh_churn_keeps_survivors_connected() {
     };
     let stats = reef_sim::execute_plan(&plan).unwrap_or_else(|e| panic!("{e}"));
     assert_eq!(stats.steps, 8);
+}
+
+/// Each broker's subscribers in the tree scenario: a wide filter and a
+/// narrow one it covers, so covering pruning is on the path.
+fn tree_subscribers(cluster: &mut Cluster, broker: usize) -> Vec<(ClientId, Filter)> {
+    [
+        Filter::new().and("x", Op::Gt, 0),
+        Filter::new().and("x", Op::Gt, 5),
+    ]
+    .into_iter()
+    .map(|filter| {
+        let client = cluster.attach(broker);
+        cluster.subscribe(client, filter.clone());
+        (client, filter)
+    })
+    .collect()
+}
+
+/// Quiesce, then publish from every live broker and demand that each
+/// event reaches every matching subscriber on a reachable broker exactly
+/// once, and no one else.
+fn check_tree_exactly_once(
+    cluster: &mut Cluster,
+    subscribers: &[Vec<(ClientId, Filter)>],
+    ctx: &str,
+) {
+    cluster.quiesce().unwrap_or_else(|e| panic!("{ctx}: {e}"));
+    let live: Vec<usize> = (0..subscribers.len())
+        .filter(|&b| cluster.alive(b))
+        .collect();
+    for publisher in live {
+        let reachable = cluster.distances(publisher);
+        for x in [3, 10] {
+            let event = Event::builder().attr("x", x).build();
+            let (sender, _) = subscribers[publisher][0];
+            let id = cluster.publish(sender, event.clone());
+            cluster
+                .run_until_idle()
+                .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            for (broker, clients) in subscribers.iter().enumerate() {
+                for (client, filter) in clients {
+                    let got: Vec<_> = cluster
+                        .take_delivered(*client)
+                        .into_iter()
+                        .map(|p| p.id)
+                        .collect();
+                    let want = if reachable.contains_key(&broker) && filter.matches(&event) {
+                        vec![id]
+                    } else {
+                        Vec::new()
+                    };
+                    assert_eq!(
+                        got, want,
+                        "{ctx}: x={x} from broker {publisher} to {client} on broker {broker}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// `reefd`'s default routing mode — tree brokers with covering pruning,
+/// no seen-cache — under drop and delay faults (no duplicates: TCP never
+/// duplicates). A 4-broker chain loses and regains a link, then its
+/// middle broker crashes and rejoins; after every step each event must
+/// reach every reachable matching subscriber exactly once.
+#[test]
+fn tree_chain_with_covering_stays_exactly_once_under_faults() {
+    let faults = LinkFaults {
+        drop_p: 0.2,
+        dup_p: 0.0,
+        delay_min: 0,
+        delay_max: 3,
+    };
+    let mut resets = 0;
+    for seed in 0..32 {
+        let mut cluster = Cluster::tree(true, seed);
+        let brokers: Vec<usize> = (0..4).map(|_| cluster.add_broker()).collect();
+        for w in brokers.windows(2) {
+            cluster.link(w[0], w[1], faults).expect("chain link");
+        }
+        let mut subscribers: Vec<Vec<(ClientId, Filter)>> = brokers
+            .iter()
+            .map(|&b| tree_subscribers(&mut cluster, b))
+            .collect();
+        let ctx = |step: &str| format!("seed {seed}, {step}");
+        check_tree_exactly_once(&mut cluster, &subscribers, &ctx("initial"));
+
+        cluster.set_lossy(true);
+        cluster.unlink(1, 2);
+        check_tree_exactly_once(&mut cluster, &subscribers, &ctx("link 1-2 down"));
+
+        cluster.set_lossy(true);
+        cluster.link(1, 2, faults).expect("re-up a tree link");
+        check_tree_exactly_once(&mut cluster, &subscribers, &ctx("link 1-2 up"));
+
+        cluster.set_lossy(true);
+        cluster.crash(1);
+        subscribers[1].clear();
+        check_tree_exactly_once(&mut cluster, &subscribers, &ctx("broker 1 crashed"));
+
+        cluster.set_lossy(true);
+        cluster.restart(1);
+        subscribers[1] = tree_subscribers(&mut cluster, 1);
+        check_tree_exactly_once(&mut cluster, &subscribers, &ctx("broker 1 rejoined"));
+        assert_eq!(cluster.fault_stats().duplicated, 0);
+        resets += cluster.link_resets();
+    }
+    // Drops must actually have broken links, or green means nothing.
+    assert!(resets > 0, "no link was ever reset by a drop fault");
 }

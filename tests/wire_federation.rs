@@ -1,7 +1,7 @@
 //! End-to-end federation tests: multiple `reefd`-style broker daemons on
 //! ephemeral loopback ports, peered over real OS sockets, routing
 //! subscriptions (with covering pruning) and events between each other —
-//! the socket-backed counterpart of the simulated `Overlay`.
+//! the socket-backed counterpart of the simulated `reef_sim::Cluster`.
 
 use reef::pubsub::{Event, Filter, NodeId, Op, TOPIC_ATTR};
 use reef::wire::{BrokerServer, Client, CodecKind};
