@@ -4,7 +4,7 @@
 //! Figures 1 and 2, in its local form: subscribers register, place
 //! subscriptions (step 3 in Figure 1), and receive matching events on their
 //! delivery queues (step 4). The multi-broker form lives in
-//! [`crate::overlay`].
+//! [`crate::overlay`], composed with this broker by [`crate::routed`].
 //!
 //! The broker is thread-safe: `publish` takes `&self`, so producers on
 //! multiple threads can publish concurrently while subscribers drain their
@@ -34,7 +34,7 @@
 use crate::error::BrokerError;
 use crate::event::{Event, EventId, PublishedEvent};
 use crate::filter::Filter;
-use crate::matcher::{IndexMatcher, MatchEngine, SubscriptionId};
+use crate::matcher::{IndexMatcher, MatchEngine, SlotId, SubscriptionId};
 use crate::pmap::PMap;
 use crate::schema::Schema;
 use crate::stats::{BrokerStats, BrokerStatsSnapshot};
@@ -72,6 +72,28 @@ pub trait DeliveryNotifier: Send + Sync {
             self.notify(*subscriber);
         }
     }
+}
+
+/// A change to a broker's set of distinct filters: one slot of its
+/// [`IndexMatcher`] gaining its first owner or losing its last.
+#[derive(Debug, Clone)]
+pub enum InterestEdge {
+    /// A subscribe opened the slot for a filter no live subscription
+    /// held: the slot and the `Arc` the index files.
+    First(SlotId, Arc<Filter>),
+    /// An unsubscribe or deregister freed the slot of a filter's last
+    /// owner; a later [`InterestEdge::First`] may reuse it.
+    Last(SlotId),
+}
+
+/// Observer of a broker's distinct filters, registered with
+/// [`Broker::set_interest_observer`]: the hook a federation advertises
+/// through.
+pub trait InterestObserver: Send + Sync {
+    /// One write opened or freed the slots in `edges`. Called under the
+    /// broker's write lock, so edges arrive in the order the writes
+    /// happened; the observer must not call back into the broker.
+    fn interest_changed(&self, edges: &[InterestEdge]);
 }
 
 /// Identifier of a subscriber registered with a [`Broker`].
@@ -218,6 +240,16 @@ struct BrokerInner {
     /// The master index; every published snapshot is a clone of it.
     index: IndexSnapshot,
     subscribers: HashMap<SubscriberId, SubscriberEntry>,
+    /// Told about every slot the index opens or frees.
+    observer: Option<Arc<dyn InterestObserver>>,
+}
+
+impl BrokerInner {
+    fn report(&self, edges: &[InterestEdge]) {
+        if let (Some(observer), false) = (&self.observer, edges.is_empty()) {
+            observer.interest_changed(edges);
+        }
+    }
 }
 
 /// A local publish-subscribe broker.
@@ -330,14 +362,18 @@ impl Broker {
         // snapshots to age out: dropping the sender disconnects the
         // channel, so a receiver parked on the queue wakes immediately.
         *entry.queue.slot.endpoints.write() = None;
+        let mut freed = Vec::new();
         for sub in &entry.subscriptions {
-            inner.index.matcher.remove(*sub);
+            if let Some((_, Some(slot))) = inner.index.matcher.remove(*sub) {
+                freed.push(InterestEdge::Last(slot));
+            }
             inner.index.routes.remove(sub);
             self.stats.record_unsubscribe();
         }
         if !entry.subscriptions.is_empty() {
             self.swap_snapshot(&inner);
         }
+        inner.report(&freed);
         Ok(entry.subscriptions.len())
     }
 
@@ -372,10 +408,13 @@ impl Broker {
             owner: subscriber,
             queue: entry.queue.clone(),
         };
-        inner.index.matcher.insert(sub, filter);
+        let opened = inner.index.matcher.insert(sub, Arc::clone(&filter));
         inner.index.routes.insert(sub, route);
         self.stats.record_subscribe();
         self.swap_snapshot(&inner);
+        if let Some(slot) = opened {
+            inner.report(&[InterestEdge::First(slot, filter)]);
+        }
         Ok(sub)
     }
 
@@ -387,7 +426,7 @@ impl Broker {
     /// exist.
     pub fn unsubscribe(&self, sub: SubscriptionId) -> Result<Arc<Filter>, BrokerError> {
         let mut inner = self.inner.write();
-        let filter = inner
+        let (filter, freed) = inner
             .index
             .matcher
             .remove(sub)
@@ -399,6 +438,9 @@ impl Broker {
         }
         self.stats.record_unsubscribe();
         self.swap_snapshot(&inner);
+        if let Some(slot) = freed {
+            inner.report(&[InterestEdge::Last(slot)]);
+        }
         Ok(filter)
     }
 
@@ -427,6 +469,22 @@ impl Broker {
     /// readiness-driven transport.
     pub fn set_delivery_notifier(&self, notifier: Arc<dyn DeliveryNotifier>) {
         self.swap_notifier(Some(notifier));
+    }
+
+    /// Register the observer told, under the write lock, about every slot
+    /// the index opens or frees from now on. The slots already open are
+    /// reported to it at once, as first-owner edges. Replaces any previous
+    /// observer.
+    pub fn set_interest_observer(&self, observer: Arc<dyn InterestObserver>) {
+        let mut inner = self.inner.write();
+        let open: Vec<InterestEdge> = inner
+            .index
+            .matcher
+            .slots()
+            .map(|(slot, filter)| InterestEdge::First(slot, Arc::clone(filter)))
+            .collect();
+        inner.observer = Some(observer);
+        inner.report(&open);
     }
 
     /// Remove the delivery observer, if one was registered.
@@ -466,11 +524,28 @@ impl Broker {
         }
         let id = EventId(self.next_event.fetch_add(1, Ordering::Relaxed));
         let published_at = self.clock.fetch_add(1, Ordering::Relaxed);
-        let published = Arc::new(PublishedEvent {
+        self.stats.record_publish();
+        self.publish_remote(PublishedEvent {
             id,
             published_at,
             event,
-        });
+        })
+    }
+
+    /// Deliver an event published at another broker: the same match and
+    /// fan-out as [`Broker::publish`], keeping the origin's event id and
+    /// timestamp, without schema validation or a publish count.
+    ///
+    /// # Errors
+    ///
+    /// [`BrokerError::QueueFull`] under [`OverflowPolicy::Error`] when a
+    /// bounded queue overflows.
+    pub fn publish_remote(
+        &self,
+        event: impl Into<Arc<PublishedEvent>>,
+    ) -> Result<PublishOutcome, BrokerError> {
+        let published = event.into();
+        let (id, published_at) = (published.id, published.published_at);
         // Matching runs against the published snapshot — an immutable
         // `Arc` cloned out of a momentary read lock — so a publish storm
         // never contends with subscribe/unsubscribe churn on the master
@@ -495,7 +570,6 @@ impl Broker {
                 Offer::DroppedFull => {
                     dropped += 1;
                     if self.overflow == OverflowPolicy::Error {
-                        self.stats.record_publish();
                         self.stats.record_delivery(delivered as u64);
                         self.stats.record_drop(dropped as u64);
                         Self::notify_all(notifier, &touched);
@@ -516,7 +590,6 @@ impl Broker {
                 touched.insert(*owner);
             }
         }
-        self.stats.record_publish();
         self.stats.record_delivery(delivered as u64);
         self.stats.record_drop(dropped as u64);
         Self::notify_all(notifier, &touched);
@@ -543,13 +616,10 @@ impl Broker {
     /// Place an already-published event directly on the queue of the
     /// subscriber owning `sub`, bypassing matching.
     ///
-    /// This is the delivery half used by federation drivers: a remote
-    /// broker has already matched the event against the forwarded
-    /// subscription, so the local broker only has to find the owner and
-    /// enqueue, preserving the origin broker's event id and timestamp.
-    /// Returns `true` if the event was queued, `false` if it was dropped
-    /// (queue overflow or a vanished subscriber handle); drops are
-    /// counted in the broker stats either way.
+    /// The event keeps its id and timestamp. Returns `true` if the event
+    /// was queued, `false` if it was dropped (queue overflow or a vanished
+    /// subscriber handle); drops are counted in the broker stats either
+    /// way.
     ///
     /// # Errors
     ///
@@ -558,9 +628,8 @@ impl Broker {
     ///   the owner's queue overflows.
     ///
     /// Accepts either an owned [`PublishedEvent`] or an
-    /// `Arc<PublishedEvent>`; federation drivers fanning one remote event
-    /// out to several member subscriptions pass clones of one `Arc` so
-    /// the event is never deep-copied.
+    /// `Arc<PublishedEvent>`; a caller offering one event to several
+    /// subscriptions passes clones of one `Arc`.
     pub fn deliver(
         &self,
         sub: SubscriptionId,
@@ -732,6 +801,7 @@ impl BrokerBuilder {
             inner: RwLock::new(BrokerInner {
                 index: IndexSnapshot::default(),
                 subscribers: HashMap::new(),
+                observer: None,
             }),
             schema: self.schema,
             queue_capacity: self.queue_capacity,

@@ -418,12 +418,12 @@ fn canonical_hasher() -> &'static RandomState {
 /// from plus the hash of the filter's canonical form, computed once.
 /// Cloning it bumps a reference count. Two keys compare their filters'
 /// canonical forms only when their hashes agree. Every table that files a
-/// filter by its key — the index matcher's slots, a federation's
-/// aggregation groups, the automatic-subscription registry — therefore
-/// holds the one `Arc<Filter>` the subscription was placed with.
+/// filter by its key — the index matcher's slots, the
+/// automatic-subscription registry — therefore holds the one
+/// `Arc<Filter>` the subscription was placed with.
 ///
 /// The index matcher collapses subscriptions with equal keys into one
-/// posting, and a federation advertises them to its peers once.
+/// slot, and a federation advertises each slot to its peers once.
 ///
 /// # Examples
 ///

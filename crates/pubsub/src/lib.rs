@@ -50,22 +50,24 @@ pub mod matcher;
 pub mod overlay;
 pub mod parse;
 mod pmap;
+pub mod routed;
 pub mod routing;
 pub mod schema;
 pub mod stats;
 pub mod value;
 
 pub use broker::{
-    Broker, BrokerBuilder, DeliveryNotifier, OverflowPolicy, PublishOutcome, SubscriberHandle,
-    SubscriberId, DEFAULT_BLOCK_TIMEOUT,
+    Broker, BrokerBuilder, DeliveryNotifier, InterestEdge, InterestObserver, OverflowPolicy,
+    PublishOutcome, SubscriberHandle, SubscriberId, DEFAULT_BLOCK_TIMEOUT,
 };
 pub use clock::{Clock, ManualClock, SystemClock};
 pub use error::{BrokerError, SchemaError};
 pub use event::{Event, EventBuilder, EventId, PublishedEvent, TOPIC_ATTR};
 pub use filter::{Filter, FilterKey, Op, Predicate};
-pub use matcher::{IndexMatcher, MatchEngine, NaiveMatcher, SubscriptionId};
+pub use matcher::{IndexMatcher, MatchEngine, NaiveMatcher, SlotId, SubscriptionId};
 pub use overlay::{BrokerNode, ClientId, GlobalSubId, NodeId, NodeOutput, PeerMsg, MAX_HOPS};
 pub use parse::{parse_filter, parse_filters, ParseFilterError};
+pub use routed::{PeerSink, RoutedBroker};
 pub use routing::MeshRouter;
 pub use schema::{feed_events_schema, stock_quote_schema, AttrSpec, Schema, SchemaBuilder};
 pub use stats::BrokerStatsSnapshot;

@@ -1,7 +1,7 @@
 //! Matching engines: deciding which subscriptions an event satisfies.
 //!
-//! [`IndexMatcher`] is the engine everything runs on — the broker, the
-//! routing core ([`crate::BrokerNode`]) and through it the federation.
+//! [`IndexMatcher`] is the engine everything runs on — the broker, and the
+//! routing core ([`crate::BrokerNode`]) over peers' advertisements.
 //! [`NaiveMatcher`] evaluates every filter against every event; it is the
 //! oracle the tests and benchmarks hold the index against, and nothing at
 //! run time can select it. Both implement [`MatchEngine`].
@@ -60,10 +60,14 @@
 //! [`FilterKey`] — a handle holding that same `Arc` plus a hash — and its
 //! counted-scan entries all point at it. A subscription whose filter is an
 //! exact duplicate of its slot's shares the slot's `Arc`, so a duplicate
-//! costs an owner-list entry and a subscription-table entry. The broker and
-//! the routing core pass in the `Arc` the daemon built when the
-//! subscription arrived, so one filter is stored once however many tables
-//! file it.
+//! costs an owner-list entry and a subscription-table entry. The broker
+//! passes in the `Arc` the daemon built when the subscription arrived, and
+//! the routing core keeps that same `Arc` for a slot's advertisement, so
+//! one filter is stored once.
+//!
+//! A slot is also the unit a federation advertises: [`IndexMatcher::insert`]
+//! reports the slot it opened for a filter's first owner, and
+//! [`IndexMatcher::remove`] the one it freed with the last.
 //!
 //! Benchmark **B1** (`cargo bench -p reef-bench --bench matcher`) measures
 //! match, insert, remove and clone against [`NaiveMatcher`].
@@ -172,8 +176,10 @@ impl MatchEngine for NaiveMatcher {
     }
 }
 
-/// Dense id of a distinct filter; indexes the per-thread counters.
-type SlotId = u32;
+/// Dense id of a distinct filter held by an [`IndexMatcher`]: the slot
+/// shared by every subscription with that filter. Freed ids are handed
+/// out again.
+pub type SlotId = u32;
 
 /// One subscription: the slot of its filter, and the filter as given —
 /// the slot's own `Arc` when the two are identical.
@@ -529,12 +535,16 @@ impl IndexMatcher {
     /// before. The index keeps the `Arc` it is given (or, for an exact
     /// duplicate of a filter it already holds, that filter's `Arc`) and
     /// copies nothing of the filter.
-    pub fn insert(&mut self, id: SubscriptionId, filter: impl Into<Arc<Filter>>) {
+    ///
+    /// Returns the slot the filter opened when no live subscription held
+    /// it yet: its first owner. A replaced filter's slot freed on the way
+    /// is not reported; callers tracking slots insert fresh ids.
+    pub fn insert(&mut self, id: SubscriptionId, filter: impl Into<Arc<Filter>>) -> Option<SlotId> {
         if self.subs.get(&id).is_some() {
             self.remove(id);
         }
         let key = FilterKey::new(filter.into());
-        let sub = match self.by_key.get(&key).copied() {
+        let (sub, opened) = match self.by_key.get(&key).copied() {
             Some(slot) => {
                 let Some(SlotEntry::Live(held)) = self.slots.get_mut(&slot) else {
                     unreachable!("slot {slot} is keyed but not live");
@@ -549,7 +559,7 @@ impl IndexMatcher {
                 } else {
                     Arc::clone(given)
                 };
-                Sub { slot, filter }
+                (Sub { slot, filter }, None)
             }
             None => {
                 let filter = Arc::clone(key.filter());
@@ -561,27 +571,30 @@ impl IndexMatcher {
                 });
                 self.post(slot, &filter, access);
                 self.by_key.insert(key, slot);
-                Sub { slot, filter }
+                (Sub { slot, filter }, Some(slot))
             }
         };
         self.subs.insert(id, sub);
+        opened
     }
 
     /// Remove the subscription `id`, returning the filter it was
-    /// registered with, or `None` if the id was not registered.
-    pub fn remove(&mut self, id: SubscriptionId) -> Option<Arc<Filter>> {
+    /// registered with and, when it was the filter's last owner, the slot
+    /// the removal freed. `None` if the id was not registered.
+    pub fn remove(&mut self, id: SubscriptionId) -> Option<(Arc<Filter>, Option<SlotId>)> {
         let sub = self.subs.remove(&id)?;
         let entry = self
             .slots
             .get_mut(&sub.slot)
             .expect("a subscription's slot is in the table");
-        match entry {
+        let freed = match entry {
             SlotEntry::Live(held) if held.owners.len() > 1 => {
                 let owners = Arc::make_mut(&mut held.owners);
                 let at = owners
                     .binary_search(&id)
                     .expect("subscription owns its slot");
                 owners.remove(at);
+                None
             }
             _ => {
                 // The last owner: the filter leaves the index, and its
@@ -593,9 +606,19 @@ impl IndexMatcher {
                 self.free = Some(sub.slot);
                 self.unpost(sub.slot, held.key.filter(), held.access);
                 self.by_key.remove(&held.key);
+                Some(sub.slot)
             }
-        }
-        Some(sub.filter)
+        };
+        Some((sub.filter, freed))
+    }
+
+    /// Every live slot with the filter it holds: the index's distinct
+    /// filters.
+    pub fn slots(&self) -> impl Iterator<Item = (SlotId, &Arc<Filter>)> {
+        (0..self.slot_count).filter_map(|id| match self.slots.get(&id) {
+            Some(SlotEntry::Live(slot)) => Some((id, slot.key.filter())),
+            _ => None,
+        })
     }
 }
 
@@ -605,7 +628,7 @@ impl MatchEngine for IndexMatcher {
     }
 
     fn remove(&mut self, id: SubscriptionId) -> Option<Filter> {
-        IndexMatcher::remove(self, id).map(Arc::unwrap_or_clone)
+        IndexMatcher::remove(self, id).map(|(filter, _)| Arc::unwrap_or_clone(filter))
     }
 
     fn matches(&self, event: &Event) -> Vec<SubscriptionId> {
@@ -867,12 +890,16 @@ mod tests {
     fn duplicates_share_one_slot_and_expand_to_every_owner() {
         let mut m = IndexMatcher::new();
         let quote = || Filter::new().and("sym", Op::Eq, "A").and("px", Op::Ge, 3);
-        m.insert(SubscriptionId(5), quote());
-        m.insert(SubscriptionId(2), quote());
+        // Only the first owner opens the slot.
+        assert_eq!(m.insert(SubscriptionId(5), quote()), Some(0));
+        assert_eq!(m.insert(SubscriptionId(2), quote()), None);
         // The same conjunction, written differently.
-        m.insert(
-            SubscriptionId(9),
-            Filter::new().and("px", Op::Ge, 3.0).and("sym", Op::Eq, "A"),
+        assert_eq!(
+            m.insert(
+                SubscriptionId(9),
+                Filter::new().and("px", Op::Ge, 3.0).and("sym", Op::Eq, "A"),
+            ),
+            None
         );
         assert_eq!(m.len(), 3);
         assert_eq!(m.by_key.len(), 1);
@@ -880,14 +907,16 @@ mod tests {
         let e = ev(&[("sym", Value::from("A")), ("px", Value::from(4))]);
         assert_eq!(m.matches(&e), ids(&[2, 5, 9]));
         // Each subscription keeps the filter it was given.
-        assert_eq!(
-            m.remove(SubscriptionId(9)).unwrap().predicates()[0].attr,
-            "px"
-        );
+        let (filter, freed) = m.remove(SubscriptionId(9)).unwrap();
+        assert_eq!((filter.predicates()[0].attr.as_str(), freed), ("px", None));
         assert_eq!(m.matches(&e), ids(&[2, 5]));
-        // The slot outlives the subscription that created it.
-        assert_eq!(m.remove(SubscriptionId(5)).as_deref(), Some(&quote()));
+        // The slot outlives the subscription that created it...
+        let (filter, freed) = m.remove(SubscriptionId(5)).unwrap();
+        assert_eq!((&*filter, freed), (&quote(), None));
         assert_eq!(m.matches(&e), ids(&[2]));
+        // ...and its last owner frees it.
+        assert_eq!(m.remove(SubscriptionId(2)).unwrap().1, Some(0));
+        assert_eq!(m.slots().count(), 0);
     }
 
     #[test]
@@ -908,12 +937,10 @@ mod tests {
         // The caller's handle, the slot's key, the key-to-slot table's
         // key and two subscriptions.
         assert_eq!(Arc::strong_count(&shared), 5);
-        assert!(Arc::ptr_eq(
-            &m.remove(SubscriptionId(3)).unwrap(),
-            &reordered
-        ));
-        assert!(Arc::ptr_eq(&m.remove(SubscriptionId(1)).unwrap(), &shared));
-        assert!(Arc::ptr_eq(&m.remove(SubscriptionId(2)).unwrap(), &shared));
+        let mut removed = |id| m.remove(SubscriptionId(id)).unwrap().0;
+        assert!(Arc::ptr_eq(&removed(3), &reordered));
+        assert!(Arc::ptr_eq(&removed(1), &shared));
+        assert!(Arc::ptr_eq(&removed(2), &shared));
         assert_eq!(Arc::strong_count(&shared), 1, "the emptied index lets go");
     }
 
@@ -924,16 +951,18 @@ mod tests {
         m.insert(SubscriptionId(2), Filter::topic("a"));
         m.insert(SubscriptionId(3), Filter::topic("b"));
         assert_eq!(m.attrs.get("topic").unwrap().buckets.len(), 2);
-        m.remove(SubscriptionId(1));
+        assert_eq!(m.remove(SubscriptionId(1)).unwrap().1, None);
         assert_eq!(m.by_key.len(), 2, "another owner still holds topic a");
         assert_eq!(m.free, None);
-        m.remove(SubscriptionId(2));
+        assert_eq!(m.remove(SubscriptionId(2)).unwrap().1, Some(0));
         assert_eq!(m.by_key.len(), 1);
         assert_eq!(m.attrs.get("topic").unwrap().buckets.len(), 1);
         assert_eq!(m.free, Some(0));
         assert!(m.matches(&Event::topical("a", "")).is_empty());
+        let live: Vec<(SlotId, Filter)> = m.slots().map(|(s, f)| (s, Filter::clone(f))).collect();
+        assert_eq!(live, vec![(1, Filter::topic("b"))]);
         // The freed id is the next one handed out.
-        m.insert(SubscriptionId(4), Filter::topic("c"));
+        assert_eq!(m.insert(SubscriptionId(4), Filter::topic("c")), Some(0));
         assert_eq!(m.free, None);
         assert_eq!(m.slot_count, 2);
         assert_eq!(m.matches(&Event::topical("c", "")), ids(&[4]));
@@ -962,7 +991,7 @@ mod tests {
             ("sym", Value::from("A")),
         ]);
         assert_eq!(m.matches(&e), ids(&[1, 2]));
-        assert_eq!(m.remove(SubscriptionId(1)).as_deref(), Some(&f));
+        assert_eq!(m.remove(SubscriptionId(1)).unwrap().0.as_ref(), &f);
         assert_eq!(m.matches(&e), ids(&[2]));
         assert!(m.attrs.get("venue").is_none() && m.attrs.get("sym").is_none());
         let px = &m.attrs.get("px").unwrap().counted;

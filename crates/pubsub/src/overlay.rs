@@ -8,9 +8,12 @@
 //! communicates exclusively through values: every entry point returns the
 //! [`PeerMsg`]s that must be sent to neighboring brokers, and
 //! [`BrokerNode::handle`] consumes one incoming message and returns the
-//! local deliveries plus follow-up messages it caused. The node performs
-//! no I/O and reads no clock, so the same core is driven by `reef-wire`'s
-//! TCP federation and by `reef-sim`'s deterministic simulated one.
+//! follow-up messages it caused, plus the event when it reached local
+//! interest. The node performs no I/O and reads no clock. Local filters
+//! and subscribers are not its business: the local [`crate::Broker`]'s
+//! index is the only table of them, and [`crate::RoutedBroker`] joins
+//! broker and node — the composition `reef-wire`'s TCP federation and
+//! `reef-sim`'s deterministic simulated one both drive.
 //!
 //! The routing protocol itself is the classic design:
 //!
@@ -81,15 +84,6 @@ impl fmt::Display for GlobalSubId {
 /// accidentally cyclic federation from forwarding an event forever.
 pub const MAX_HOPS: u32 = 32;
 
-/// Where a broker learned about a subscription.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SubOrigin {
-    /// Placed by a client attached to this broker.
-    Local(ClientId),
-    /// Advertised by a neighboring broker.
-    Neighbor(NodeId),
-}
-
 /// Messages exchanged between brokers.
 ///
 /// This is the complete broker-to-broker vocabulary of the routing
@@ -145,17 +139,20 @@ pub enum PeerMsg {
     },
 }
 
-/// What a [`BrokerNode`] wants done after processing one input: events to
-/// hand to locally attached clients, and messages to send to neighbors.
+/// What a [`BrokerNode`] wants done after processing one peer message:
+/// the event to hand to the local broker, and messages to send to
+/// neighbors.
 ///
 /// The node never performs these effects itself — the driver (simulated
 /// or socket-backed) owns delivery and transmission.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct NodeOutput {
-    /// Events to deliver to local clients, one entry per matching local
-    /// subscription (a client with two matching subscriptions appears
-    /// twice, mirroring the flat broker's per-subscription delivery).
-    pub deliveries: Vec<(ClientId, PublishedEvent)>,
+    /// A forwarded event that reached this broker while it advertises
+    /// local interest. The node keeps no table of local subscribers: the
+    /// driver matches the event against the local broker's index
+    /// ([`crate::Broker::publish_remote`]), which delivers one copy per
+    /// matching subscription.
+    pub local: Option<PublishedEvent>,
     /// Messages to transmit, in order, to the named neighbors.
     pub messages: Vec<(NodeId, PeerMsg)>,
 }
@@ -163,7 +160,7 @@ pub struct NodeOutput {
 impl NodeOutput {
     fn from_messages(messages: Vec<(NodeId, PeerMsg)>) -> Self {
         NodeOutput {
-            deliveries: Vec::new(),
+            local: None,
             messages,
         }
     }
@@ -174,12 +171,12 @@ impl NodeOutput {
 ///
 /// A `BrokerNode` knows its neighbors only as opaque [`NodeId`] link
 /// handles; what those handles mean (a simulated link, a TCP connection)
-/// is the driver's business. All mutation happens through four entry
-/// points — [`subscribe_local`](Self::subscribe_local),
-/// [`unsubscribe_local`](Self::unsubscribe_local),
-/// [`publish_local`](Self::publish_local) and [`handle`](Self::handle) —
-/// each returning the messages (and, for events, local deliveries) the
-/// driver must carry out.
+/// is the driver's business. It holds what neighbors advertised plus one
+/// entry per distinct filter of this broker's own, which it advertises.
+/// It neither matches events against local filters nor knows local
+/// subscribers: those live in the local broker's index, and
+/// [`crate::RoutedBroker`] joins the two. Every entry point returns the
+/// messages the driver must send.
 ///
 /// # Examples
 ///
@@ -196,28 +193,28 @@ impl NodeOutput {
 /// node_a.add_neighbor(b);
 /// node_b.add_neighbor(a);
 ///
-/// // A subscription at B is advertised to A...
+/// // B's local interest is advertised to A...
 /// let ads = node_b.subscribe_local(GlobalSubId(0), ClientId(0), Filter::topic("t"));
 /// for (_, msg) in ads {
 ///     node_a.handle(b, msg);
 /// }
-/// // ...so a publish at A is forwarded to B and delivered there.
+/// // ...so a publish at A is forwarded to B, which hands it to its
+/// // local broker.
 /// let event = PublishedEvent { id: EventId(0), published_at: 0, event: Event::topical("t", "x") };
-/// let out = node_a.publish_local(event);
-/// let (dst, fwd) = out.messages.into_iter().next().unwrap();
+/// let (dst, fwd) = node_a.publish_local(event.clone()).into_iter().next().unwrap();
 /// assert_eq!(dst, b);
-/// let delivered = node_b.handle(a, fwd);
-/// assert_eq!(delivered.deliveries.len(), 1);
+/// assert_eq!(node_b.handle(a, fwd).local, Some(event));
 /// ```
 pub struct BrokerNode {
     covering: bool,
     neighbors: Vec<NodeId>,
-    /// Everything this broker knows: local subs and neighbor advertisements.
+    /// This broker's own filters, one per distinct local filter: the
+    /// `Arc` the local broker's index holds.
+    locals: HashMap<GlobalSubId, Arc<Filter>>,
+    /// What neighbors advertised, with the link each arrived on.
+    remote: HashMap<GlobalSubId, (NodeId, Arc<Filter>)>,
+    /// Index over the remote filters: the links an event goes out on.
     matcher: IndexMatcher,
-    origin: HashMap<GlobalSubId, SubOrigin>,
-    /// The filter of every known subscription: the same `Arc` the matcher
-    /// and the advertisement tables hold.
-    filters: HashMap<GlobalSubId, Arc<Filter>>,
     /// What this broker has advertised to each neighbor.
     advertised: HashMap<NodeId, BTreeMap<GlobalSubId, Arc<Filter>>>,
     /// Path-vector routing state; `Some` makes this a mesh-mode node
@@ -229,7 +226,7 @@ impl fmt::Debug for BrokerNode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("BrokerNode")
             .field("neighbors", &self.neighbors.len())
-            .field("routing_entries", &self.matcher.len())
+            .field("routing_entries", &self.routing_entries())
             .field("covering", &self.covering)
             .field("mesh", &self.mesh.is_some())
             .finish()
@@ -243,9 +240,9 @@ impl BrokerNode {
         BrokerNode {
             covering,
             neighbors: Vec::new(),
+            locals: HashMap::new(),
+            remote: HashMap::new(),
             matcher: IndexMatcher::new(),
-            origin: HashMap::new(),
-            filters: HashMap::new(),
             advertised: HashMap::new(),
             mesh: None,
         }
@@ -262,13 +259,8 @@ impl BrokerNode {
     /// covering filter and its coveree may route along different paths).
     pub fn new_mesh(broker_id: u32) -> Self {
         BrokerNode {
-            covering: false,
-            neighbors: Vec::new(),
-            matcher: IndexMatcher::new(),
-            origin: HashMap::new(),
-            filters: HashMap::new(),
-            advertised: HashMap::new(),
             mesh: Some(MeshRouter::new(broker_id)),
+            ..BrokerNode::new(false)
         }
     }
 
@@ -312,7 +304,7 @@ impl BrokerNode {
         if !self.neighbors.contains(&neighbor) {
             self.neighbors.push(neighbor);
         }
-        self.mesh_sync()
+        self.sync()
     }
 
     /// Drop a neighbor link: forget everything it advertised and
@@ -327,23 +319,21 @@ impl BrokerNode {
     /// link's death, pushed without waiting for any timer.
     pub fn remove_neighbor(&mut self, neighbor: NodeId) -> Vec<(NodeId, PeerMsg)> {
         self.neighbors.retain(|n| *n != neighbor);
-        if let Some(router) = self.mesh.as_mut() {
-            for sub in router.remove_neighbor(neighbor) {
-                self.remove_sub(sub);
+        let gone: Vec<GlobalSubId> = match self.mesh.as_mut() {
+            Some(router) => router.remove_neighbor(neighbor),
+            None => {
+                self.advertised.remove(&neighbor);
+                self.remote
+                    .iter()
+                    .filter(|(_, (n, _))| *n == neighbor)
+                    .map(|(sub, _)| *sub)
+                    .collect()
             }
-            return self.mesh_sync();
-        }
-        self.advertised.remove(&neighbor);
-        let gone: Vec<GlobalSubId> = self
-            .origin
-            .iter()
-            .filter(|(_, o)| matches!(o, SubOrigin::Neighbor(n) if *n == neighbor))
-            .map(|(s, _)| *s)
-            .collect();
+        };
         for sub in gone {
-            self.remove_sub(sub);
+            self.remove_remote(sub);
         }
-        self.sync_advertisements()
+        self.sync()
     }
 
     /// Re-send every current advertisement (mesh mode): the periodic
@@ -354,65 +344,66 @@ impl BrokerNode {
         match self.mesh.as_mut() {
             Some(router) => {
                 router.clear_advertised();
-                self.mesh_sync()
+                self.sync()
             }
             None => Vec::new(),
         }
     }
 
-    /// Place a subscription for a locally attached client. Returns the
+    /// Advertise one distinct filter of this broker's own and return the
     /// advertisements to propagate.
     ///
     /// The caller mints `sub`; it must be unique across the whole overlay
     /// (a federation of daemons namespaces the id space per broker). The
-    /// node files the `Arc` it is given in every table it keeps; only the
-    /// advertisements it returns carry copies.
+    /// node keeps the `Arc` it is given; only the advertisements it
+    /// returns carry copies. `client` is not filed: local delivery is the
+    /// local broker's business.
     pub fn subscribe_local(
         &mut self,
         sub: GlobalSubId,
-        client: ClientId,
+        _client: ClientId,
         filter: impl Into<Arc<Filter>>,
     ) -> Vec<(NodeId, PeerMsg)> {
-        self.insert_sub(sub, SubOrigin::Local(client), filter.into());
-        if self.mesh.is_some() {
-            self.mesh_sync()
-        } else {
-            self.sync_advertisements()
-        }
+        self.update_local([(sub, filter.into())], [])
     }
 
-    /// Withdraw a locally placed subscription. Returns the control
-    /// messages to propagate. `false` means the id was unknown (no
-    /// messages are produced).
-    pub fn unsubscribe_local(&mut self, sub: GlobalSubId) -> Vec<(NodeId, PeerMsg)> {
-        if self.remove_sub(sub) {
-            if self.mesh.is_some() {
-                self.mesh_sync()
-            } else {
-                self.sync_advertisements()
-            }
+    /// Advertise the local filters in `opened`, withdraw the local ids in
+    /// `withdrawn`, and return the control messages for the whole batch.
+    /// Unknown withdrawn ids are ignored.
+    pub fn update_local(
+        &mut self,
+        opened: impl IntoIterator<Item = (GlobalSubId, Arc<Filter>)>,
+        withdrawn: impl IntoIterator<Item = GlobalSubId>,
+    ) -> Vec<(NodeId, PeerMsg)> {
+        let mut changed = false;
+        for sub in withdrawn {
+            changed |= self.locals.remove(&sub).is_some();
+        }
+        for (sub, filter) in opened {
+            self.locals.insert(sub, filter);
+            changed = true;
+        }
+        if changed {
+            self.sync()
         } else {
             Vec::new()
         }
     }
 
-    /// Route an event published by a locally attached client.
-    ///
-    /// The returned output contains the local deliveries (the publisher's
-    /// own broker may host matching subscribers) and the forwards toward
-    /// interested neighbors, with hop count 0.
-    pub fn publish_local(&mut self, event: PublishedEvent) -> NodeOutput {
+    /// Route an event published at this broker: the forwards toward
+    /// interested neighbors, with hop count 0. Local subscribers are the
+    /// local broker's to serve.
+    pub fn publish_local(&mut self, event: PublishedEvent) -> Vec<(NodeId, PeerMsg)> {
         if let Some(router) = self.mesh.as_mut() {
             // Mark the id seen so a copy echoed back over a cycle is
             // suppressed (and counted) instead of re-delivered.
             let _ = router.first_sight(event.id);
-            return self.route_event_mesh(None, event, 0);
         }
-        self.route_event(None, event, 0)
+        self.forward(None, &event, 0)
     }
 
     /// Process one message received from neighbor `from` and return the
-    /// effects: local deliveries and follow-up messages.
+    /// effects: an event for the local broker, and follow-up messages.
     ///
     /// Tree advertisements ([`PeerMsg::SubFwd`]) are ignored by mesh
     /// nodes and path-vector ones ([`PeerMsg::SubAdv`]) by tree nodes: a
@@ -420,31 +411,27 @@ impl BrokerNode {
     pub fn handle(&mut self, from: NodeId, msg: PeerMsg) -> NodeOutput {
         match msg {
             PeerMsg::SubFwd { sub, filter } => {
-                if self.mesh.is_some() {
-                    return NodeOutput::default();
-                }
                 // A SubFwd for a subscription this node already knows from
                 // elsewhere is a cycle echo (the overlay is supposed to be
                 // a tree, but a misconfigured federation is not). Adopting
-                // it would overwrite the true origin — destroying a local
-                // subscription or flipping a reverse path — so drop it;
-                // only a re-advertisement from the same neighbor (a link
-                // re-sync) updates the filter.
-                match self.origin.get(&sub) {
-                    Some(SubOrigin::Local(_)) => return NodeOutput::default(),
-                    Some(SubOrigin::Neighbor(n)) if *n != from => {
-                        return NodeOutput::default();
-                    }
-                    _ => {}
+                // it would overwrite the true origin — shadowing a local
+                // filter or flipping a reverse path — so drop it; only a
+                // re-advertisement from the same neighbor (a link re-sync)
+                // updates the filter.
+                if self.mesh.is_some()
+                    || self.locals.contains_key(&sub)
+                    || matches!(self.remote.get(&sub), Some((n, _)) if *n != from)
+                {
+                    return NodeOutput::default();
                 }
-                self.insert_sub(sub, SubOrigin::Neighbor(from), Arc::new(filter));
+                self.insert_remote(sub, from, Arc::new(filter));
                 NodeOutput::from_messages(self.sync_advertisements())
             }
             PeerMsg::SubAdv { sub, filter, path } => {
                 // A SubAdv for a local subscription can only be a forged
                 // or corrupted echo — the path check would catch the
-                // honest case, but never risk hijacking a local origin.
-                if matches!(self.origin.get(&sub), Some(SubOrigin::Local(_))) {
+                // honest case, but never risk shadowing a local filter.
+                if self.locals.contains_key(&sub) {
                     return NodeOutput::default();
                 }
                 let Some(router) = self.mesh.as_mut() else {
@@ -454,25 +441,22 @@ impl BrokerNode {
                 if !router.insert_route(from, sub, Arc::clone(&filter), path) {
                     return NodeOutput::default();
                 }
-                self.insert_sub(sub, SubOrigin::Neighbor(from), filter);
-                NodeOutput::from_messages(self.mesh_sync())
+                self.insert_remote(sub, from, filter);
+                NodeOutput::from_messages(self.sync())
             }
             PeerMsg::UnsubFwd { sub } => {
                 if let Some(router) = self.mesh.as_mut() {
-                    return match router.remove_route(from, sub) {
-                        RouteRemoval::NotFound => NodeOutput::default(),
-                        RouteRemoval::Changed => NodeOutput::from_messages(self.mesh_sync()),
+                    match router.remove_route(from, sub) {
+                        RouteRemoval::NotFound => return NodeOutput::default(),
+                        RouteRemoval::Changed => {}
                         RouteRemoval::Gone => {
-                            self.remove_sub(sub);
-                            NodeOutput::from_messages(self.mesh_sync())
+                            self.remove_remote(sub);
                         }
-                    };
+                    }
+                } else if !self.remove_remote(sub) {
+                    return NodeOutput::default();
                 }
-                if self.remove_sub(sub) {
-                    NodeOutput::from_messages(self.sync_advertisements())
-                } else {
-                    NodeOutput::default()
-                }
+                NodeOutput::from_messages(self.sync())
             }
             PeerMsg::EventFwd { event, hops } => {
                 if hops >= MAX_HOPS {
@@ -482,9 +466,12 @@ impl BrokerNode {
                     if !router.first_sight(event.id) {
                         return NodeOutput::default();
                     }
-                    return self.route_event_mesh(Some(from), event, hops + 1);
                 }
-                self.route_event(Some(from), event, hops + 1)
+                let messages = self.forward(Some(from), &event, hops + 1);
+                NodeOutput {
+                    local: (!self.locals.is_empty()).then_some(event),
+                    messages,
+                }
             }
             PeerMsg::Ping { nonce } => {
                 NodeOutput::from_messages(vec![(from, PeerMsg::Pong { nonce })])
@@ -493,10 +480,10 @@ impl BrokerNode {
         }
     }
 
-    /// Routing-table entries this node holds (local subscriptions plus
-    /// neighbor advertisements).
+    /// Routing-table entries this node holds: its distinct local filters
+    /// plus neighbor advertisements.
     pub fn routing_entries(&self) -> usize {
-        self.matcher.len()
+        self.locals.len() + self.remote.len()
     }
 
     /// Advertisements currently held toward neighbors.
@@ -544,24 +531,31 @@ impl BrokerNode {
             .map_or_else(Vec::new, MeshRouter::best_routes)
     }
 
-    /// Everything this node currently knows: each subscription id with
-    /// its filter, local and neighbor-advertised alike.
-    pub fn knowledge(&self) -> impl Iterator<Item = (GlobalSubId, &Filter)> {
-        self.filters.iter().map(|(sub, f)| (*sub, &**f))
+    /// The ids this node advertises for its own filters.
+    pub fn local_subs(&self) -> impl Iterator<Item = GlobalSubId> + '_ {
+        self.locals.keys().copied()
     }
 
-    fn insert_sub(&mut self, sub: GlobalSubId, origin: SubOrigin, filter: Arc<Filter>) {
+    fn insert_remote(&mut self, sub: GlobalSubId, from: NodeId, filter: Arc<Filter>) {
         self.matcher
             .insert(SubscriptionId(sub.0), Arc::clone(&filter));
-        self.origin.insert(sub, origin);
-        self.filters.insert(sub, filter);
+        self.remote.insert(sub, (from, filter));
     }
 
-    fn remove_sub(&mut self, sub: GlobalSubId) -> bool {
-        let existed = self.matcher.remove(SubscriptionId(sub.0)).is_some();
-        self.origin.remove(&sub);
-        self.filters.remove(&sub);
-        existed
+    fn remove_remote(&mut self, sub: GlobalSubId) -> bool {
+        self.matcher.remove(SubscriptionId(sub.0));
+        self.remote.remove(&sub).is_some()
+    }
+
+    /// Bring every neighbor's advertisements up to date, in whichever
+    /// mode this node routes.
+    fn sync(&mut self) -> Vec<(NodeId, PeerMsg)> {
+        match self.mesh.as_mut() {
+            // The router diffs what each neighbor should see (fast paths
+            // plus split horizon) against what was already sent.
+            Some(router) => router.sync(&self.neighbors, &self.locals),
+            None => self.sync_advertisements(),
+        }
     }
 
     /// The set of subscriptions this broker *should* be advertising to
@@ -573,15 +567,16 @@ impl BrokerNode {
     /// equivalent candidate with a smaller id exists (canonical
     /// representative of an equivalence class).
     fn desired_ads(&self, neighbor: NodeId) -> BTreeMap<GlobalSubId, Arc<Filter>> {
-        let candidates: BTreeMap<GlobalSubId, &Arc<Filter>> = self
-            .filters
+        let remote = self
+            .remote
             .iter()
-            .filter(|(sub, _)| match self.origin.get(sub) {
-                Some(SubOrigin::Neighbor(n)) => *n != neighbor,
-                Some(SubOrigin::Local(_)) => true,
-                None => false,
-            })
+            .filter(|(_, (n, _))| *n != neighbor)
+            .map(|(sub, (_, f))| (*sub, f));
+        let candidates: BTreeMap<GlobalSubId, &Arc<Filter>> = self
+            .locals
+            .iter()
             .map(|(sub, f)| (*sub, f))
+            .chain(remote)
             .collect();
         if !self.covering {
             return candidates
@@ -647,56 +642,30 @@ impl BrokerNode {
         to_send
     }
 
-    /// Mesh counterpart of [`BrokerNode::sync_advertisements`]: hand the
-    /// router the current locals and neighbors and let it diff what each
-    /// neighbor should see (fast paths + split horizon) against what was
-    /// already sent.
-    fn mesh_sync(&mut self) -> Vec<(NodeId, PeerMsg)> {
-        let locals: Vec<(GlobalSubId, Arc<Filter>)> = self
-            .filters
-            .iter()
-            .filter(|(sub, _)| matches!(self.origin.get(*sub), Some(SubOrigin::Local(_))))
-            .map(|(sub, filter)| (*sub, Arc::clone(filter)))
-            .collect();
-        let neighbors = self.neighbors.clone();
-        self.mesh
-            .as_mut()
-            .expect("mesh_sync on mesh node")
-            .sync(&neighbors, &locals)
-    }
-
-    /// Mesh event routing: deliver locally, then forward over **every**
-    /// live route of each matching remote subscription (except the link
-    /// the event came in on). The fast path delivers first; redundant
-    /// copies are suppressed by the receivers' seen-caches, which is
-    /// what lets delivery survive a link dying mid-event.
-    fn route_event_mesh(
-        &mut self,
+    /// The forwards of an event: one copy per link on which a matching
+    /// remote interest was advertised, except the link it came in on. A
+    /// mesh node forwards over **every** live route of a matching
+    /// subscription: the fast path delivers first, and the receivers'
+    /// seen-caches suppress the redundant copies, which is what lets
+    /// delivery survive a link dying mid-event.
+    fn forward(
+        &self,
         from: Option<NodeId>,
-        event: PublishedEvent,
+        event: &PublishedEvent,
         hops: u32,
-    ) -> NodeOutput {
-        let router = self.mesh.as_ref().expect("mesh routing on mesh node");
-        let matched = self.matcher.matches(&event.event);
-        let mut local: Vec<ClientId> = Vec::new();
-        let mut forward: Vec<NodeId> = Vec::new();
-        for m in matched {
+    ) -> Vec<(NodeId, PeerMsg)> {
+        let mut links: Vec<NodeId> = Vec::new();
+        for m in self.matcher.matches(&event.event) {
             let sub = GlobalSubId(m.0);
-            match self.origin.get(&sub) {
-                Some(SubOrigin::Local(c)) => local.push(*c),
-                Some(SubOrigin::Neighbor(_)) => {
-                    for link in router.via_links(sub) {
-                        if Some(link) != from && !forward.contains(&link) {
-                            forward.push(link);
-                        }
-                    }
-                }
-                None => {}
+            match &self.mesh {
+                Some(router) => links.extend(router.via_links(sub)),
+                None => links.extend(self.remote.get(&sub).map(|(n, _)| *n)),
             }
         }
-        forward.sort_unstable_by_key(|n| n.0);
-        let deliveries = local.into_iter().map(|c| (c, event.clone())).collect();
-        let messages = forward
+        links.retain(|n| Some(*n) != from);
+        links.sort_unstable();
+        links.dedup();
+        links
             .into_iter()
             .map(|n| {
                 (
@@ -707,50 +676,7 @@ impl BrokerNode {
                     },
                 )
             })
-            .collect();
-        NodeOutput {
-            deliveries,
-            messages,
-        }
-    }
-
-    /// Deliver locally and forward along interested links.
-    fn route_event(
-        &mut self,
-        from: Option<NodeId>,
-        event: PublishedEvent,
-        hops: u32,
-    ) -> NodeOutput {
-        let matched = self.matcher.matches(&event.event);
-        let mut local: Vec<ClientId> = Vec::new();
-        let mut forward: Vec<NodeId> = Vec::new();
-        for m in matched {
-            match self.origin.get(&GlobalSubId(m.0)) {
-                Some(SubOrigin::Local(c)) => local.push(*c),
-                Some(SubOrigin::Neighbor(n)) if Some(*n) != from && !forward.contains(n) => {
-                    forward.push(*n);
-                }
-                Some(SubOrigin::Neighbor(_)) | None => {}
-            }
-        }
-        forward.sort_unstable_by_key(|n| n.0);
-        let deliveries = local.into_iter().map(|c| (c, event.clone())).collect();
-        let messages = forward
-            .into_iter()
-            .map(|n| {
-                (
-                    n,
-                    PeerMsg::EventFwd {
-                        event: event.clone(),
-                        hops,
-                    },
-                )
-            })
-            .collect();
-        NodeOutput {
-            deliveries,
-            messages,
-        }
+            .collect()
     }
 }
 
@@ -790,9 +716,8 @@ mod tests {
             .iter()
             .all(|(dst, msg)| *dst == c && matches!(msg, PeerMsg::SubFwd { .. })));
         let out = hub.publish_local(published(Event::topical("t", "x")));
-        assert_eq!(out.deliveries.len(), 0);
-        assert_eq!(out.messages.len(), 1);
-        assert_eq!(out.messages[0].0, b);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].0, b);
         let _ = a;
     }
 
@@ -843,8 +768,7 @@ mod tests {
             hops: MAX_HOPS,
         };
         let out = node.handle(b, msg);
-        assert!(out.deliveries.is_empty(), "event at hop limit is dropped");
-        assert!(out.messages.is_empty());
+        assert_eq!(out, NodeOutput::default(), "event at hop limit is dropped");
     }
 
     #[test]
@@ -864,15 +788,60 @@ mod tests {
             },
         );
         assert!(out.messages.is_empty(), "cycle echo is dropped");
-        // The local subscription still routes.
-        let delivered = node.handle(
+        assert_eq!(node.routing_entries(), 1);
+        // The local interest still draws the event, and the echo did not
+        // turn it into a forward back toward b.
+        let event = published(Event::topical("t", "x"));
+        let out = node.handle(
             b,
             PeerMsg::EventFwd {
-                event: published(Event::topical("t", "x")),
+                event: event.clone(),
                 hops: 0,
             },
         );
-        assert_eq!(delivered.deliveries.len(), 1);
+        assert_eq!(out.local, Some(event));
+        assert!(out.messages.is_empty());
+    }
+
+    #[test]
+    fn local_interest_is_advertised_once_and_never_matched_here() {
+        let (b, c) = (NodeId(1), NodeId(2));
+        let mut node = BrokerNode::new(false);
+        node.add_neighbor(b);
+        node.add_neighbor(c);
+        let ads = node.subscribe_local(GlobalSubId(1), ClientId(0), Filter::topic("t"));
+        assert_eq!(ads.len(), 2, "one advertisement per neighbor");
+        // A local publish is forwarded only where remote interest lies:
+        // nowhere yet.
+        assert!(node
+            .publish_local(published(Event::topical("t", "x")))
+            .is_empty());
+        node.handle(
+            c,
+            PeerMsg::SubFwd {
+                sub: GlobalSubId(9),
+                filter: Filter::topic("t"),
+            },
+        );
+        assert_eq!(node.routing_entries(), 2);
+        // An event from b goes on to c and, since local interest exists,
+        // to the local broker; withdrawing the last local filter stops
+        // the latter.
+        let event = || PeerMsg::EventFwd {
+            event: published(Event::topical("other", "x")),
+            hops: 0,
+        };
+        let out = node.handle(b, event());
+        assert!(out.local.is_some() && out.messages.is_empty());
+        let withdrawals = node.update_local([], [GlobalSubId(1), GlobalSubId(5)]);
+        assert!(withdrawals.iter().all(|(_, msg)| *msg
+            == PeerMsg::UnsubFwd {
+                sub: GlobalSubId(1)
+            }));
+        assert_eq!(withdrawals.len(), 2);
+        assert_eq!(node.handle(b, event()).local, None);
+        assert_eq!(node.local_subs().count(), 0);
+        assert_eq!(node.routing_entries(), 1);
     }
 
     #[test]

@@ -28,8 +28,8 @@
 //! state a lossy or crashed peer missed.
 //!
 //! [`MeshRouter`] holds only the *remote* route state; the owning
-//! [`crate::BrokerNode`] keeps local subscriptions and the match index,
-//! and delegates here when constructed in mesh mode
+//! [`crate::BrokerNode`] keeps the local filters it advertises and the
+//! index over remote ones, and delegates here when constructed in mesh mode
 //! ([`crate::BrokerNode::new_mesh`]).
 //!
 //! [`PeerMsg::SubAdv`]: crate::PeerMsg::SubAdv
@@ -249,7 +249,7 @@ impl MeshRouter {
     pub(crate) fn sync(
         &mut self,
         neighbors: &[NodeId],
-        locals: &[(GlobalSubId, Arc<Filter>)],
+        locals: &HashMap<GlobalSubId, Arc<Filter>>,
     ) -> Vec<(NodeId, PeerMsg)> {
         let mut out = Vec::new();
         for &n in neighbors {
@@ -478,7 +478,7 @@ mod tests {
         r.add_neighbor(NodeId(1), 10);
         r.add_neighbor(NodeId(2), 20);
         assert!(adv(&mut r, 1, 5, &[10]));
-        let msgs = r.sync(&[NodeId(1), NodeId(2)], &[]);
+        let msgs = r.sync(&[NodeId(1), NodeId(2)], &HashMap::new());
         // Advertised toward broker 20 with path [10, 0]; not back toward
         // broker 10, which is already on the path.
         assert_eq!(msgs.len(), 1);
@@ -488,10 +488,10 @@ mod tests {
                 if *n == NodeId(2) && *sub == GlobalSubId(5) && path == &vec![10, 0]
         ));
         // Syncing again sends nothing: the diff is empty.
-        assert!(r.sync(&[NodeId(1), NodeId(2)], &[]).is_empty());
+        assert!(r.sync(&[NodeId(1), NodeId(2)], &HashMap::new()).is_empty());
         // After a refresh the same advertisement is re-sent.
         r.clear_advertised();
-        assert_eq!(r.sync(&[NodeId(1), NodeId(2)], &[]).len(), 1);
+        assert_eq!(r.sync(&[NodeId(1), NodeId(2)], &HashMap::new()).len(), 1);
     }
 
     #[test]
@@ -500,12 +500,12 @@ mod tests {
         r.add_neighbor(NodeId(1), 10);
         r.add_neighbor(NodeId(2), 20);
         assert!(adv(&mut r, 1, 5, &[10]));
-        r.sync(&[NodeId(1), NodeId(2)], &[]);
+        r.sync(&[NodeId(1), NodeId(2)], &HashMap::new());
         assert_eq!(
             r.remove_route(NodeId(1), GlobalSubId(5)),
             RouteRemoval::Gone
         );
-        let msgs = r.sync(&[NodeId(1), NodeId(2)], &[]);
+        let msgs = r.sync(&[NodeId(1), NodeId(2)], &HashMap::new());
         assert!(matches!(
             msgs.as_slice(),
             [(n, PeerMsg::UnsubFwd { sub })] if *n == NodeId(2) && *sub == GlobalSubId(5)
@@ -516,10 +516,8 @@ mod tests {
     fn locals_are_advertised_with_own_id_as_path() {
         let mut r = MeshRouter::new(3);
         r.add_neighbor(NodeId(1), 10);
-        let msgs = r.sync(
-            &[NodeId(1)],
-            &[(GlobalSubId(9), Arc::new(Filter::topic("t")))],
-        );
+        let locals = HashMap::from([(GlobalSubId(9), Arc::new(Filter::topic("t")))]);
+        let msgs = r.sync(&[NodeId(1)], &locals);
         assert!(matches!(
             msgs.as_slice(),
             [(_, PeerMsg::SubAdv { path, .. })] if path == &vec![3]

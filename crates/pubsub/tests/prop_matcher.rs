@@ -182,7 +182,12 @@ impl Pair {
             Step::Remove { id } => {
                 prop_assert_eq!(
                     shown(self.naive.remove(SubscriptionId(*id)).as_ref()),
-                    shown(self.index.remove(SubscriptionId(*id)).as_deref())
+                    shown(
+                        self.index
+                            .remove(SubscriptionId(*id))
+                            .map(|(f, _)| f)
+                            .as_deref()
+                    )
                 );
                 prop_assert_eq!(self.index.filter(SubscriptionId(*id)), None);
             }

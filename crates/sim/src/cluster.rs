@@ -1,10 +1,15 @@
-//! The step-driven federation: real [`BrokerNode`]s over a [`FaultyNet`].
+//! The step-driven federation: real brokers and [`BrokerNode`]s over a
+//! [`FaultyNet`].
 //!
 //! A [`Cluster`] is the routing half of a simulated federation and the
-//! only in-process driver of the routing core. It owns the broker cores,
-//! the link topology with its connection epochs, the simulated network,
-//! and the clients attached to each broker; every call is one step —
-//! link, unlink, crash, restart, subscribe, publish — and
+//! only in-process driver of the routing core. Each simulated broker is a
+//! [`Broker`] paired with its routing core by [`RoutedBroker`] — the
+//! composition `reefd` runs — so subscriptions live in the broker's index,
+//! the core advertises its distinct filters, and clients receive events
+//! on their broker subscriber handles. The cluster owns the brokers, the
+//! link topology with its connection epochs, the simulated network, and
+//! the clients attached to each broker; every call is one step — link,
+//! unlink, crash, restart, subscribe, publish — and
 //! [`Cluster::run_until_idle`] carries the messages that step caused
 //! until the network is quiet. Proptests and scenarios drive it
 //! directly; [`crate::execute_plan`]'s `World` drives it from a
@@ -26,10 +31,11 @@
 use crate::net::{FaultyNet, LinkFaults, NetFaultStats};
 use crate::rng::SimRng;
 use reef_pubsub::{
-    BrokerNode, ClientId, Event, EventId, Filter, GlobalSubId, NodeId, PeerMsg, PublishedEvent,
+    Broker, BrokerNode, ClientId, Event, EventId, Filter, GlobalSubId, NodeId, PeerMsg, PeerSink,
+    PublishedEvent, RoutedBroker, SubscriberHandle, SubscriberId, SubscriptionId,
 };
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Delivered-message budget per settle phase; exceeding it means the
 /// protocol is flooding (itself an oracle failure, not a hang).
@@ -56,27 +62,41 @@ struct LinkState {
     conn: Option<(NodeId, NodeId)>,
 }
 
-/// One broker: the routing core and its link handles.
+/// Messages a broker's routing core produced during the current step,
+/// carried into the network when the step ends.
+#[derive(Debug, Default)]
+struct Outbox(Mutex<Vec<(NodeId, PeerMsg)>>);
+
+impl PeerSink for Outbox {
+    fn send(&self, messages: Vec<(NodeId, PeerMsg)>) {
+        self.0.lock().expect("outbox lock").extend(messages);
+    }
+}
+
+/// One broker: the broker with its routing core, and its link handles.
 #[derive(Debug)]
 struct Node {
-    /// The routing state machine; `None` while crashed.
-    core: Option<BrokerNode>,
+    /// The broker and its routing core; `None` while crashed.
+    core: Option<RoutedBroker>,
+    outbox: Arc<Outbox>,
     /// This broker's link handles → peer broker index.
     peer_of: BTreeMap<NodeId, usize>,
 }
 
-/// A client attached to one broker.
+/// A client attached to one broker: a subscriber of its broker.
 #[derive(Debug)]
 struct Client {
     broker: usize,
-    mailbox: Vec<PublishedEvent>,
-    subs: BTreeSet<GlobalSubId>,
+    subscriber: SubscriberId,
+    inbox: SubscriberHandle,
 }
 
 /// A simulated federation of broker cores, driven one step at a time.
 ///
 /// Brokers are indices `0..n` in the order [`Cluster::add_broker`]
-/// returned them; a mesh broker's federation-wide id is its index.
+/// returned them; a mesh broker's federation-wide id is its index. Each
+/// broker incarnation — a restart is a new one — advertises and publishes
+/// under its own id range, as a restarted daemon does.
 ///
 /// # Examples
 ///
@@ -109,8 +129,9 @@ pub struct Cluster {
     clients: BTreeMap<ClientId, Client>,
     next_handle: u32,
     next_client: u64,
-    next_sub: u64,
-    next_event: u64,
+    /// Broker incarnations started so far: the high bits of their
+    /// advertisement and event ids.
+    incarnations: u64,
     link_resets: u64,
 }
 
@@ -138,25 +159,33 @@ impl Cluster {
             clients: BTreeMap::new(),
             next_handle: 0,
             next_client: 0,
-            next_sub: 0,
-            next_event: 0,
+            incarnations: 0,
             link_resets: 0,
         }
     }
 
-    fn fresh_core(&self, broker: usize) -> BrokerNode {
-        match self.mode {
+    /// A new incarnation of `broker`: an empty broker whose routing core
+    /// sends into `outbox`.
+    fn fresh_core(&mut self, broker: usize, outbox: &Arc<Outbox>) -> RoutedBroker {
+        let node = match self.mode {
             Mode::Tree { covering } => BrokerNode::new(covering),
             Mode::Mesh => BrokerNode::new_mesh(broker as u32),
-        }
+        };
+        let ids = self.incarnations << 32;
+        self.incarnations += 1;
+        let local = Arc::new(Broker::new());
+        local.namespace_event_ids(ids);
+        RoutedBroker::new(local, node, ids, Arc::clone(outbox) as Arc<dyn PeerSink>)
     }
 
     /// Add a live broker with no links and return its index.
     pub fn add_broker(&mut self) -> usize {
         let broker = self.nodes.len();
-        let core = self.fresh_core(broker);
+        let outbox = Arc::new(Outbox::default());
+        let core = self.fresh_core(broker, &outbox);
         self.nodes.push(Node {
             core: Some(core),
+            outbox,
             peer_of: BTreeMap::new(),
         });
         broker
@@ -172,14 +201,9 @@ impl Cluster {
         self.nodes[broker].core.is_some()
     }
 
-    /// The routing core of `broker`; `None` while it is crashed.
-    pub fn broker(&self, broker: usize) -> Option<&BrokerNode> {
-        self.nodes[broker].core.as_ref()
-    }
-
-    /// Whether `handle` is one of `broker`'s live link handles.
-    pub(crate) fn holds_link(&self, broker: usize, handle: NodeId) -> bool {
-        self.nodes[broker].peer_of.contains_key(&handle)
+    /// Read the routing core of `broker`; `None` while it is crashed.
+    pub fn inspect<R>(&self, broker: usize, f: impl FnOnce(&BrokerNode) -> R) -> Option<R> {
+        self.nodes[broker].core.as_ref().map(|core| core.inspect(f))
     }
 
     /// Add the link `a`–`b` with fault profile `faults`, or bring an
@@ -288,13 +312,14 @@ impl Cluster {
         self.clients.retain(|_, c| c.broker != broker);
     }
 
-    /// Restart a crashed `broker` with an empty routing core and rejoin
-    /// it over every link that is up. A no-op on a live broker.
+    /// Restart a crashed `broker` empty and rejoin it over every link
+    /// that is up. A no-op on a live broker.
     pub fn restart(&mut self, broker: usize) {
         if self.alive(broker) {
             return;
         }
-        self.nodes[broker].core = Some(self.fresh_core(broker));
+        let outbox = Arc::clone(&self.nodes[broker].outbox);
+        self.nodes[broker].core = Some(self.fresh_core(broker, &outbox));
         let keys: Vec<(usize, usize)> = self.topo.keys().copied().collect();
         for (a, b) in keys {
             if a == broker || b == broker {
@@ -310,53 +335,58 @@ impl Cluster {
     /// When `broker` is crashed.
     pub fn attach(&mut self, broker: usize) -> ClientId {
         assert!(self.alive(broker), "attach to crashed broker {broker}");
+        let (subscriber, inbox) = self.routed(broker).broker().register();
         let id = ClientId(self.next_client);
         self.next_client += 1;
         self.clients.insert(
             id,
             Client {
                 broker,
-                mailbox: Vec::new(),
-                subs: BTreeSet::new(),
+                subscriber,
+                inbox,
             },
         );
         id
     }
 
-    fn client_mut(&mut self, client: ClientId) -> &mut Client {
+    fn client(&self, client: ClientId) -> &Client {
         self.clients
-            .get_mut(&client)
+            .get(&client)
             .unwrap_or_else(|| panic!("{client} is not attached"))
     }
 
-    /// Place a subscription for `client` and queue its advertisements.
+    /// Place a subscription for `client` at its broker; the routing core
+    /// queues an advertisement if the filter is new there.
     ///
     /// # Panics
     ///
     /// When `client` is not attached (never was, or its broker crashed).
-    pub fn subscribe(&mut self, client: ClientId, filter: impl Into<Arc<Filter>>) -> GlobalSubId {
-        let sub = GlobalSubId(self.next_sub);
-        self.next_sub += 1;
-        let attached = self.client_mut(client);
-        attached.subs.insert(sub);
-        let broker = attached.broker;
-        let out = self.core_mut(broker).subscribe_local(sub, client, filter);
-        self.route(broker, out);
+    pub fn subscribe(
+        &mut self,
+        client: ClientId,
+        filter: impl Into<Arc<Filter>>,
+    ) -> SubscriptionId {
+        let Client {
+            broker, subscriber, ..
+        } = *self.client(client);
+        let sub = self
+            .routed(broker)
+            .broker()
+            .subscribe(subscriber, filter)
+            .expect("attached clients are registered");
+        self.flush(broker);
         sub
     }
 
-    /// Withdraw `sub` and queue the withdrawals. A no-op when no
-    /// attached client owns it.
-    pub fn unsubscribe(&mut self, sub: GlobalSubId) {
-        let Some(broker) = self
-            .clients
-            .values_mut()
-            .find_map(|c| c.subs.remove(&sub).then_some(c.broker))
-        else {
+    /// Withdraw `client`'s subscription `sub`; the routing core queues a
+    /// withdrawal if it held the filter's last owner. A no-op when the
+    /// client is gone or does not hold `sub`.
+    pub fn unsubscribe(&mut self, client: ClientId, sub: SubscriptionId) {
+        let Some(&Client { broker, .. }) = self.clients.get(&client) else {
             return;
         };
-        let out = self.core_mut(broker).unsubscribe_local(sub);
-        self.route(broker, out);
+        let _ = self.routed(broker).broker().unsubscribe(sub);
+        self.flush(broker);
     }
 
     /// Publish `event` from `client`. Subscribers on the client's own
@@ -367,43 +397,37 @@ impl Cluster {
     ///
     /// When `client` is not attached.
     pub fn publish(&mut self, client: ClientId, event: Event) -> EventId {
-        let broker = self.client_mut(client).broker;
-        let id = EventId(self.next_event);
-        self.next_event += 1;
-        let published = PublishedEvent {
-            id,
-            published_at: self.net.now(),
-            event,
-        };
-        let out = self.core_mut(broker).publish_local(published);
-        self.deliver(out.deliveries);
-        self.route(broker, out.messages);
-        id
+        let broker = self.client(client).broker;
+        let outcome = self.routed(broker).publish(event).expect("publish");
+        self.flush(broker);
+        outcome.id
     }
 
     /// Take every event delivered to `client` so far: one entry per
-    /// matching subscription, as the flat broker counts them. Empty for
-    /// a client that is not attached.
+    /// matching subscription, as the broker counts them. Empty for a
+    /// client that is not attached.
     pub fn take_delivered(&mut self, client: ClientId) -> Vec<PublishedEvent> {
-        self.clients
-            .get_mut(&client)
-            .map(|c| std::mem::take(&mut c.mailbox))
-            .unwrap_or_default()
+        self.clients.get(&client).map_or_else(Vec::new, |c| {
+            c.inbox
+                .drain()
+                .into_iter()
+                .map(Arc::unwrap_or_clone)
+                .collect()
+        })
     }
 
-    fn core_mut(&mut self, broker: usize) -> &mut BrokerNode {
+    fn routed(&self, broker: usize) -> &RoutedBroker {
         self.nodes[broker]
             .core
-            .as_mut()
+            .as_ref()
             .expect("clients live on live brokers")
     }
 
-    fn deliver(&mut self, deliveries: Vec<(ClientId, PublishedEvent)>) {
-        for (client, event) in deliveries {
-            if let Some(c) = self.clients.get_mut(&client) {
-                c.mailbox.push(event);
-            }
-        }
+    /// Carry what `broker`'s routing core produced into the network.
+    fn flush(&mut self, broker: usize) {
+        let messages =
+            std::mem::take(&mut *self.nodes[broker].outbox.0.lock().expect("outbox lock"));
+        self.route(broker, messages);
     }
 
     /// Feed a broker's outgoing messages into the network, resolving
@@ -440,16 +464,15 @@ impl Cluster {
             let Some(d) = self.net.pop() else {
                 return Ok(handled);
             };
-            let node = &mut self.nodes[d.dst];
-            let Some(core) = node.core.as_mut() else {
+            let node = &self.nodes[d.dst];
+            let Some(core) = node.core.as_ref() else {
                 continue; // delivered to a crashed broker: lost, as on a dead socket
             };
             if node.peer_of.get(&d.handle) != Some(&d.src) {
                 continue; // stale connection epoch: the link was reset in flight
             }
-            let out = core.handle(d.handle, d.msg);
-            self.deliver(out.deliveries);
-            self.route(d.dst, out.messages);
+            core.handle(d.handle, d.msg);
+            self.flush(d.dst);
         }
         Err(format!(
             "settle exceeded {SETTLE_BUDGET} deliveries: the protocol is flooding"
@@ -461,10 +484,16 @@ impl Cluster {
     /// lossless by construction).
     pub fn refresh_all(&mut self) {
         for i in 0..self.nodes.len() {
-            if let Some(core) = self.nodes[i].core.as_mut() {
-                let out = core.refresh();
-                self.route(i, out);
-            }
+            self.step(i, BrokerNode::refresh);
+        }
+    }
+
+    /// Run one routing-core step at `broker`, if it is alive, and carry
+    /// its messages into the network.
+    fn step(&mut self, broker: usize, f: impl FnOnce(&mut BrokerNode) -> Vec<(NodeId, PeerMsg)>) {
+        if let Some(core) = &self.nodes[broker].core {
+            core.step(f);
+            self.flush(broker);
         }
     }
 
@@ -508,16 +537,12 @@ impl Cluster {
         link.conn = Some((ha, hb));
         self.nodes[key.0].peer_of.insert(ha, key.1);
         self.nodes[key.1].peer_of.insert(hb, key.0);
+        let mode = self.mode;
         for (idx, handle, peer) in [(key.0, ha, key.1), (key.1, hb, key.0)] {
-            let core = self.nodes[idx]
-                .core
-                .as_mut()
-                .expect("connect checked liveness");
-            let out = match self.mode {
+            self.step(idx, |core| match mode {
                 Mode::Tree { .. } => core.add_neighbor(handle),
                 Mode::Mesh => core.add_mesh_neighbor(handle, peer as u32),
-            };
-            self.route(idx, out);
+            });
         }
     }
 
@@ -536,12 +561,8 @@ impl Cluster {
         self.nodes[key.0].peer_of.remove(&ha);
         self.nodes[key.1].peer_of.remove(&hb);
         for (idx, handle) in [(key.0, ha), (key.1, hb)] {
-            if dying == Some(idx) {
-                continue;
-            }
-            if let Some(core) = self.nodes[idx].core.as_mut() {
-                let out = core.remove_neighbor(handle);
-                self.route(idx, out);
+            if dying != Some(idx) {
+                self.step(idx, |core| core.remove_neighbor(handle));
             }
         }
     }
@@ -587,7 +608,7 @@ impl Cluster {
                 .map(|n| {
                     n.core
                         .as_ref()
-                        .map_or_else(Vec::new, BrokerNode::mesh_route_table)
+                        .map_or_else(Vec::new, |core| core.inspect(BrokerNode::mesh_route_table))
                 })
                 .collect();
             if prev.as_ref() == Some(&snap) {
@@ -641,25 +662,111 @@ impl Cluster {
         self.link_resets
     }
 
-    /// Routing-table entries held by `broker` (local subscriptions plus
-    /// neighbor advertisements); 0 while it is crashed.
+    /// Routing-table entries held by `broker` (distinct local filters
+    /// plus neighbor advertisements); 0 while it is crashed.
     pub fn routing_entries_at(&self, broker: usize) -> usize {
-        self.broker(broker).map_or(0, BrokerNode::routing_entries)
+        self.inspect(broker, BrokerNode::routing_entries)
+            .unwrap_or(0)
     }
 
-    fn live_cores(&self) -> impl Iterator<Item = &BrokerNode> {
-        self.nodes.iter().filter_map(|n| n.core.as_ref())
+    /// The routing oracles of a mesh cluster at a quiescent point (a tree
+    /// cluster holds no path-vector routes and passes): every
+    /// retained route (fast path or alternate) arrives on a live link,
+    /// crosses only live brokers and names an id its origin broker still
+    /// advertises; and every broker's fast path to each advertised id of
+    /// another broker is exactly as long as the graph's shortest path to
+    /// it — no more, no less, and present whenever that broker is
+    /// reachable.
+    ///
+    /// # Errors
+    ///
+    /// The first violation found.
+    pub fn check_routes(&self) -> Result<(), String> {
+        if !matches!(self.mode, Mode::Mesh) {
+            return Ok(());
+        }
+        let mut owners: BTreeMap<GlobalSubId, usize> = BTreeMap::new();
+        for b in 0..self.nodes.len() {
+            let subs: Vec<GlobalSubId> = self
+                .inspect(b, |n| n.local_subs().collect())
+                .unwrap_or_default();
+            owners.extend(subs.into_iter().map(|sub| (sub, b)));
+        }
+        for i in 0..self.nodes.len() {
+            let Some((table, best)) =
+                self.inspect(i, |n| (n.mesh_route_table(), n.mesh_best_routes()))
+            else {
+                continue;
+            };
+            let dist = self.distances(i);
+            for (sub, link, path) in table {
+                if !self.nodes[i].peer_of.contains_key(&link) {
+                    return Err(format!(
+                        "broker {i} retains a route for {sub:?} via dead link {link:?}"
+                    ));
+                }
+                let Some(&owner) = owners.get(&sub) else {
+                    return Err(format!(
+                        "broker {i} retains a route for withdrawn subscription {sub:?} (path {path:?})"
+                    ));
+                };
+                if path.first() != Some(&(owner as u32)) {
+                    return Err(format!(
+                        "broker {i}: route for {sub:?} has path {path:?}, expected origin {owner}"
+                    ));
+                }
+                let dead =
+                    |&&hop: &&u32| hop as usize >= self.nodes.len() || !self.alive(hop as usize);
+                if let Some(hop) = path.iter().find(dead) {
+                    return Err(format!(
+                        "broker {i}: route for {sub:?} crosses dead broker {hop} (path {path:?})"
+                    ));
+                }
+            }
+            let best: BTreeMap<GlobalSubId, Vec<u32>> =
+                best.into_iter().map(|(sub, _, path)| (sub, path)).collect();
+            for (&sub, &owner) in owners.iter().filter(|(_, &owner)| owner != i) {
+                match (best.get(&sub), dist.get(&owner)) {
+                    (Some(path), Some(&d)) if path.len() != d => {
+                        return Err(format!(
+                            "broker {i}: fast path to {sub:?} (owner {owner}) is {path:?}, \
+                             expected length {d}"
+                        ));
+                    }
+                    (Some(path), None) => {
+                        return Err(format!(
+                            "broker {i}: retains fast path {path:?} to {sub:?} on unreachable \
+                             broker {owner}"
+                        ));
+                    }
+                    (None, Some(_)) => {
+                        return Err(format!(
+                            "broker {i}: no route to {sub:?} on reachable broker {owner}"
+                        ));
+                    }
+                    _ => {}
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// `gauge` summed across live brokers' routing cores.
+    fn sum_over_cores(&self, gauge: fn(&BrokerNode) -> usize) -> usize {
+        (0..self.nodes.len())
+            .filter_map(|b| self.inspect(b, gauge))
+            .sum()
     }
 
     /// Advertisements held toward neighbors, summed across live brokers.
     pub fn advertisement_count(&self) -> usize {
-        self.live_cores().map(BrokerNode::advertisement_count).sum()
+        self.sum_over_cores(BrokerNode::advertisement_count)
     }
 
     /// Failover routes held beyond fast paths, summed across live
     /// brokers (always 0 in tree mode).
     pub fn mesh_alternates(&self) -> usize {
-        self.live_cores().map(BrokerNode::mesh_alternates).sum()
+        self.sum_over_cores(BrokerNode::mesh_alternates)
     }
 }
 
@@ -733,12 +840,127 @@ mod tests {
         let (mut cl, c) = chain();
         let sub = cl.subscribe(c[2], Filter::topic("t"));
         settle(&mut cl);
-        cl.unsubscribe(sub);
+        cl.unsubscribe(c[2], sub);
         settle(&mut cl);
         cl.publish(c[0], Event::topical("t", "x"));
         settle(&mut cl);
         assert!(cl.take_delivered(c[2]).is_empty());
         assert_eq!(routing_entries(&cl), 0);
+    }
+
+    #[test]
+    fn identical_filters_at_one_broker_are_advertised_once() {
+        let (mut cl, c) = chain();
+        let subscriber = cl.attach(2);
+        let first = cl.subscribe(c[2], Filter::topic("t"));
+        cl.subscribe(subscriber, Filter::topic("t"));
+        cl.subscribe(subscriber, Filter::topic("t"));
+        settle(&mut cl);
+        assert_eq!(
+            (0..3).map(|b| cl.routing_entries_at(b)).collect::<Vec<_>>(),
+            vec![1, 1, 1],
+            "one entry per broker for one distinct filter"
+        );
+        cl.publish(c[0], Event::topical("t", "x"));
+        settle(&mut cl);
+        assert_eq!(cl.take_delivered(c[2]).len(), 1);
+        assert_eq!(cl.take_delivered(subscriber).len(), 2);
+        // The advertisement outlives its first owner.
+        cl.unsubscribe(c[2], first);
+        assert_eq!(settle(&mut cl), 0, "no withdrawal while owners remain");
+        cl.publish(c[0], Event::topical("t", "y"));
+        settle(&mut cl);
+        assert_eq!(cl.take_delivered(subscriber).len(), 2);
+    }
+
+    #[test]
+    fn an_event_forwarded_after_its_last_local_owner_left_vanishes_cleanly() {
+        // Race (a): the forward is in flight on the 0 → 1 link when the
+        // only subscriber at broker 1 unsubscribes.
+        let mut cl = Cluster::tree(true, 0);
+        let (b0, b1) = (cl.add_broker(), cl.add_broker());
+        cl.link(b0, b1, latency(5)).unwrap();
+        let publisher = cl.attach(b0);
+        let subscriber = cl.attach(b1);
+        let sub = cl.subscribe(subscriber, Filter::topic("t"));
+        settle(&mut cl);
+        cl.publish(publisher, Event::topical("t", "x"));
+        cl.unsubscribe(subscriber, sub);
+        settle(&mut cl);
+        assert!(cl.take_delivered(subscriber).is_empty());
+        assert_eq!(routing_entries(&cl), 0, "nothing left in either table");
+        assert_eq!(cl.advertisement_count(), 0);
+        // The same race while another local filter keeps broker 1
+        // interested: the event reaches its broker and matches nothing.
+        let other = cl.attach(b1);
+        cl.subscribe(other, Filter::topic("u"));
+        let sub = cl.subscribe(subscriber, Filter::topic("t"));
+        settle(&mut cl);
+        cl.publish(publisher, Event::topical("t", "x"));
+        cl.unsubscribe(subscriber, sub);
+        settle(&mut cl);
+        assert!(cl.take_delivered(subscriber).is_empty());
+        assert!(cl.take_delivered(other).is_empty());
+        assert_eq!(cl.routing_entries_at(b1), 1);
+        assert_eq!(cl.routing_entries_at(b0), 1);
+    }
+
+    #[test]
+    fn mesh_slot_reuse_under_link_flaps_keeps_routes_and_delivery_exact() {
+        // Race (b): distinct filters come and go at every broker of a
+        // triangle while one of its links flaps, so freed slots are
+        // recycled for new filters while withdrawals are still in flight
+        // on the other path.
+        let faults = LinkFaults {
+            drop_p: 0.0,
+            dup_p: 0.2,
+            delay_min: 0,
+            delay_max: 4,
+        };
+        for seed in 0..8 {
+            let mut cl = Cluster::mesh(seed);
+            let b: Vec<usize> = (0..3).map(|_| cl.add_broker()).collect();
+            for (x, y) in [(0, 1), (1, 2), (2, 0)] {
+                cl.link(b[x], b[y], faults).unwrap();
+            }
+            let clients: Vec<ClientId> = b.iter().map(|&b| cl.attach(b)).collect();
+            let mut held: Vec<(ClientId, SubscriptionId, i64)> = Vec::new();
+            for round in 0..12i64 {
+                for (i, &client) in clients.iter().enumerate() {
+                    let x = round * 3 + i as i64;
+                    let sub = cl.subscribe(client, Filter::new().and("x", Op::Eq, x));
+                    held.push((client, sub, x));
+                    if round % 2 == 1 {
+                        // Drop an older filter: its slot is the next one
+                        // handed out at that broker.
+                        let at = held.iter().position(|(c, ..)| *c == client).unwrap();
+                        let (c, gone, _) = held.remove(at);
+                        cl.unsubscribe(c, gone);
+                    }
+                }
+                if round % 3 == 0 {
+                    cl.unlink(b[0], b[1]);
+                } else {
+                    cl.link(b[0], b[1], faults).unwrap();
+                }
+                cl.run_until_idle().unwrap();
+            }
+            cl.quiesce().unwrap();
+            cl.check_routes()
+                .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            for round in 0..12i64 {
+                for i in 0..3 {
+                    let x = round * 3 + i as i64;
+                    cl.publish(clients[(i + 1) % 3], Event::builder().attr("x", x).build());
+                    cl.run_until_idle().unwrap();
+                    for &client in &clients {
+                        let want = held.iter().filter(|h| h.0 == client && h.2 == x).count();
+                        let got = cl.take_delivered(client).len();
+                        assert_eq!(got, want, "seed {seed}: x = {x} at {client}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -796,7 +1018,7 @@ mod tests {
         cl.subscribe(c0, Filter::new().and("x", Op::Gt, 5));
         settle(&mut cl);
         assert_eq!(cl.advertisement_count(), 1);
-        cl.unsubscribe(wide);
+        cl.unsubscribe(c0, wide);
         settle(&mut cl);
         // The narrow filter must now be advertised and still routable.
         assert_eq!(cl.advertisement_count(), 1);
@@ -884,15 +1106,14 @@ mod tests {
 
     fn mesh_gauge(cl: &Cluster, gauge: fn(&BrokerNode) -> u64) -> u64 {
         (0..cl.broker_count())
-            .filter_map(|b| cl.broker(b))
-            .map(gauge)
+            .filter_map(|b| cl.inspect(b, gauge))
             .sum()
     }
 
     #[test]
     fn mesh_accepts_cyclic_links() {
         let (cl, _c) = mesh_ring();
-        assert!((0..3).all(|b| cl.broker(b).is_some_and(BrokerNode::is_mesh)));
+        assert!((0..3).all(|b| cl.inspect(b, BrokerNode::is_mesh) == Some(true)));
     }
 
     #[test]
@@ -935,7 +1156,7 @@ mod tests {
         let sub = cl.subscribe(c[2], Filter::topic("t"));
         settle(&mut cl);
         assert!(routing_entries(&cl) > 0);
-        cl.unsubscribe(sub);
+        cl.unsubscribe(c[2], sub);
         settle(&mut cl);
         assert_eq!(routing_entries(&cl), 0);
         cl.publish(c[0], Event::topical("t", "x"));

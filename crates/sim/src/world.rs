@@ -1,11 +1,11 @@
 //! Plan execution: a mesh [`Cluster`] plus one click store per broker,
 //! four oracles, and a trace minimizer.
 //!
-//! Each simulated broker is a real `BrokerNode` in mesh mode, driven by
-//! the [`Cluster`], plus a real [`DurableClickStore`] persisting to its
-//! own on-disk directory — the exact state machines the TCP federation
-//! drives, with every ambient effect (time, randomness, sockets) replaced
-//! by the harness.
+//! Each simulated broker is a real `Broker` with its `BrokerNode` in mesh
+//! mode, driven by the [`Cluster`], plus a real [`DurableClickStore`]
+//! persisting to its own on-disk directory — the exact state machines the
+//! TCP federation drives, with every ambient effect (time, randomness,
+//! sockets) replaced by the harness.
 //! Killing a broker drops its in-memory state and optionally shears
 //! bytes off its last WAL segment; restarting replays the WAL bytes
 //! through the real recovery path and checks the result against the
@@ -23,8 +23,8 @@
 //! 2. **convergence** — every broker's fast path to every reachable
 //!    subscription has exactly the graph's shortest-path length;
 //! 3. **no dead state** — no retained route (fast path or alternate)
-//!    crosses a dead link, names a dead broker, or targets a retired
-//!    subscription;
+//!    crosses a dead link, names a dead broker, or targets an id no live
+//!    broker advertises (a withdrawn filter's);
 //! 4. **acknowledged prefix** — a restarted broker's recovered store is
 //!    a batch-boundary prefix of its acknowledged uploads, and the whole
 //!    history when the kill was clean.
@@ -38,7 +38,7 @@ use crate::cluster::Cluster;
 use crate::net::{LinkFaults, NetFaultStats};
 use crate::plan::{SimPlan, SimStep};
 use reef_attention::{Click, ClickBatch, DurableClickStore, PersistConfig};
-use reef_pubsub::{ClientId, Event, Filter, GlobalSubId};
+use reef_pubsub::{ClientId, Event, Filter};
 use reef_simweb::UserId;
 use std::collections::BTreeMap;
 use std::fs;
@@ -190,8 +190,8 @@ fn minimize(plan: &SimPlan) -> Vec<SimStep> {
 /// bookkeeping the oracles need. Its routing half lives in the
 /// [`Cluster`].
 struct Host {
-    /// Live local subscriptions: `(sub, client, topic)`.
-    subs: Vec<(GlobalSubId, ClientId, &'static str)>,
+    /// Live local subscribers: `(client, topic)`.
+    subs: Vec<(ClientId, &'static str)>,
     /// The durable click store; `None` while crashed.
     store: Option<DurableClickStore>,
     /// Data directory holding this broker's WAL across kills.
@@ -278,8 +278,8 @@ impl World {
         self.hosts[i].subs.clear();
         for topic in wanted {
             let client = self.cluster.attach(i);
-            let sub = self.cluster.subscribe(client, Filter::topic(topic));
-            self.hosts[i].subs.push((sub, client, topic));
+            self.cluster.subscribe(client, Filter::topic(topic));
+            self.hosts[i].subs.push((client, topic));
         }
     }
 
@@ -297,78 +297,7 @@ impl World {
     /// every fast path is exactly as long as the graph's shortest path
     /// to the subscription's owner — no more, no less, and complete.
     fn check_routing(&self) -> Result<(), String> {
-        let cluster = &self.cluster;
-        let owners: BTreeMap<GlobalSubId, usize> = self
-            .hosts
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| cluster.alive(i))
-            .flat_map(|(i, h)| h.subs.iter().map(move |&(sub, _, _)| (sub, i)))
-            .collect();
-        for i in 0..cluster.broker_count() {
-            let Some(broker) = cluster.broker(i) else {
-                continue;
-            };
-            let dist = cluster.distances(i);
-            for (sub, link, path) in broker.mesh_route_table() {
-                if !cluster.holds_link(i, link) {
-                    return Err(format!(
-                        "broker {i} retains a route for {sub:?} via dead link {link:?}"
-                    ));
-                }
-                let Some(&owner) = owners.get(&sub) else {
-                    return Err(format!(
-                        "broker {i} retains a route for retired subscription {sub:?} (path {path:?})"
-                    ));
-                };
-                if path.first() != Some(&(owner as u32)) {
-                    return Err(format!(
-                        "broker {i}: route for {sub:?} has path {path:?}, expected origin {owner}"
-                    ));
-                }
-                for &hop in &path {
-                    let hop = hop as usize;
-                    if hop >= cluster.broker_count() || !cluster.alive(hop) {
-                        return Err(format!(
-                            "broker {i}: route for {sub:?} crosses dead broker {hop} (path {path:?})"
-                        ));
-                    }
-                }
-            }
-            let best: BTreeMap<GlobalSubId, Vec<u32>> = broker
-                .mesh_best_routes()
-                .into_iter()
-                .map(|(sub, _, path)| (sub, path))
-                .collect();
-            for (&sub, &owner) in &owners {
-                if owner == i {
-                    continue;
-                }
-                match (best.get(&sub), dist.get(&owner)) {
-                    (Some(path), Some(&d)) => {
-                        if path.len() != d {
-                            return Err(format!(
-                                "broker {i}: fast path to {sub:?} (owner {owner}) is {path:?}, \
-                                 expected length {d}"
-                            ));
-                        }
-                    }
-                    (Some(path), None) => {
-                        return Err(format!(
-                            "broker {i}: retains fast path {path:?} to {sub:?} on unreachable \
-                             broker {owner}"
-                        ));
-                    }
-                    (None, Some(_)) => {
-                        return Err(format!(
-                            "broker {i}: no route to {sub:?} on reachable broker {owner}"
-                        ));
-                    }
-                    (None, None) => {}
-                }
-            }
-        }
-        Ok(())
+        self.cluster.check_routes()
     }
 
     /// Oracle 1: publish one probe per topic from a random live broker
@@ -387,7 +316,7 @@ impl World {
         };
         let reachable = self.cluster.distances(publisher);
         // Every live broker holds a `probe` subscriber; it publishes.
-        let (_, sender, _) = self.hosts[publisher].subs[0];
+        let (sender, _) = self.hosts[publisher].subs[0];
         for topic in ["probe", "alt"] {
             let id = self
                 .cluster
@@ -397,7 +326,7 @@ impl World {
             let mut delivered: BTreeMap<(usize, u64, u64), u64> = BTreeMap::new();
             let mut expected: BTreeMap<(usize, u64, u64), u64> = BTreeMap::new();
             for &i in &live {
-                for &(_, client, sub_topic) in &self.hosts[i].subs {
+                for &(client, sub_topic) in &self.hosts[i].subs {
                     for event in self.cluster.take_delivered(client) {
                         *delivered.entry((i, client.0, event.id.0)).or_insert(0) += 1;
                     }

@@ -560,8 +560,8 @@ impl AutosubRuntime {
     }
 
     /// Install `diff.installed` as broker subscriptions and retire
-    /// `diff.retired` from the broker and routing core, returning the
-    /// notice describing what actually changed (None when nothing did).
+    /// `diff.retired` from the broker, returning the notice describing
+    /// what actually changed (None when nothing did).
     fn apply_diff(
         &self,
         core: &ServerCore,
@@ -573,15 +573,14 @@ impl AutosubRuntime {
         }
         let mut installed = Vec::new();
         for derived in &diff.installed {
-            // One copy of the filter for the broker, the routing core and
-            // this registry.
+            // One copy of the filter for the broker (and through it the
+            // routing core) and this registry.
             let filter = Arc::new(derived.filter.clone());
             match core
                 .broker
                 .subscribe(enrollment.subscriber, Arc::clone(&filter))
             {
                 Ok(id) => {
-                    core.federation.local_subscribe(id, Arc::clone(&filter));
                     enrollment.installed.insert(FilterKey::new(filter), id);
                     self.derived_total.fetch_add(1, Ordering::Relaxed);
                     installed.push(entry_of(derived));
@@ -600,7 +599,6 @@ impl AutosubRuntime {
         for derived in &diff.retired {
             if let Some(id) = enrollment.installed.remove(&FilterKey::of(&derived.filter)) {
                 let _ = core.broker.unsubscribe(id);
-                core.federation.local_unsubscribe(id);
                 self.retired_total.fetch_add(1, Ordering::Relaxed);
                 retired.push(entry_of(derived));
             }
@@ -635,7 +633,6 @@ impl AutosubRuntime {
             .collect();
         for (_, id) in enrollment.installed.drain() {
             let _ = core.broker.unsubscribe(id);
-            core.federation.local_unsubscribe(id);
             self.retired_total.fetch_add(1, Ordering::Relaxed);
         }
         let mut pending = self.pending();

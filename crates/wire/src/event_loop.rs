@@ -48,12 +48,12 @@
 //!
 //! Peer links are pinned to shard 0 so federation and mesh message
 //! ordering is untouched by sharding: shard 0 alone adopts dialed peer
-//! sockets, pumps the link queues, drains the routing core's inbound
-//! queue (`Federation::drain_incoming`) and ticks keepalive, so the
-//! federation needs no thread of its own. An inbound client connection that
-//! sends `PeerHello` on another shard upgrades there and then *migrates*
-//! — socket, decoder and outbound buffer move to shard 0 wholesale, so
-//! no byte is reordered or lost across the handover.
+//! sockets, routes what they read (`Federation::incoming`), pumps the
+//! link queues and ticks keepalive, so the federation needs no thread of
+//! its own. An inbound client connection that sends `PeerHello` on
+//! another shard upgrades there and then *migrates* — socket, decoder and
+//! outbound buffer move to shard 0 wholesale, so no byte is reordered or
+//! lost across the handover.
 
 use crate::codec::CodecKind;
 use crate::error::WireError;
@@ -531,10 +531,6 @@ impl EventLoop {
             self.push_feed_notices();
             if primary {
                 self.pump_all_peer_queues();
-                // Peer frames read this iteration were queued into the
-                // routing core's inbound queue; route them now, on this
-                // thread — shard 0 *is* the federation pump in this mode.
-                self.core.federation.drain_incoming();
                 self.core.federation.tick();
             }
             self.sweep_stalled_writers();
@@ -892,11 +888,10 @@ impl EventLoop {
         let Some(conn) = self.conns.get_mut(&token) else {
             return false;
         };
-        let ConnRole::Client { shared, owned, .. } = &conn.role else {
+        let ConnRole::Client { shared, .. } = &conn.role else {
             return true;
         };
         let shared = Arc::clone(shared);
-        let owned = owned.clone();
         let negotiated = shared.codec_version.load(Ordering::SeqCst);
         if version != negotiated {
             let message = format!(
@@ -915,23 +910,10 @@ impl EventLoop {
             broker_id: self.core.federation.broker_id(),
         };
         self.queue_reply(token, corr, welcome);
-        // No longer a client: withdraw its subscriptions, drop its broker
-        // subscriber, leave the client registry.
-        self.core
-            .autosub
-            .drop_subscriber(&self.core, shared.subscriber);
-        for sub in &owned {
-            self.core.federation.local_unsubscribe(*sub);
-        }
-        let _ = self.core.broker.deregister(shared.subscriber);
+        // No longer a client: torn down like a closed one.
         self.by_subscriber.remove(&shared.subscriber);
         self.set.by_subscriber.lock().remove(&shared.subscriber);
-        self.core
-            .connections
-            .lock()
-            .retain(|c| !Arc::ptr_eq(c, &shared));
-        shared.stats.record_close();
-        self.core.stats.record_close();
+        self.core.finish_connection(&shared);
         let codec = CodecKind::for_version(negotiated).unwrap_or(CodecKind::Json);
         let conn = self.conns.get_mut(&token).expect("conn still live");
         let control = match conn.stream.try_clone() {
@@ -1456,10 +1438,10 @@ impl EventLoop {
         let _ = conn.stream.shutdown(std::net::Shutdown::Both);
         self.shared.stats.conn_removed();
         match conn.role {
-            ConnRole::Client { shared, owned, .. } => {
+            ConnRole::Client { shared, .. } => {
                 self.by_subscriber.remove(&shared.subscriber);
                 self.set.by_subscriber.lock().remove(&shared.subscriber);
-                self.core.finish_connection(&shared, &owned);
+                self.core.finish_connection(&shared);
             }
             ConnRole::Peer { link } => {
                 let node = link.node;

@@ -6,15 +6,16 @@
 //! daemon's driver: the same core, the same messages, but carried between
 //! daemons on OS sockets.
 //!
-//! [`Federation`] owns the [`BrokerNode`], the registry of peer links and
-//! the queues between them; the server's event loop moves the bytes.
-//! Shard 0 of the loop owns every peer socket: it reads `PeerMsg` frames
-//! into [`Federation::incoming`], routes them through the core
-//! (`drain_incoming` — the simulator's `run_until_idle` in continuous,
-//! wall-clock form), encodes each link's outgoing queue into the socket's
-//! outbound buffer, and runs `tick` for keepalive and mesh refresh. The
-//! federation reaches the loop through one hook, registered once: dialed
-//! sockets are handed to it, and every enqueue on a link wakes it.
+//! [`Federation`] owns the [`BrokerNode`] (composed with the local broker
+//! as a [`RoutedBroker`]), the registry of peer links and their outgoing
+//! queues; the server's event loop moves the bytes. Shard 0 of the loop
+//! owns every peer socket: it routes each `PeerMsg` frame it reads
+//! through [`Federation::incoming`] — the simulator's `run_until_idle` in
+//! continuous, wall-clock form — encodes each link's outgoing queue into
+//! the socket's outbound buffer, and runs `tick` for keepalive and mesh
+//! refresh. The federation reaches the loop through one hook, registered
+//! once: dialed sockets are handed to it, and every enqueue on a link
+//! wakes it.
 //!
 //! # Backpressure
 //!
@@ -43,23 +44,22 @@
 //! from then on. Per-codec frame/byte counters aggregate across links
 //! into [`FederationStatsSnapshot`].
 //!
-//! # Duplicate-subscription aggregation
+//! # One advertisement per distinct filter
 //!
-//! Identical filters from many local clients — identical by
-//! [`FilterKey`], so whatever the order of their predicates or the numeric
-//! type of their operands — collapse into **one** routing-core entry with
-//! a reference count: the first subscription
-//! advertises the filter to peers, later identical ones only bump the
-//! count (counted as `subs_aggregated`), and the advertisement is
-//! withdrawn only when the count returns to zero. Remote events matching
-//! the shared entry fan out to every member subscription on delivery, so
-//! aggregation is invisible to subscribers — it only shrinks peer-link
-//! churn.
-//!
-//! The group's [`FilterKey`] and the routing core's tables all hold the
-//! `Arc<Filter>` the server built when the subscription arrived, the same
-//! one the local [`Broker`]'s index holds: a federated filter is stored
-//! once, not once per table.
+//! The federation keeps no table of local filters. The local [`Broker`]'s
+//! index already holds one slot per distinct filter — identical by
+//! [`reef_pubsub::FilterKey`], whatever the order of its predicates or
+//! the numeric type of its operands — with that filter's owners, and
+//! reports when a slot gains its first owner or loses its last.
+//! [`RoutedBroker`] advertises on the first edge and withdraws on the
+//! last, so identical filters from many clients cost peers one
+//! advertisement (the subscribes that joined an existing slot are counted
+//! as `subs_aggregated`), and closing a connection withdraws one
+//! advertisement per slot it emptied. A forwarded event that reaches
+//! local interest goes through one broker call, the same match and
+//! fan-out as a local publish, so aggregation is invisible to
+//! subscribers. The index and the routing core hold the same
+//! `Arc<Filter>`: a federated filter is stored once.
 
 use crate::codec::CodecKind;
 use crate::error::WireError;
@@ -69,8 +69,8 @@ use crate::stats::{FederationStatsSnapshot, PeerStatsSnapshot, WireStats};
 use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::Mutex;
 use reef_pubsub::{
-    Broker, BrokerNode, ClientId, Clock, Event, Filter, FilterKey, GlobalSubId, NodeId, PeerMsg,
-    PublishOutcome, PublishedEvent, SubscriptionId, SystemClock,
+    Broker, BrokerError, BrokerNode, Clock, Event, NodeId, PeerMsg, PeerSink, PublishOutcome,
+    RoutedBroker, SystemClock,
 };
 use std::collections::HashMap;
 use std::net::{Shutdown, TcpStream};
@@ -202,18 +202,9 @@ impl PeerLink {
     }
 }
 
-/// One message read off a peer link, queued for the routing core.
-struct TransportDelivery {
-    /// The link it arrived on.
-    src: NodeId,
-    /// The routing message.
-    msg: PeerMsg,
-}
-
-/// Registry of live peer links plus the inbound message queue they feed.
+/// Registry of live peer links.
 pub(crate) struct Links {
     map: Mutex<HashMap<NodeId, Arc<PeerLink>>>,
-    incoming_tx: Sender<TransportDelivery>,
     event_cap: usize,
     subs_forwarded: AtomicU64,
     pub(crate) events_forwarded: AtomicU64,
@@ -268,28 +259,28 @@ impl Links {
     }
 }
 
+impl PeerSink for Links {
+    fn send(&self, messages: Vec<(NodeId, PeerMsg)>) {
+        for (to, msg) in messages {
+            self.enqueue(to, msg);
+        }
+    }
+}
+
 /// A broker's federation layer: the sans-io [`BrokerNode`] routing core
 /// and its TCP peer links, driven by the server's event loop.
 ///
-/// The [`crate::BrokerServer`] owns one `Federation` and forwards every
-/// local subscribe / unsubscribe / publish into it; the federation takes
-/// care of advertising subscriptions to peers (covering-pruned), routing
-/// remote events into the local [`Broker`]'s subscriber queues, and
-/// forwarding local events toward interested peers.
+/// The [`crate::BrokerServer`] owns one `Federation` and publishes local
+/// events through it. Local subscriptions need no call: the federation
+/// watches the local [`Broker`]'s index and advertises its distinct
+/// filters to peers (covering-pruned). It routes remote events into the
+/// broker's subscriber queues and forwards local events toward
+/// interested peers.
 pub struct Federation {
     name: String,
     broker_id: u32,
-    broker: Arc<Broker>,
-    node: Mutex<BrokerNode>,
-    pub(crate) links: Links,
-    /// Receiving side of the inbound routing queue, drained by
-    /// `Federation::drain_incoming`.
-    incoming_rx: Receiver<TransportDelivery>,
-    /// Count-based aggregation of identical local filters (never locked
-    /// while `node` is held).
-    agg: Mutex<SubAggregation>,
-    subs_aggregated: AtomicU64,
-    next_sub: AtomicU64,
+    routed: RoutedBroker,
+    pub(crate) links: Arc<Links>,
     next_link: AtomicU32,
     events_received: AtomicU64,
     shutdown: AtomicBool,
@@ -298,27 +289,6 @@ pub struct Federation {
     config: FederationConfig,
     /// Milliseconds (on `config.clock`) of the last mesh route refresh.
     last_refresh: AtomicU64,
-}
-
-/// One advertised filter shared by every local subscription with an
-/// identical filter.
-struct AggGroup {
-    /// The filter's canonical identity (the aggregation key), holding the
-    /// `Arc` of the first member's filter — the one the routing core files.
-    key: FilterKey,
-    /// Local wire subscriptions sharing the filter; remote deliveries
-    /// fan out to each.
-    members: Vec<SubscriptionId>,
-}
-
-/// Count-based duplicate-subscription aggregation: identical filters map
-/// to one [`GlobalSubId`], advertised once and withdrawn only when the
-/// last member unsubscribes.
-#[derive(Default)]
-struct SubAggregation {
-    by_filter: HashMap<FilterKey, GlobalSubId>,
-    groups: HashMap<GlobalSubId, AggGroup>,
-    by_sub: HashMap<SubscriptionId, GlobalSubId>,
 }
 
 impl std::fmt::Debug for Federation {
@@ -332,40 +302,41 @@ impl std::fmt::Debug for Federation {
 }
 
 impl Federation {
-    /// Create a federation layer around `broker`. `broker_id` must be
-    /// unique across the federation.
+    /// Create a federation layer around `broker`, advertising the
+    /// distinct filters of its index to peers from now on. `broker_id`
+    /// must be unique across the federation.
     ///
     /// The federation moves no bytes itself: the event loop of the
     /// [`crate::BrokerServer`] that owns it registers a hook and drives
     /// every peer link. It must be torn down with
     /// [`Federation::shutdown`], which also stops any redial thread.
     pub fn start(broker: Arc<Broker>, broker_id: u32, config: FederationConfig) -> Arc<Federation> {
-        let (incoming_tx, incoming_rx) = channel::unbounded();
-        let links = Links {
+        let links = Arc::new(Links {
             map: Mutex::new(HashMap::new()),
-            incoming_tx,
             event_cap: config.peer_queue_capacity.max(1),
             subs_forwarded: AtomicU64::new(0),
             events_forwarded: AtomicU64::new(0),
             events_dropped: AtomicU64::new(0),
             wire: WireStats::new(),
             hook: OnceLock::new(),
-        };
+        });
         let node = if config.mesh {
             BrokerNode::new_mesh(broker_id)
         } else {
             BrokerNode::new(config.covering)
         };
+        let id_base = u64::from(broker_id) << 32;
+        let routed = RoutedBroker::new(
+            broker,
+            node,
+            id_base,
+            Arc::clone(&links) as Arc<dyn PeerSink>,
+        );
         Arc::new(Federation {
             name: config.name.clone(),
             broker_id,
-            broker,
-            node: Mutex::new(node),
+            routed,
             links,
-            incoming_rx,
-            agg: Mutex::new(SubAggregation::default()),
-            subs_aggregated: AtomicU64::new(0),
-            next_sub: AtomicU64::new(0),
             next_link: AtomicU32::new(LOCAL_NODE.0 + 1),
             events_received: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
@@ -404,16 +375,23 @@ impl Federation {
 
     /// Routing and peer-link counters.
     pub fn snapshot(&self) -> FederationStatsSnapshot {
-        let (routing_entries, advertisements, alternates, reroutes, duplicates) = {
-            let node = self.node.lock();
-            (
-                node.routing_entries(),
-                node.advertisement_count(),
-                node.mesh_alternates(),
-                node.mesh_reroutes(),
-                node.mesh_duplicates_suppressed(),
-            )
-        };
+        let (routing_entries, advertisements, alternates, reroutes, duplicates) =
+            self.routed.inspect(|node| {
+                (
+                    node.routing_entries(),
+                    node.advertisement_count(),
+                    node.mesh_alternates(),
+                    node.mesh_reroutes(),
+                    node.mesh_duplicates_suppressed(),
+                )
+            });
+        // A subscribe that opened no slot joined an identical filter's.
+        let subs_aggregated = self
+            .routed
+            .broker()
+            .stats()
+            .subscribes
+            .saturating_sub(self.routed.filters_advertised());
         let wire = self.links.wire.snapshot();
         FederationStatsSnapshot {
             broker_id: self.broker_id,
@@ -421,7 +399,7 @@ impl Federation {
             routing_entries: routing_entries as u64,
             advertisements: advertisements as u64,
             subs_forwarded: self.links.subs_forwarded.load(Ordering::Relaxed),
-            subs_aggregated: self.subs_aggregated.load(Ordering::Relaxed),
+            subs_aggregated,
             events_forwarded: self.links.events_forwarded.load(Ordering::Relaxed),
             events_received: self.events_received.load(Ordering::Relaxed),
             events_dropped: self.links.events_dropped.load(Ordering::Relaxed),
@@ -431,16 +409,6 @@ impl Federation {
             json: wire.json,
             binary: wire.binary,
         }
-    }
-
-    /// The routing core's current knowledge: subscription ids and their
-    /// filters, rendered for diagnostics.
-    pub fn routing_knowledge(&self) -> Vec<(GlobalSubId, String)> {
-        self.node
-            .lock()
-            .knowledge()
-            .map(|(sub, filter)| (sub, filter.to_string()))
-            .collect()
     }
 
     /// Transport counters per live peer link.
@@ -575,17 +543,18 @@ impl Federation {
         Err(last.unwrap_or(WireError::Closed))
     }
 
-    /// Feed one message read off peer link `from` into the inbound
-    /// routing queue. Any inbound frame also refreshes the link's
-    /// keepalive clock.
+    /// Route one message read off peer link `from` through the routing
+    /// core: its follow-ups are queued on the links, and an event that
+    /// reaches local interest is delivered to the broker's subscribers.
+    /// Any inbound frame also refreshes the link's keepalive clock.
     pub fn incoming(&self, from: NodeId, msg: PeerMsg) {
         if let Some(link) = self.links.map.lock().get(&from) {
             link.last_rx.store(self.now_ms(), Ordering::Relaxed);
         }
-        let _ = self
-            .links
-            .incoming_tx
-            .send(TransportDelivery { src: from, msg });
+        if matches!(msg, PeerMsg::EventFwd { .. }) {
+            self.events_received.fetch_add(1, Ordering::Relaxed);
+        }
+        self.routed.handle(from, msg);
     }
 
     /// Milliseconds on the federation's injected clock.
@@ -647,90 +616,17 @@ impl Federation {
         {
             return;
         }
-        let messages = self.node.lock().refresh();
-        self.dispatch(messages);
+        self.routed.step(BrokerNode::refresh);
     }
 
-    /// Record a local wire subscription in the routing core and advertise
-    /// it to peers.
+    /// Publish an event from a local client: delivered to the broker's
+    /// local subscribers, then forwarded toward interested peers.
     ///
-    /// Identical filters aggregate: only the first subscription with a
-    /// given filter enters the routing core (and is advertised); later
-    /// ones join its group and merely bump the reference count. The group
-    /// and the routing core keep the `Arc` they are given, so a caller
-    /// that passes the one it gave [`Broker::subscribe`] stores the filter
-    /// once.
-    pub fn local_subscribe(&self, sub: SubscriptionId, filter: Arc<Filter>) {
-        let key = FilterKey::new(filter);
-        let mut agg = self.agg.lock();
-        if let Some(&gsub) = agg.by_filter.get(&key) {
-            let group = agg.groups.get_mut(&gsub).expect("group exists for key");
-            group.members.push(sub);
-            agg.by_sub.insert(sub, gsub);
-            self.subs_aggregated.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let gsub = GlobalSubId(
-            ((self.broker_id as u64) << 32) | (self.next_sub.fetch_add(1, Ordering::Relaxed)),
-        );
-        let filter = Arc::clone(key.filter());
-        agg.by_filter.insert(key.clone(), gsub);
-        agg.groups.insert(
-            gsub,
-            AggGroup {
-                key,
-                members: vec![sub],
-            },
-        );
-        agg.by_sub.insert(sub, gsub);
-        // Release `agg` first: the routing core is never locked while the
-        // aggregation table is held.
-        drop(agg);
-        let messages = self
-            .node
-            .lock()
-            .subscribe_local(gsub, ClientId(gsub.0), filter);
-        self.dispatch(messages);
-    }
-
-    /// Withdraw a local wire subscription. The shared advertisement is
-    /// cancelled only when the last subscription of its group goes.
-    pub fn local_unsubscribe(&self, sub: SubscriptionId) {
-        let gsub = {
-            let mut agg = self.agg.lock();
-            let Some(gsub) = agg.by_sub.remove(&sub) else {
-                return;
-            };
-            let Some(group) = agg.groups.get_mut(&gsub) else {
-                return;
-            };
-            group.members.retain(|member| *member != sub);
-            if !group.members.is_empty() {
-                return;
-            }
-            if let Some(group) = agg.groups.remove(&gsub) {
-                agg.by_filter.remove(&group.key);
-            }
-            gsub
-        };
-        let messages = self.node.lock().unsubscribe_local(gsub);
-        self.dispatch(messages);
-    }
-
-    /// Forward a locally published event toward interested peers. Local
-    /// delivery has already happened inside [`Broker::publish`]; only the
-    /// peer forwards computed by the routing core are acted on.
-    pub fn local_publish(&self, event: Event, outcome: &PublishOutcome) {
-        if self.links.map.lock().is_empty() {
-            return;
-        }
-        let published = PublishedEvent {
-            id: outcome.id,
-            published_at: outcome.published_at,
-            event,
-        };
-        let output = self.node.lock().publish_local(published);
-        self.dispatch(output.messages);
+    /// # Errors
+    ///
+    /// Whatever [`Broker::publish`] refuses; nothing is forwarded then.
+    pub fn publish(&self, event: Event) -> Result<PublishOutcome, BrokerError> {
+        self.routed.publish(event)
     }
 
     /// Tear down a dead peer link: forget its advertisements and
@@ -745,8 +641,7 @@ impl Federation {
         link.close_socket();
         link.stats.record_close();
         self.links.wire.record_close();
-        let messages = self.node.lock().remove_neighbor(node);
-        self.dispatch(messages);
+        self.routed.step(|routing| routing.remove_neighbor(node));
         if self.config.peer_retry && !self.shutdown.load(Ordering::SeqCst) {
             if let Some(addr) = &link.dialed_addr {
                 self.spawn_redial(addr.clone());
@@ -845,61 +740,14 @@ impl Federation {
         self.links.wire.record_open();
         self.links.map.lock().insert(node, Arc::clone(&link));
         // Bring the new peer up to date with everything already known.
-        let sync = {
-            let mut routing = self.node.lock();
+        self.routed.step(|routing| {
             if self.config.mesh {
                 routing.add_mesh_neighbor(node, peer_broker_id)
             } else {
                 routing.add_neighbor(node)
             }
-        };
-        self.dispatch(sync);
+        });
         link
-    }
-
-    /// Drain the inbound routing queue inline. The event loop's shard 0
-    /// calls it after feeding freshly read peer frames through
-    /// [`Federation::incoming`].
-    pub(crate) fn drain_incoming(&self) {
-        while let Ok(delivery) = self.incoming_rx.try_recv() {
-            self.process_delivery(delivery);
-        }
-    }
-
-    /// Route one inbound peer message: through [`BrokerNode::handle`],
-    /// then local subscriber queues and outgoing link queues.
-    fn process_delivery(&self, delivery: TransportDelivery) {
-        if matches!(delivery.msg, PeerMsg::EventFwd { .. }) {
-            self.events_received.fetch_add(1, Ordering::Relaxed);
-        }
-        let output = self.node.lock().handle(delivery.src, delivery.msg);
-        for (client, event) in output.deliveries {
-            // ClientId in the routing core is the GlobalSubId of an
-            // aggregation group; fan the event out to every member
-            // subscription — clones of one shared `Arc`, the event is
-            // stored once however many members there are.
-            let members = {
-                let agg = self.agg.lock();
-                agg.groups
-                    .get(&GlobalSubId(client.0))
-                    .map(|group| group.members.clone())
-            };
-            // A `None` here raced an unsubscribe: the group is gone
-            // and the event has nowhere local to go.
-            if let Some(members) = members {
-                let event = Arc::new(event);
-                for sub in members {
-                    let _ = self.broker.deliver(sub, Arc::clone(&event));
-                }
-            }
-        }
-        self.dispatch(output.messages);
-    }
-
-    fn dispatch(&self, messages: Vec<(NodeId, PeerMsg)>) {
-        for (to, msg) in messages {
-            self.links.enqueue(to, msg);
-        }
     }
 }
 

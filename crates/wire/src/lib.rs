@@ -32,7 +32,8 @@
 //!   forwarding, covering pruning, reverse-path event routing) unchanged
 //!   over OS sockets, driven by the event loop's shard 0; daemons peer
 //!   via `reefd --peer ADDR`, re-dial dead links with `--peer-retry`, and
-//!   aggregate identical local filters into one refcounted advertisement;
+//!   advertise each distinct filter of the broker's index once, on its
+//!   first owner, withdrawing it with its last;
 //! * [`client`] — [`Client`], a pipelined client with the familiar
 //!   blocking subscribe / unsubscribe / publish / upload-clicks surface,
 //!   a batch-friendly [`Client::publish_nowait`], and an iterator over

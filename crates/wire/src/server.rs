@@ -445,15 +445,11 @@ impl ServerCore {
                 }
             }
             Request::Subscribe { filter } => {
-                // One copy of the filter, shared by the broker's index and
-                // the routing core.
-                let filter = Arc::new(filter);
-                match self.broker.subscribe(conn.subscriber, Arc::clone(&filter)) {
+                // The federation advertises the filter if it is new to the
+                // broker's index.
+                match self.broker.subscribe(conn.subscriber, filter) {
                     Ok(subscription) => {
                         owned.insert(subscription);
-                        // Mirror into the routing core so the filter is
-                        // advertised to (current and future) peers.
-                        self.federation.local_subscribe(subscription, filter);
                         Response::Subscribed { subscription }
                     }
                     Err(e) => Response::Error {
@@ -472,7 +468,6 @@ impl ServerCore {
                 match self.broker.unsubscribe(subscription) {
                     Ok(filter) => {
                         owned.remove(&subscription);
-                        self.federation.local_unsubscribe(subscription);
                         Response::Unsubscribed {
                             filter: Arc::unwrap_or_clone(filter),
                         }
@@ -482,29 +477,16 @@ impl ServerCore {
                     },
                 }
             }
-            Request::Publish { event } => {
-                // Clone only when there are peers to forward to.
-                let forward = if self.federation.peer_count() > 0 {
-                    Some(event.clone())
-                } else {
-                    None
-                };
-                match self.broker.publish(event) {
-                    Ok(outcome) => {
-                        if let Some(event) = forward {
-                            self.federation.local_publish(event, &outcome);
-                        }
-                        Response::Published {
-                            id: outcome.id,
-                            delivered: outcome.delivered as u64,
-                            dropped: outcome.dropped as u64,
-                        }
-                    }
-                    Err(e) => Response::Error {
-                        message: e.to_string(),
-                    },
-                }
-            }
+            Request::Publish { event } => match self.federation.publish(event) {
+                Ok(outcome) => Response::Published {
+                    id: outcome.id,
+                    delivered: outcome.delivered as u64,
+                    dropped: outcome.dropped as u64,
+                },
+                Err(e) => Response::Error {
+                    message: e.to_string(),
+                },
+            },
             Request::UploadClicks { batch } => {
                 let mut clicks = self.clicks.lock();
                 // The WAL append happens (and is flushed) before the
@@ -556,21 +538,14 @@ impl ServerCore {
     }
 
     /// Deregister a finished client connection (its socket is already
-    /// closed): withdraw its subscriptions from the routing core, drop its
-    /// broker subscriber and remove it from the registry.
-    pub(crate) fn finish_connection(
-        &self,
-        conn: &Arc<Connection>,
-        owned: &HashSet<SubscriptionId>,
-    ) {
-        // Engine-installed subscriptions first: each needs its own
-        // routing-core withdrawal, and the broker deregistration below
-        // would otherwise leave the autosub registry pointing at dead
-        // subscription ids.
+    /// closed, or it became a peer link): drop its broker subscriber —
+    /// which withdraws one advertisement per filter slot it emptied — and
+    /// remove it from the registry.
+    pub(crate) fn finish_connection(&self, conn: &Arc<Connection>) {
+        // Engine-installed subscriptions first: the broker deregistration
+        // below would otherwise leave the autosub registry pointing at
+        // dead subscription ids.
         self.autosub.drop_subscriber(self, conn.subscriber);
-        for sub in owned {
-            self.federation.local_unsubscribe(*sub);
-        }
         let _ = self.broker.deregister(conn.subscriber);
         conn.stats.record_close();
         self.stats.record_close();

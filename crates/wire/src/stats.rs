@@ -529,9 +529,9 @@ pub struct FederationStatsSnapshot {
     pub advertisements: u64,
     /// Subscription advertisements sent to peers.
     pub subs_forwarded: u64,
-    /// Local subscriptions merged into an existing identical
-    /// advertisement instead of being forwarded again (count-based
-    /// duplicate aggregation).
+    /// Local subscriptions whose filter the broker's index already held,
+    /// so they joined its slot and its advertisement instead of being
+    /// forwarded again.
     pub subs_aggregated: u64,
     /// Events forwarded to peers.
     pub events_forwarded: u64,

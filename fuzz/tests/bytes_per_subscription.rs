@@ -7,8 +7,8 @@
 //! range or floor or with a `venue` string operator, 30 % of them exact
 //! duplicates. The growth of the process's live heap, divided by the
 //! filter count, is what a subscription costs across every table that
-//! files it: the broker's index, the federation's aggregation table and
-//! the routing core.
+//! files it: the connection's bookkeeping, the broker's index, and one
+//! routing-core entry per distinct filter.
 //!
 //! The counting allocator is process-wide, so this file holds exactly one
 //! test.
@@ -25,9 +25,10 @@ const VENUES: [&str; 8] = [
     "nyse", "nysa", "arca", "bats", "iexg", "edgx", "nsdq", "nsdx",
 ];
 
-/// Ceilings per subscription: live heap bytes and live allocations.
-const MAX_BYTES: usize = 1_400;
-const MAX_ALLOCATIONS: usize = 25;
+/// Ceilings per subscription: live heap bytes and live allocations, a
+/// few percent above the measured 580 B and 9.4 allocations.
+const MAX_BYTES: usize = 600;
+const MAX_ALLOCATIONS: usize = 9;
 
 fn content_filters(rng: &mut SimRng) -> Vec<Filter> {
     let distinct = (FILTERS as f64 * (1.0 - DUPLICATE_SHARE)).round() as usize;

@@ -294,16 +294,9 @@ proptest! {
         subs in prop::collection::vec((0usize..3, arb_filter()), 1..6),
         events in prop::collection::vec((0usize..3, arb_event()), 1..8),
     ) {
-        // The TCP federation aggregates identical filters placed through
-        // the same daemon into one advertisement; the simulator keeps
-        // them distinct. Dedup the workload so routing-entry counts are
-        // comparable across transports.
-        let mut seen = std::collections::BTreeSet::new();
-        let subs: Vec<(usize, Filter)> = subs
-            .into_iter()
-            .filter(|(client, filter)| seen.insert((*client, filter.to_string())))
-            .collect();
-
+        // Both transports advertise identical filters placed through one
+        // broker once, so duplicates in the workload keep routing-entry
+        // counts comparable.
         // --- Oracle: a simulated mesh cluster on a ring. ---
         let mut cluster = Cluster::mesh(0);
         let sim_brokers: Vec<usize> = (0..3).map(|_| cluster.add_broker()).collect();

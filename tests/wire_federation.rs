@@ -213,10 +213,12 @@ fn disconnecting_subscriber_withdraws_remote_interest() {
     a.shutdown();
 }
 
-/// Count-based duplicate-subscription aggregation: identical filters
-/// from many clients forward ONE advertisement over the peer link, the
-/// withdrawal happens only when the count returns to zero, and remote
-/// events still fan out to every member.
+/// Identical filters from many clients share one slot of the broker's
+/// index and forward ONE advertisement over the peer link, the
+/// withdrawal happens only when the slot's last owner leaves, and remote
+/// events still fan out to every owner. The hub's routing entries count
+/// distinct local filters plus advertisements, as the ledger's
+/// `federated` set-up relies on.
 #[test]
 fn duplicate_filters_aggregate_on_peer_links() {
     let a = BrokerServer::builder()
@@ -283,8 +285,96 @@ fn duplicate_filters_aggregate_on_peer_links() {
         a.federation_stats().routing_entries == 0
     });
 
+    // The ledger's `federated` shape: a hub holding local filters, and an
+    // edge advertising as many distinct ones. A hub entry counts a
+    // distinct local filter or a peer's advertisement, never a
+    // subscription: a duplicate at the hub adds nothing.
+    const SHAPE: usize = 4;
+    let hub_client = Client::connect_as(a.local_addr(), "hub-local").expect("connect hub");
+    for i in 0..SHAPE {
+        hub_client
+            .subscribe(Filter::topic(&format!("hub-{i}")))
+            .expect("hub subscribe");
+    }
+    publisher
+        .subscribe(Filter::topic("hub-0"))
+        .expect("duplicate at the hub");
+    for (i, client) in clients.iter().enumerate().take(SHAPE) {
+        client
+            .subscribe(Filter::topic(&format!("edge-{i}")))
+            .expect("edge subscribe");
+    }
+    wait_for("the edge's advertisements at the hub", || {
+        a.federation_stats().routing_entries as usize >= 2 * SHAPE
+    });
+    wait_for("the hub's advertisements at the edge", || {
+        b.federation_stats().routing_entries as usize >= 2 * SHAPE
+    });
+    assert_eq!(
+        a.federation_stats().routing_entries as usize,
+        SHAPE + SHAPE,
+        "hub: local distinct + advertised"
+    );
+    assert_eq!(b.federation_stats().routing_entries as usize, 2 * SHAPE);
+
+    drop(hub_client);
     drop(publisher);
     drop(clients);
+    b.shutdown();
+    a.shutdown();
+}
+
+/// Closing a connection withdraws one advertisement per filter slot it
+/// emptied: two connections at `b` hold three subscriptions over two
+/// distinct filters, one of them shared by both.
+#[test]
+fn closing_a_connection_withdraws_only_the_filters_it_emptied() {
+    // No keepalive probes, so every frame `a` reads is routing traffic.
+    let a = BrokerServer::builder()
+        .name("close-a")
+        .peer_timeout(None)
+        .bind("127.0.0.1:0")
+        .expect("bind a");
+    let b = BrokerServer::builder()
+        .name("close-b")
+        .peer_timeout(None)
+        .peer(a.local_addr().to_string())
+        .bind("127.0.0.1:0")
+        .expect("bind b");
+    wait_for("peer link", || a.federation_stats().peers == 1);
+    let frames_in = || {
+        let fed = a.federation_stats();
+        fed.json.frames_in + fed.binary.frames_in
+    };
+    let first = Client::connect_as(b.local_addr(), "close-first").expect("connect first");
+    let second = Client::connect_as(b.local_addr(), "close-second").expect("connect second");
+    first.subscribe(Filter::topic("shared")).expect("subscribe");
+    first.subscribe(Filter::topic("own")).expect("subscribe");
+    second
+        .subscribe(Filter::topic("shared"))
+        .expect("subscribe");
+    wait_for("both advertisements at a", || {
+        a.federation_stats().routing_entries == 2
+    });
+    let settled = |entries: u64| {
+        wait_for("the withdrawal at a", || {
+            a.federation_stats().routing_entries == entries
+        });
+        // Anything else in flight would land within this grace period.
+        std::thread::sleep(Duration::from_millis(100));
+    };
+    let before = frames_in();
+    drop(first);
+    settled(1);
+    assert_eq!(
+        frames_in() - before,
+        1,
+        "one withdrawal for the emptied slot"
+    );
+    let before = frames_in();
+    drop(second);
+    settled(0);
+    assert_eq!(frames_in() - before, 1, "the shared filter's withdrawal");
     b.shutdown();
     a.shutdown();
 }
