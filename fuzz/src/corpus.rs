@@ -22,8 +22,9 @@ use reef_pubsub::{
 use reef_simweb::UserId;
 use reef_wire::codec::BinaryCodec;
 use reef_wire::{
-    AutoSubEntry, AutoSubPolicy, AutoSubReceipt, ClientFrame, CodecKind, Deliver, FeedChange,
-    Frame, Request, Response, ServerFrame, WireCodec,
+    AutoSubEntry, AutoSubPolicy, AutoSubReceipt, ClientFrame, CodecKind, CodecStatsSnapshot,
+    Deliver, FederationStatsSnapshot, FeedChange, Frame, LoopStatsSnapshot, Request, Response,
+    ServerFrame, WireCodec, WireStatsSnapshot,
 };
 
 /// A fresh scratch directory unique to this process and call.
@@ -130,7 +131,9 @@ pub fn sample_click_batches() -> Vec<ClickBatch> {
     ]
 }
 
-fn sample_client_frames() -> Vec<ClientFrame> {
+/// One client frame per `Request` variant, plus every sample filter,
+/// event and click batch.
+pub fn sample_client_frames() -> Vec<ClientFrame> {
     let mut frames = vec![
         ClientFrame {
             corr: 0,
@@ -210,7 +213,115 @@ fn sample_client_frames() -> Vec<ClientFrame> {
     frames
 }
 
-fn sample_server_frames() -> Vec<ServerFrame> {
+/// A `Stats` reply whose every counter holds a distinct value (101,
+/// 102, ... in wire order) and whose wire block has two event-loop
+/// shards, so two reordered fields cannot encode the same bytes.
+fn sample_stats() -> Response {
+    let mut n = 100;
+    let mut next = || {
+        n += 1;
+        n
+    };
+    let broker = BrokerStatsSnapshot {
+        events_published: next(),
+        deliveries: next(),
+        drops: next(),
+        subscribes: next(),
+        unsubscribes: next(),
+    };
+    let wire = WireStatsSnapshot {
+        connections_opened: next(),
+        connections_closed: next(),
+        frames_in: next(),
+        frames_out: next(),
+        bytes_in: next(),
+        bytes_out: next(),
+        requests: next(),
+        deliveries: next(),
+        delivery_drops: next(),
+        errors: next(),
+        loop_wakeups: next(),
+        loop_read_events: next(),
+        loop_write_events: next(),
+        writes_coalesced: next(),
+        wal_bytes: next(),
+        wal_segments: next(),
+        wal_snapshots: next(),
+        recovered_clicks: next(),
+        wal_truncated_bytes: next(),
+        autosub_users: next(),
+        autosub_active: next(),
+        autosub_derived: next(),
+        autosub_retired: next(),
+        autosub_last_refresh_us: next(),
+        matcher_swaps: next(),
+        json: CodecStatsSnapshot {
+            frames_in: next(),
+            frames_out: next(),
+            bytes_in: next(),
+            bytes_out: next(),
+        },
+        binary: CodecStatsSnapshot {
+            frames_in: next(),
+            frames_out: next(),
+            bytes_in: next(),
+            bytes_out: next(),
+        },
+        loops: vec![
+            LoopStatsSnapshot {
+                loop_id: next(),
+                wakeups: next(),
+                read_events: next(),
+                write_events: next(),
+                writes_coalesced: next(),
+                connections: next(),
+            },
+            LoopStatsSnapshot {
+                loop_id: next(),
+                wakeups: next(),
+                read_events: next(),
+                write_events: next(),
+                writes_coalesced: next(),
+                connections: next(),
+            },
+        ],
+    };
+    let federation = FederationStatsSnapshot {
+        broker_id: next() as u32,
+        peers: next(),
+        routing_entries: next(),
+        advertisements: next(),
+        subs_forwarded: next(),
+        subs_aggregated: next(),
+        events_forwarded: next(),
+        events_received: next(),
+        events_dropped: next(),
+        mesh_alternates: next(),
+        mesh_reroutes: next(),
+        mesh_duplicates_suppressed: next(),
+        json: CodecStatsSnapshot {
+            frames_in: next(),
+            frames_out: next(),
+            bytes_in: next(),
+            bytes_out: next(),
+        },
+        binary: CodecStatsSnapshot {
+            frames_in: next(),
+            frames_out: next(),
+            bytes_in: next(),
+            bytes_out: next(),
+        },
+    };
+    Response::Stats {
+        broker,
+        wire,
+        federation,
+    }
+}
+
+/// One server frame per `Response` and `ServerFrame` variant, plus a
+/// delivery of every sample event.
+pub fn sample_server_frames() -> Vec<ServerFrame> {
     let receipt = AutoSubReceipt {
         user: UserId(9),
         entries: vec![AutoSubEntry {
@@ -262,11 +373,7 @@ fn sample_server_frames() -> Vec<ServerFrame> {
         },
         ServerFrame::Reply {
             corr: 6,
-            response: Response::Stats {
-                broker: BrokerStatsSnapshot::default(),
-                wire: Default::default(),
-                federation: Default::default(),
-            },
+            response: sample_stats(),
         },
         ServerFrame::Reply {
             corr: 7,
@@ -320,7 +427,9 @@ fn sample_server_frames() -> Vec<ServerFrame> {
     frames
 }
 
-fn sample_peer_msgs() -> Vec<PeerMsg> {
+/// One peer message per `PeerMsg` variant, over every sample filter
+/// and event.
+pub fn sample_peer_msgs() -> Vec<PeerMsg> {
     let mut msgs = vec![
         PeerMsg::UnsubFwd {
             sub: GlobalSubId(3),
