@@ -142,53 +142,6 @@ fn bench_wire_codecs(c: &mut Criterion) {
         }
     }
 
-    // Click-upload compression ablation: the v2 codec delta/prefix-codes
-    // click batches; measure it against the pre-compression v2 layout
-    // (and assert the win, which is this bench's acceptance number).
-    let plain_codec = reef_wire::codec::BinaryCodec;
-    let compressed = CodecKind::Binary
-        .codec()
-        .encode_client(&upload)
-        .expect("encode");
-    let plain = plain_codec
-        .encode_client_uncompressed(&upload)
-        .expect("encode plain");
-    eprintln!(
-        "wire_codec/click_upload/binary-plain: {} bytes/frame (compressed v2 {} = {:.0}%)",
-        plain.wire_len(),
-        compressed.wire_len(),
-        100.0 * compressed.wire_len() as f64 / plain.wire_len() as f64,
-    );
-    assert!(
-        compressed.wire_len() < plain.wire_len(),
-        "compressed v2 click upload ({}) must beat plain v2 ({})",
-        compressed.wire_len(),
-        plain.wire_len()
-    );
-    group.bench_function(
-        BenchmarkId::new("encode_click_upload", "binary-plain"),
-        |b| {
-            b.iter(|| {
-                black_box(
-                    plain_codec
-                        .encode_client_uncompressed(black_box(&upload))
-                        .expect("encode"),
-                )
-            })
-        },
-    );
-    group.bench_function(
-        BenchmarkId::new("decode_click_upload", "binary-plain"),
-        |b| {
-            b.iter(|| {
-                black_box(
-                    plain_codec
-                        .decode_client_uncompressed(black_box(&plain))
-                        .expect("decode"),
-                )
-            })
-        },
-    );
     group.finish();
 }
 

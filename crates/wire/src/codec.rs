@@ -8,47 +8,55 @@
 //!   [`Request`] JSON and server traffic as [`ServerMessage`] JSON, so
 //!   old clients keep connecting unchanged. Correlation ids do not exist
 //!   on the v1 wire; request/reply pairing is by order.
-//! * [`BinaryCodec`] — protocol **version 2**, a compact hand-rolled
-//!   tag/varint encoding (the build environment has no registry access,
-//!   so no serde-binary crate is available). Every frame carries an
-//!   explicit correlation id; strings are length-delimited, integers are
-//!   LEB128 varints (zigzag for signed), floats are 8-byte
-//!   little-endian IEEE 754 bit patterns, and enum variants are single
-//!   tag bytes.
+//! * [`BinaryCodec`] — protocol **version 2**, a compact tag/varint
+//!   encoding (the build environment has no registry access, so no
+//!   serde-binary crate is available). Every frame carries an explicit
+//!   correlation id; strings are length-delimited, integers (`u8`
+//!   included) are LEB128 varints (zigzag for signed), floats are 8-byte
+//!   little-endian IEEE 754 bit patterns, enum variants are single raw
+//!   tag bytes, options are a bool byte then the value, and vectors are a
+//!   varint length then the items.
 //!
 //! The codec of a connection is **negotiated by the frame version byte**:
 //! whatever version the first frame (`Hello` / `PeerHello`) carries is
 //! the codec both directions speak for the connection's lifetime. See
 //! [`crate::frame`] for the negotiation rules.
 //!
-//! # v2 tag assignments
+//! # The v2 layout
 //!
-//! Enum variants travel as single tag bytes. Tags are append-only — new
-//! variants take the next free number and existing tags never renumber,
-//! so older v2 parties reject unknown traffic cleanly instead of
-//! misreading it:
+//! Every v2 type implements the crate-private `Wire` trait. reef-wire's
+//! own protocol and stats types derive it (`#[derive(Wire)]`): a struct
+//! travels as its fields in declaration order, an enum as its variant's
+//! tag byte and then the variant's fields. Types from other crates get
+//! one hand-written impl each at the end of this module; only click
+//! batches keep a layout of their own (delta/prefix compression, below).
 //!
-//! | enum | tag → variant |
-//! |---|---|
-//! | `Request` | 0 `Hello`, 1 `Subscribe`, 2 `Unsubscribe`, 3 `Publish`, 4 `UploadClicks`, 5 `Stats`, 6 `Ping`, 7 `Bye`, 8 `PeerHello`, 9 `AutoSubscribe`, 10 `AutoUnsubscribe` |
-//! | `Response` | 0 `Hello`, 1 `Subscribed`, 2 `Unsubscribed`, 3 `Published`, 4 `ClicksAccepted`, 5 `Stats`, 6 `Pong`, 7 `Bye`, 8 `PeerWelcome`, 9 `Error`, 10 `AutoSubscribed`, 11 `AutoUnsubscribed` |
-//! | `ServerFrame` | 0 `Reply`, 1 `Deliver`, 2 `FeedChanged` |
-//! | `PeerMsg` | 0 `SubFwd`, 1 `UnsubFwd`, 2 `EventFwd` |
-//! | `Value` | 0 `Str`, 1 `Int`, 2 `Float`, 3 `Bool` |
-//! | `AutoSubMode` | 0 `Topic`, 1 `Content` |
+//! Tags are append-only — new variants take the next free number and
+//! existing tags never renumber, so older v2 parties reject unknown
+//! traffic cleanly instead of misreading it. For the derived enums the
+//! source of truth is the `#[wire(tag = N)]` attribute on each variant in
+//! [`crate::protocol`]; the table repeats them:
 //!
-//! `Op` travels as its index in `Op::ALL`, and the auto-subscription
-//! payloads (`AutoSubPolicy`, `AutoSubReceipt`, `FeedChange`) are plain
-//! field sequences in declaration order, entries length-prefixed like
-//! every other vector.
+//! | enum | tag → variant | declared by |
+//! |---|---|---|
+//! | `Request` | 0 `Hello`, 1 `Subscribe`, 2 `Unsubscribe`, 3 `Publish`, 4 `UploadClicks`, 5 `Stats`, 6 `Ping`, 7 `Bye`, 8 `PeerHello`, 9 `AutoSubscribe`, 10 `AutoUnsubscribe` | `#[wire(tag)]` |
+//! | `Response` | 0 `Hello`, 1 `Subscribed`, 2 `Unsubscribed`, 3 `Published`, 4 `ClicksAccepted`, 5 `Stats`, 6 `Pong`, 7 `Bye`, 8 `PeerWelcome`, 9 `Error`, 10 `AutoSubscribed`, 11 `AutoUnsubscribed` | `#[wire(tag)]` |
+//! | `ServerFrame` | 0 `Reply`, 1 `Deliver`, 2 `FeedChanged` | `#[wire(tag)]` |
+//! | `PeerMsg` | 0 `SubFwd`, 1 `UnsubFwd`, 2 `EventFwd`, 3 `SubAdv`, 4 `Ping`, 5 `Pong` | this module |
+//! | `Value` | 0 `Str`, 1 `Int`, 2 `Float`, 3 `Bool` | this module |
+//! | `AutoSubMode` | 0 `Topic`, 1 `Content` | this module |
+//!
+//! `Op` travels as its index in `Op::ALL`. Struct fields carry no tags,
+//! so adding, removing or moving a field (a stats counter, say) changes
+//! the layout without a version bump; `fuzz/tests/golden_bytes.rs` pins
+//! the bytes of every variant, a fully populated `Stats` reply included,
+//! so such a change never goes unnoticed.
+//!
+//! [`Request`]: crate::protocol::Request
 
 use crate::error::WireError;
 use crate::frame::{Frame, PROTOCOL_V1_JSON, PROTOCOL_V2_BINARY};
-use crate::protocol::{
-    AutoSubEntry, AutoSubPolicy, AutoSubReceipt, ClientFrame, Deliver, FeedChange, Request,
-    Response, ServerFrame, ServerMessage,
-};
-use crate::stats::{CodecStatsSnapshot, FederationStatsSnapshot, WireStatsSnapshot};
+use crate::protocol::{ClientFrame, FeedChange, Response, ServerFrame, ServerMessage};
 use reef_attention::{Click, ClickBatch, UploadReceipt};
 use reef_core::AutoSubMode;
 use reef_pubsub::{
@@ -272,9 +280,32 @@ impl WireCodec for JsonCodec {
 // ---------------------------------------------------------------------------
 // Binary (protocol v2)
 
-/// Compact hand-rolled tag/varint encoding, protocol version 2.
+/// Compact tag/varint encoding, protocol version 2.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BinaryCodec;
+
+/// Wrap a finished v2 payload in a frame.
+fn v2_frame(w: Writer) -> Frame {
+    Frame {
+        version: PROTOCOL_V2_BINARY,
+        payload: w.into_bytes(),
+    }
+}
+
+fn encode_v2<T: Wire>(value: &T) -> Result<Frame, WireError> {
+    let mut w = Writer::new();
+    value.put(&mut w);
+    Ok(v2_frame(w))
+}
+
+/// Decode one whole v2 payload: every byte must belong to the message.
+fn decode_v2<T: Wire>(frame: &Frame) -> Result<T, WireError> {
+    check_version(&BinaryCodec, frame)?;
+    let mut r = Reader::new(&frame.payload);
+    let value = T::get(&mut r)?;
+    r.finish()?;
+    Ok(value)
+}
 
 impl WireCodec for BinaryCodec {
     fn kind(&self) -> CodecKind {
@@ -282,207 +313,55 @@ impl WireCodec for BinaryCodec {
     }
 
     fn encode_client(&self, frame: &ClientFrame) -> Result<Frame, WireError> {
-        let mut w = Writer::new();
-        w.u64(frame.corr);
-        put_request(&mut w, &frame.request);
-        Ok(Frame {
-            version: PROTOCOL_V2_BINARY,
-            payload: w.into_bytes(),
-        })
+        encode_v2(frame)
     }
 
     fn decode_client(&self, frame: &Frame) -> Result<ClientFrame, WireError> {
-        check_version(self, frame)?;
-        let mut r = Reader::new(&frame.payload);
-        let corr = r.u64()?;
-        let request = get_request(&mut r)?;
-        r.finish()?;
-        Ok(ClientFrame { corr, request })
+        decode_v2(frame)
     }
 
     fn encode_server(&self, frame: &ServerFrame) -> Result<Frame, WireError> {
-        let mut w = Writer::new();
-        match frame {
-            ServerFrame::Reply { corr, response } => {
-                w.tag(0);
-                w.u64(*corr);
-                put_response(&mut w, response);
-            }
-            ServerFrame::Deliver(deliver) => {
-                w.tag(1);
-                put_published(&mut w, &deliver.event);
-            }
-            ServerFrame::FeedChanged(change) => {
-                w.tag(2);
-                put_feed_change(&mut w, change);
-            }
-        }
-        Ok(Frame {
-            version: PROTOCOL_V2_BINARY,
-            payload: w.into_bytes(),
-        })
+        encode_v2(frame)
     }
 
     fn encode_deliver(&self, event: &PublishedEvent) -> Result<Frame, WireError> {
         let mut w = Writer::new();
         w.tag(1);
-        put_published(&mut w, event);
-        Ok(Frame {
-            version: PROTOCOL_V2_BINARY,
-            payload: w.into_bytes(),
-        })
+        event.put(&mut w);
+        Ok(v2_frame(w))
     }
 
     fn decode_server(&self, frame: &Frame) -> Result<ServerFrame, WireError> {
-        check_version(self, frame)?;
-        let mut r = Reader::new(&frame.payload);
-        let out = match r.tag("ServerFrame")? {
-            0 => {
-                let corr = r.u64()?;
-                let response = get_response(&mut r)?;
-                ServerFrame::Reply { corr, response }
-            }
-            1 => ServerFrame::Deliver(Deliver {
-                event: get_published(&mut r)?,
-            }),
-            2 => ServerFrame::FeedChanged(get_feed_change(&mut r)?),
-            t => return Err(bad_tag("ServerFrame", t)),
-        };
-        r.finish()?;
-        Ok(out)
+        decode_v2(frame)
     }
 
     fn encode_peer(&self, msg: &PeerMsg) -> Result<Frame, WireError> {
-        let mut w = Writer::new();
-        match msg {
-            PeerMsg::SubFwd { sub, filter } => {
-                w.tag(0);
-                w.u64(sub.0);
-                put_filter(&mut w, filter);
-            }
-            PeerMsg::UnsubFwd { sub } => {
-                w.tag(1);
-                w.u64(sub.0);
-            }
-            PeerMsg::EventFwd { event, hops } => {
-                w.tag(2);
-                put_published(&mut w, event);
-                w.u64(u64::from(*hops));
-            }
-            PeerMsg::SubAdv { sub, filter, path } => {
-                w.tag(3);
-                w.u64(sub.0);
-                put_filter(&mut w, filter);
-                w.u64(path.len() as u64);
-                for hop in path {
-                    w.u64(u64::from(*hop));
-                }
-            }
-            PeerMsg::Ping { nonce } => {
-                w.tag(4);
-                w.u64(*nonce);
-            }
-            PeerMsg::Pong { nonce } => {
-                w.tag(5);
-                w.u64(*nonce);
-            }
-        }
-        Ok(Frame {
-            version: PROTOCOL_V2_BINARY,
-            payload: w.into_bytes(),
-        })
+        encode_v2(msg)
     }
 
     fn decode_peer(&self, frame: &Frame) -> Result<PeerMsg, WireError> {
-        check_version(self, frame)?;
-        let mut r = Reader::new(&frame.payload);
-        let out = match r.tag("PeerMsg")? {
-            0 => PeerMsg::SubFwd {
-                sub: GlobalSubId(r.u64()?),
-                filter: get_filter(&mut r)?,
-            },
-            1 => PeerMsg::UnsubFwd {
-                sub: GlobalSubId(r.u64()?),
-            },
-            2 => PeerMsg::EventFwd {
-                event: get_published(&mut r)?,
-                hops: r.u32()?,
-            },
-            3 => {
-                let sub = GlobalSubId(r.u64()?);
-                let filter = get_filter(&mut r)?;
-                let len = r.u64()? as usize;
-                let mut path = Vec::with_capacity(len.min(1024));
-                for _ in 0..len {
-                    path.push(r.u32()?);
-                }
-                PeerMsg::SubAdv { sub, filter, path }
-            }
-            4 => PeerMsg::Ping { nonce: r.u64()? },
-            5 => PeerMsg::Pong { nonce: r.u64()? },
-            t => return Err(bad_tag("PeerMsg", t)),
-        };
-        r.finish()?;
-        Ok(out)
-    }
-}
-
-impl BinaryCodec {
-    /// Encode a client frame using the **pre-compression** v2 click-batch
-    /// layout (absolute days/ticks, full URL and referrer strings).
-    /// Non-upload requests encode identically to
-    /// [`WireCodec::encode_client`].
-    ///
-    /// Benchmark/migration reference only: frames produced here do *not*
-    /// decode through [`WireCodec::decode_client`] — pair them with
-    /// [`BinaryCodec::decode_client_uncompressed`].
-    ///
-    /// # Errors
-    ///
-    /// Never fails in practice; the `Result` mirrors the trait surface.
-    pub fn encode_client_uncompressed(&self, frame: &ClientFrame) -> Result<Frame, WireError> {
-        match &frame.request {
-            Request::UploadClicks { batch } => {
-                let mut w = Writer::new();
-                w.u64(frame.corr);
-                w.tag(UPLOAD_CLICKS_TAG);
-                put_batch_plain(&mut w, batch);
-                Ok(Frame {
-                    version: PROTOCOL_V2_BINARY,
-                    payload: w.into_bytes(),
-                })
-            }
-            _ => self.encode_client(frame),
-        }
-    }
-
-    /// Decode a frame produced by
-    /// [`BinaryCodec::encode_client_uncompressed`].
-    ///
-    /// # Errors
-    ///
-    /// The same protocol errors as [`WireCodec::decode_client`].
-    pub fn decode_client_uncompressed(&self, frame: &Frame) -> Result<ClientFrame, WireError> {
-        check_version(self, frame)?;
-        let mut r = Reader::new(&frame.payload);
-        let corr = r.u64()?;
-        if r.tag("Request")? != UPLOAD_CLICKS_TAG {
-            return self.decode_client(frame);
-        }
-        let batch = get_batch_plain(&mut r)?;
-        r.finish()?;
-        Ok(ClientFrame {
-            corr,
-            request: Request::UploadClicks { batch },
-        })
+        decode_v2(frame)
     }
 }
 
 // ---------------------------------------------------------------------------
 // Binary primitives
 
+/// A type with a v2 layout: `put` appends it to a [`Writer`] and `get`
+/// reads it back from a [`Reader`].
+///
+/// `#[derive(Wire)]` (from the vendored `serde_derive`) implements it for
+/// reef-wire's own types; see the module docs for the layout it emits.
+pub(crate) trait Wire: Sized {
+    /// Append `self` to the payload.
+    fn put(&self, w: &mut Writer);
+
+    /// Read one value, failing cleanly on truncated or invalid bytes.
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError>;
+}
+
 /// Byte-buffer writer for the v2 encoding.
-struct Writer {
+pub(crate) struct Writer {
     buf: Vec<u8>,
 }
 
@@ -495,7 +374,8 @@ impl Writer {
         self.buf
     }
 
-    fn tag(&mut self, tag: u8) {
+    /// One raw byte: an enum tag or a flags byte.
+    pub(crate) fn tag(&mut self, tag: u8) {
         self.buf.push(tag);
     }
 
@@ -532,10 +412,18 @@ impl Writer {
         self.u64(s.len() as u64);
         self.buf.extend_from_slice(s.as_bytes());
     }
+
+    /// A varint length, then each item.
+    fn seq<T: Wire>(&mut self, items: &[T]) {
+        self.u64(items.len() as u64);
+        for item in items {
+            item.put(self);
+        }
+    }
 }
 
 /// Cursor over a v2 payload; every read is bounds-checked.
-struct Reader<'a> {
+pub(crate) struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
@@ -544,7 +432,8 @@ fn truncated(what: &str) -> WireError {
     WireError::Protocol(format!("binary payload truncated reading {what}"))
 }
 
-fn bad_tag(what: &str, tag: u8) -> WireError {
+/// The error for a tag byte no variant of `what` claims.
+pub(crate) fn bad_tag(what: &str, tag: u8) -> WireError {
     WireError::Protocol(format!("unknown {what} tag {tag}"))
 }
 
@@ -559,7 +448,8 @@ impl<'a> Reader<'a> {
         Ok(b)
     }
 
-    fn tag(&mut self, what: &str) -> Result<u8, WireError> {
+    /// One raw byte: the tag of a `what` enum, or a flags byte.
+    pub(crate) fn tag(&mut self, what: &str) -> Result<u8, WireError> {
         self.byte(what)
     }
 
@@ -582,8 +472,11 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn u32(&mut self) -> Result<u32, WireError> {
-        u32::try_from(self.u64()?).map_err(|_| WireError::Protocol("varint overflows u32".into()))
+    /// A varint that must fit the narrower integer `T`.
+    fn narrow<T: TryFrom<u64>>(&mut self) -> Result<T, WireError> {
+        T::try_from(self.u64()?).map_err(|_| {
+            WireError::Protocol(format!("varint overflows {}", std::any::type_name::<T>()))
+        })
     }
 
     fn i64(&mut self) -> Result<i64, WireError> {
@@ -619,6 +512,20 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
+    /// A varint length, then that many items read by `item`.
+    fn seq<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<T, WireError>,
+    ) -> Result<Vec<T>, WireError> {
+        let len = self.u64()?;
+        // Bound the pre-allocation against a hostile length prefix.
+        let mut items = Vec::with_capacity(len.min(1024) as usize);
+        for _ in 0..len {
+            items.push(item(self)?);
+        }
+        Ok(items)
+    }
+
     /// Every byte of the payload must be consumed; trailing garbage means
     /// the two ends disagree about the message layout.
     fn finish(&self) -> Result<(), WireError> {
@@ -632,110 +539,294 @@ impl<'a> Reader<'a> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Domain types
+impl Wire for u64 {
+    fn put(&self, w: &mut Writer) {
+        w.u64(*self);
+    }
 
-fn put_value(w: &mut Writer, value: &Value) {
-    match value {
-        Value::Str(s) => {
-            w.tag(0);
-            w.str(s);
-        }
-        Value::Int(i) => {
-            w.tag(1);
-            w.i64(*i);
-        }
-        Value::Float(f) => {
-            w.tag(2);
-            w.f64(*f);
-        }
-        Value::Bool(b) => {
-            w.tag(3);
-            w.bool(*b);
-        }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        r.u64()
     }
 }
 
-fn get_value(r: &mut Reader<'_>) -> Result<Value, WireError> {
-    Ok(match r.tag("Value")? {
-        0 => Value::Str(r.str()?),
-        1 => Value::Int(r.i64()?),
-        2 => Value::Float(r.f64()?),
-        3 => Value::Bool(r.bool()?),
-        t => return Err(bad_tag("Value", t)),
-    })
+impl Wire for u32 {
+    fn put(&self, w: &mut Writer) {
+        w.u64(u64::from(*self));
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        r.narrow()
+    }
+}
+
+/// A varint like every integer, not a raw byte (raw bytes are tags).
+impl Wire for u8 {
+    fn put(&self, w: &mut Writer) {
+        w.u64(u64::from(*self));
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        r.narrow()
+    }
+}
+
+impl Wire for f64 {
+    fn put(&self, w: &mut Writer) {
+        w.f64(*self);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        r.f64()
+    }
+}
+
+impl Wire for String {
+    fn put(&self, w: &mut Writer) {
+        w.str(self);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        r.str()
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, w: &mut Writer) {
+        w.seq(self);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        r.seq(T::get)
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, w: &mut Writer) {
+        w.bool(self.is_some());
+        if let Some(value) = self {
+            value.put(w);
+        }
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(if r.bool()? { Some(T::get(r)?) } else { None })
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Types from other crates
+
+/// Id newtypes travel as their inner integer.
+macro_rules! wire_newtype {
+    ($($ty:ident($inner:ty)),* $(,)?) => {$(
+        impl Wire for $ty {
+            fn put(&self, w: &mut Writer) {
+                self.0.put(w);
+            }
+
+            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                Ok($ty(<$inner>::get(r)?))
+            }
+        }
+    )*};
+}
+
+wire_newtype!(
+    UserId(u32),
+    EventId(u64),
+    SubscriptionId(u64),
+    GlobalSubId(u64)
+);
+
+/// Plain structs travel as the listed fields, in the listed order. The
+/// struct literal in `get` fails to compile if a field is missing here.
+macro_rules! wire_struct {
+    ($($ty:ident { $($field:ident),* $(,)? })*) => {$(
+        impl Wire for $ty {
+            fn put(&self, w: &mut Writer) {
+                $(self.$field.put(w);)*
+            }
+
+            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                Ok($ty { $($field: Wire::get(r)?,)* })
+            }
+        }
+    )*};
+}
+
+wire_struct! {
+    PublishedEvent { id, published_at, event }
+    UploadReceipt { user, accepted, rejected, wire_bytes, total_stored }
+    BrokerStatsSnapshot { events_published, deliveries, drops, subscribes, unsubscribes }
+}
+
+impl Wire for Value {
+    fn put(&self, w: &mut Writer) {
+        match self {
+            Value::Str(s) => {
+                w.tag(0);
+                w.str(s);
+            }
+            Value::Int(i) => {
+                w.tag(1);
+                w.i64(*i);
+            }
+            Value::Float(f) => {
+                w.tag(2);
+                w.f64(*f);
+            }
+            Value::Bool(b) => {
+                w.tag(3);
+                w.bool(*b);
+            }
+        }
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(match r.tag("Value")? {
+            0 => Value::Str(r.str()?),
+            1 => Value::Int(r.i64()?),
+            2 => Value::Float(r.f64()?),
+            3 => Value::Bool(r.bool()?),
+            t => return Err(bad_tag("Value", t)),
+        })
+    }
 }
 
 /// Operators are encoded as their index in [`Op::ALL`], which is a stable
 /// order.
-fn put_op(w: &mut Writer, op: Op) {
-    let tag = Op::ALL
-        .iter()
-        .position(|o| *o == op)
-        .expect("Op::ALL lists every operator") as u8;
-    w.tag(tag);
-}
+impl Wire for Op {
+    fn put(&self, w: &mut Writer) {
+        let tag = Op::ALL
+            .iter()
+            .position(|o| o == self)
+            .expect("Op::ALL lists every operator") as u8;
+        w.tag(tag);
+    }
 
-fn get_op(r: &mut Reader<'_>) -> Result<Op, WireError> {
-    let tag = r.tag("Op")?;
-    Op::ALL
-        .get(tag as usize)
-        .copied()
-        .ok_or_else(|| bad_tag("Op", tag))
-}
-
-fn put_filter(w: &mut Writer, filter: &Filter) {
-    w.u64(filter.predicates().len() as u64);
-    for p in filter.predicates() {
-        w.str(&p.attr);
-        put_op(w, p.op);
-        put_value(w, &p.operand);
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let tag = r.tag("Op")?;
+        Op::ALL
+            .get(tag as usize)
+            .copied()
+            .ok_or_else(|| bad_tag("Op", tag))
     }
 }
 
-fn get_filter(r: &mut Reader<'_>) -> Result<Filter, WireError> {
-    let n = r.u64()?;
-    let mut predicates = Vec::new();
-    for _ in 0..n {
-        let attr = r.str()?;
-        let op = get_op(r)?;
-        let operand = get_value(r)?;
-        predicates.push(Predicate::new(attr, op, operand));
+impl Wire for Predicate {
+    fn put(&self, w: &mut Writer) {
+        w.str(&self.attr);
+        self.op.put(w);
+        self.operand.put(w);
     }
-    Ok(predicates.into_iter().collect())
-}
 
-fn put_event(w: &mut Writer, event: &Event) {
-    w.u64(event.len() as u64);
-    for (name, value) in event.iter() {
-        w.str(name);
-        put_value(w, value);
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(Predicate::new(r.str()?, Op::get(r)?, Value::get(r)?))
     }
 }
 
-fn get_event(r: &mut Reader<'_>) -> Result<Event, WireError> {
-    let n = r.u64()?;
-    let mut attrs = Vec::new();
-    for _ in 0..n {
-        let name = r.str()?;
-        let value = get_value(r)?;
-        attrs.push((name, value));
+impl Wire for Filter {
+    fn put(&self, w: &mut Writer) {
+        w.seq(self.predicates());
     }
-    Ok(attrs.into_iter().collect())
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(Vec::<Predicate>::get(r)?.into_iter().collect())
+    }
 }
 
-fn put_published(w: &mut Writer, published: &PublishedEvent) {
-    w.u64(published.id.0);
-    w.u64(published.published_at);
-    put_event(w, &published.event);
+/// An event travels as its attribute count, then name and value pairs.
+impl Wire for Event {
+    fn put(&self, w: &mut Writer) {
+        w.u64(self.len() as u64);
+        for (name, value) in self.iter() {
+            w.str(name);
+            value.put(w);
+        }
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let attrs = r.seq(|r| Ok((r.str()?, Value::get(r)?)))?;
+        Ok(attrs.into_iter().collect())
+    }
 }
 
-fn get_published(r: &mut Reader<'_>) -> Result<PublishedEvent, WireError> {
-    Ok(PublishedEvent {
-        id: EventId(r.u64()?),
-        published_at: r.u64()?,
-        event: get_event(r)?,
-    })
+impl Wire for AutoSubMode {
+    fn put(&self, w: &mut Writer) {
+        w.tag(match self {
+            AutoSubMode::Topic => 0,
+            AutoSubMode::Content => 1,
+        });
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(match r.tag("AutoSubMode")? {
+            0 => AutoSubMode::Topic,
+            1 => AutoSubMode::Content,
+            t => return Err(bad_tag("AutoSubMode", t)),
+        })
+    }
+}
+
+impl Wire for PeerMsg {
+    fn put(&self, w: &mut Writer) {
+        match self {
+            PeerMsg::SubFwd { sub, filter } => {
+                w.tag(0);
+                sub.put(w);
+                filter.put(w);
+            }
+            PeerMsg::UnsubFwd { sub } => {
+                w.tag(1);
+                sub.put(w);
+            }
+            PeerMsg::EventFwd { event, hops } => {
+                w.tag(2);
+                event.put(w);
+                hops.put(w);
+            }
+            PeerMsg::SubAdv { sub, filter, path } => {
+                w.tag(3);
+                sub.put(w);
+                filter.put(w);
+                path.put(w);
+            }
+            PeerMsg::Ping { nonce } => {
+                w.tag(4);
+                nonce.put(w);
+            }
+            PeerMsg::Pong { nonce } => {
+                w.tag(5);
+                nonce.put(w);
+            }
+        }
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(match r.tag("PeerMsg")? {
+            0 => PeerMsg::SubFwd {
+                sub: Wire::get(r)?,
+                filter: Wire::get(r)?,
+            },
+            1 => PeerMsg::UnsubFwd { sub: Wire::get(r)? },
+            2 => PeerMsg::EventFwd {
+                event: Wire::get(r)?,
+                hops: Wire::get(r)?,
+            },
+            3 => PeerMsg::SubAdv {
+                sub: Wire::get(r)?,
+                filter: Wire::get(r)?,
+                path: Wire::get(r)?,
+            },
+            4 => PeerMsg::Ping {
+                nonce: Wire::get(r)?,
+            },
+            5 => PeerMsg::Pong {
+                nonce: Wire::get(r)?,
+            },
+            t => return Err(bad_tag("PeerMsg", t)),
+        })
+    }
 }
 
 // -- click batches ----------------------------------------------------------
@@ -757,10 +848,6 @@ fn get_published(r: &mut Reader<'_>) -> Result<PublishedEvent, WireError> {
 //   whichever shares more — selected by a flag bit (a two-entry
 //   dictionary covering both "referrer is the page I came from" and
 //   "same referrer as last time").
-//
-// The pre-compression layout survives as `put_batch_plain`, reachable
-// through [`BinaryCodec::encode_client_uncompressed`], so the size win
-// stays measurable in `benches/broker.rs`.
 
 /// Upper bound on the cumulative decoded URL + referrer bytes of one
 /// click batch. Prefix reuse means a small frame can expand to far more
@@ -809,626 +896,116 @@ fn get_prefixed_str(r: &mut Reader<'_>, reference: &str) -> Result<String, WireE
     Ok(out)
 }
 
-fn put_batch(w: &mut Writer, batch: &ClickBatch) {
-    w.u64(u64::from(batch.user.0));
-    w.u64(batch.clicks.len() as u64);
-    let (mut prev_url, mut prev_ref) = ("", "");
-    let (mut prev_day, mut prev_tick) = (0u32, 0u64);
-    for click in &batch.clicks {
-        let mut flags = 0u8;
-        let user_differs = click.user != batch.user;
-        if user_differs {
-            flags |= CLICK_USER_DIFFERS;
-        }
-        let mut referrer_vs_prev_ref = false;
-        if let Some(referrer) = &click.referrer {
-            flags |= CLICK_HAS_REFERRER;
-            referrer_vs_prev_ref =
-                common_prefix(referrer, prev_ref) > common_prefix(referrer, prev_url);
-            if referrer_vs_prev_ref {
-                flags |= CLICK_REF_VS_PREV_REFERRER;
+impl Wire for ClickBatch {
+    fn put(&self, w: &mut Writer) {
+        let batch = self;
+        w.u64(u64::from(batch.user.0));
+        w.u64(batch.clicks.len() as u64);
+        let (mut prev_url, mut prev_ref) = ("", "");
+        let (mut prev_day, mut prev_tick) = (0u32, 0u64);
+        for click in &batch.clicks {
+            let mut flags = 0u8;
+            let user_differs = click.user != batch.user;
+            if user_differs {
+                flags |= CLICK_USER_DIFFERS;
             }
-        }
-        w.tag(flags);
-        if user_differs {
-            w.u64(u64::from(click.user.0));
-        }
-        w.i64(click.day.wrapping_sub(prev_day) as i32 as i64);
-        w.i64(click.tick.wrapping_sub(prev_tick) as i64);
-        let url_prefix = common_prefix(&click.url, prev_url);
-        w.u64(url_prefix as u64);
-        w.str(&click.url[url_prefix..]);
-        if let Some(referrer) = &click.referrer {
-            let reference = if referrer_vs_prev_ref {
-                prev_ref
-            } else {
-                prev_url
-            };
-            let ref_prefix = common_prefix(referrer, reference);
-            w.u64(ref_prefix as u64);
-            w.str(&referrer[ref_prefix..]);
-            prev_ref = referrer;
-        }
-        prev_url = &click.url;
-        prev_day = click.day;
-        prev_tick = click.tick;
-    }
-}
-
-fn get_batch(r: &mut Reader<'_>) -> Result<ClickBatch, WireError> {
-    let user = UserId(r.u32()?);
-    let n = r.u64()?;
-    let mut clicks: Vec<Click> = Vec::new();
-    let (mut prev_url, mut prev_ref) = (String::new(), String::new());
-    let (mut prev_day, mut prev_tick) = (0u32, 0u64);
-    let mut decoded_bytes = 0usize;
-    for _ in 0..n {
-        let flags = r.tag("Click flags")?;
-        if flags & !(CLICK_HAS_REFERRER | CLICK_USER_DIFFERS | CLICK_REF_VS_PREV_REFERRER) != 0 {
-            return Err(bad_tag("Click flags", flags));
-        }
-        let click_user = if flags & CLICK_USER_DIFFERS != 0 {
-            UserId(r.u32()?)
-        } else {
-            user
-        };
-        let day_delta = r.i64()?;
-        let day_delta = i32::try_from(day_delta)
-            .map_err(|_| WireError::Protocol("day delta overflows u32".into()))?;
-        let day = prev_day.wrapping_add(day_delta as u32);
-        let tick = prev_tick.wrapping_add(r.i64()? as u64);
-        let url = get_prefixed_str(r, &prev_url)?;
-        let referrer = if flags & CLICK_HAS_REFERRER != 0 {
-            let reference = if flags & CLICK_REF_VS_PREV_REFERRER != 0 {
-                &prev_ref
-            } else {
-                &prev_url
-            };
-            let referrer = get_prefixed_str(r, reference)?;
-            prev_ref.clone_from(&referrer);
-            Some(referrer)
-        } else {
-            None
-        };
-        decoded_bytes += url.len() + referrer.as_ref().map_or(0, String::len);
-        if decoded_bytes > MAX_DECODED_CLICK_BYTES {
-            return Err(WireError::Protocol(format!(
-                "click batch expands past {MAX_DECODED_CLICK_BYTES} decoded bytes"
-            )));
-        }
-        prev_url.clone_from(&url);
-        prev_day = day;
-        prev_tick = tick;
-        clicks.push(Click {
-            user: click_user,
-            day,
-            tick,
-            url,
-            referrer,
-        });
-    }
-    Ok(ClickBatch { user, clicks })
-}
-
-/// The pre-compression v2 click-batch layout: absolute fields, full
-/// strings. Kept so the compression win is measurable.
-fn put_batch_plain(w: &mut Writer, batch: &ClickBatch) {
-    w.u64(u64::from(batch.user.0));
-    w.u64(batch.clicks.len() as u64);
-    for click in &batch.clicks {
-        w.u64(u64::from(click.user.0));
-        w.u64(u64::from(click.day));
-        w.u64(click.tick);
-        w.str(&click.url);
-        match &click.referrer {
-            Some(referrer) => {
-                w.bool(true);
-                w.str(referrer);
-            }
-            None => w.bool(false),
-        }
-    }
-}
-
-fn get_batch_plain(r: &mut Reader<'_>) -> Result<ClickBatch, WireError> {
-    let user = UserId(r.u32()?);
-    let n = r.u64()?;
-    let mut clicks = Vec::new();
-    for _ in 0..n {
-        clicks.push(Click {
-            user: UserId(r.u32()?),
-            day: r.u32()?,
-            tick: r.u64()?,
-            url: r.str()?,
-            referrer: if r.bool()? { Some(r.str()?) } else { None },
-        });
-    }
-    Ok(ClickBatch { user, clicks })
-}
-
-fn put_receipt(w: &mut Writer, receipt: &UploadReceipt) {
-    w.u64(u64::from(receipt.user.0));
-    w.u64(receipt.accepted);
-    w.u64(receipt.rejected);
-    w.u64(receipt.wire_bytes);
-    w.u64(receipt.total_stored);
-}
-
-fn get_receipt(r: &mut Reader<'_>) -> Result<UploadReceipt, WireError> {
-    Ok(UploadReceipt {
-        user: UserId(r.u32()?),
-        accepted: r.u64()?,
-        rejected: r.u64()?,
-        wire_bytes: r.u64()?,
-        total_stored: r.u64()?,
-    })
-}
-
-/// `AutoSubMode` travels as a single tag byte.
-fn put_mode(w: &mut Writer, mode: AutoSubMode) {
-    w.tag(match mode {
-        AutoSubMode::Topic => 0,
-        AutoSubMode::Content => 1,
-    });
-}
-
-fn get_mode(r: &mut Reader<'_>) -> Result<AutoSubMode, WireError> {
-    Ok(match r.tag("AutoSubMode")? {
-        0 => AutoSubMode::Topic,
-        1 => AutoSubMode::Content,
-        t => return Err(bad_tag("AutoSubMode", t)),
-    })
-}
-
-fn put_policy(w: &mut Writer, policy: &AutoSubPolicy) {
-    put_mode(w, policy.recommender);
-    w.u64(u64::from(policy.max_filters));
-    w.f64(policy.half_life_secs);
-    w.f64(policy.min_score);
-}
-
-fn get_policy(r: &mut Reader<'_>) -> Result<AutoSubPolicy, WireError> {
-    Ok(AutoSubPolicy {
-        recommender: get_mode(r)?,
-        max_filters: r.u32()?,
-        half_life_secs: r.f64()?,
-        min_score: r.f64()?,
-    })
-}
-
-fn put_autosub_entries(w: &mut Writer, entries: &[AutoSubEntry]) {
-    w.u64(entries.len() as u64);
-    for entry in entries {
-        put_filter(w, &entry.filter);
-        w.str(&entry.reason);
-        w.f64(entry.score);
-    }
-}
-
-fn get_autosub_entries(r: &mut Reader<'_>) -> Result<Vec<AutoSubEntry>, WireError> {
-    let len = r.u64()?;
-    let mut entries = Vec::with_capacity(len.min(1024) as usize);
-    for _ in 0..len {
-        entries.push(AutoSubEntry {
-            filter: get_filter(r)?,
-            reason: r.str()?,
-            score: r.f64()?,
-        });
-    }
-    Ok(entries)
-}
-
-fn put_autosub_receipt(w: &mut Writer, receipt: &AutoSubReceipt) {
-    w.u64(u64::from(receipt.user.0));
-    put_autosub_entries(w, &receipt.entries);
-}
-
-fn get_autosub_receipt(r: &mut Reader<'_>) -> Result<AutoSubReceipt, WireError> {
-    Ok(AutoSubReceipt {
-        user: UserId(r.u32()?),
-        entries: get_autosub_entries(r)?,
-    })
-}
-
-fn put_feed_change(w: &mut Writer, change: &FeedChange) {
-    w.u64(u64::from(change.user.0));
-    put_autosub_entries(w, &change.installed);
-    put_autosub_entries(w, &change.retired);
-}
-
-fn get_feed_change(r: &mut Reader<'_>) -> Result<FeedChange, WireError> {
-    Ok(FeedChange {
-        user: UserId(r.u32()?),
-        installed: get_autosub_entries(r)?,
-        retired: get_autosub_entries(r)?,
-    })
-}
-
-fn put_broker_stats(w: &mut Writer, s: &BrokerStatsSnapshot) {
-    w.u64(s.events_published);
-    w.u64(s.deliveries);
-    w.u64(s.drops);
-    w.u64(s.subscribes);
-    w.u64(s.unsubscribes);
-}
-
-fn get_broker_stats(r: &mut Reader<'_>) -> Result<BrokerStatsSnapshot, WireError> {
-    Ok(BrokerStatsSnapshot {
-        events_published: r.u64()?,
-        deliveries: r.u64()?,
-        drops: r.u64()?,
-        subscribes: r.u64()?,
-        unsubscribes: r.u64()?,
-    })
-}
-
-fn put_codec_stats(w: &mut Writer, s: &CodecStatsSnapshot) {
-    w.u64(s.frames_in);
-    w.u64(s.frames_out);
-    w.u64(s.bytes_in);
-    w.u64(s.bytes_out);
-}
-
-fn get_codec_stats(r: &mut Reader<'_>) -> Result<CodecStatsSnapshot, WireError> {
-    Ok(CodecStatsSnapshot {
-        frames_in: r.u64()?,
-        frames_out: r.u64()?,
-        bytes_in: r.u64()?,
-        bytes_out: r.u64()?,
-    })
-}
-
-// NOTE: the stats payloads below are diagnostics, not a stable contract:
-// fields are read positionally, so adding a counter changes the v2 layout
-// without a version-byte bump. Two daemons from different builds exchange
-// garbled/failing `Stats` replies only — the protocol paths (publish,
-// subscribe, deliver, peer routing) are unaffected. A cross-build-stable
-// stats encoding (tagged fields) is future work if mixed-build
-// federations ever need remote stats.
-fn put_wire_stats(w: &mut Writer, s: &WireStatsSnapshot) {
-    w.u64(s.connections_opened);
-    w.u64(s.connections_closed);
-    w.u64(s.frames_in);
-    w.u64(s.frames_out);
-    w.u64(s.bytes_in);
-    w.u64(s.bytes_out);
-    w.u64(s.requests);
-    w.u64(s.deliveries);
-    w.u64(s.delivery_drops);
-    w.u64(s.errors);
-    w.u64(s.loop_wakeups);
-    w.u64(s.loop_read_events);
-    w.u64(s.loop_write_events);
-    w.u64(s.writes_coalesced);
-    w.u64(s.wal_bytes);
-    w.u64(s.wal_segments);
-    w.u64(s.wal_snapshots);
-    w.u64(s.recovered_clicks);
-    w.u64(s.wal_truncated_bytes);
-    w.u64(s.autosub_users);
-    w.u64(s.autosub_active);
-    w.u64(s.autosub_derived);
-    w.u64(s.autosub_retired);
-    w.u64(s.autosub_last_refresh_us);
-    w.u64(s.matcher_swaps);
-    put_codec_stats(w, &s.json);
-    put_codec_stats(w, &s.binary);
-    w.u64(s.loops.len() as u64);
-    for shard in &s.loops {
-        w.u64(shard.loop_id);
-        w.u64(shard.wakeups);
-        w.u64(shard.read_events);
-        w.u64(shard.write_events);
-        w.u64(shard.writes_coalesced);
-        w.u64(shard.connections);
-    }
-}
-
-fn get_wire_stats(r: &mut Reader<'_>) -> Result<WireStatsSnapshot, WireError> {
-    Ok(WireStatsSnapshot {
-        connections_opened: r.u64()?,
-        connections_closed: r.u64()?,
-        frames_in: r.u64()?,
-        frames_out: r.u64()?,
-        bytes_in: r.u64()?,
-        bytes_out: r.u64()?,
-        requests: r.u64()?,
-        deliveries: r.u64()?,
-        delivery_drops: r.u64()?,
-        errors: r.u64()?,
-        loop_wakeups: r.u64()?,
-        loop_read_events: r.u64()?,
-        loop_write_events: r.u64()?,
-        writes_coalesced: r.u64()?,
-        wal_bytes: r.u64()?,
-        wal_segments: r.u64()?,
-        wal_snapshots: r.u64()?,
-        recovered_clicks: r.u64()?,
-        wal_truncated_bytes: r.u64()?,
-        autosub_users: r.u64()?,
-        autosub_active: r.u64()?,
-        autosub_derived: r.u64()?,
-        autosub_retired: r.u64()?,
-        autosub_last_refresh_us: r.u64()?,
-        matcher_swaps: r.u64()?,
-        json: get_codec_stats(r)?,
-        binary: get_codec_stats(r)?,
-        loops: {
-            let len = r.u64()? as usize;
-            // Bound the pre-allocation against a hostile length prefix.
-            let mut loops = Vec::with_capacity(len.min(1024));
-            for _ in 0..len {
-                loops.push(crate::stats::LoopStatsSnapshot {
-                    loop_id: r.u64()?,
-                    wakeups: r.u64()?,
-                    read_events: r.u64()?,
-                    write_events: r.u64()?,
-                    writes_coalesced: r.u64()?,
-                    connections: r.u64()?,
-                });
-            }
-            loops
-        },
-    })
-}
-
-fn put_federation_stats(w: &mut Writer, s: &FederationStatsSnapshot) {
-    w.u64(u64::from(s.broker_id));
-    w.u64(s.peers);
-    w.u64(s.routing_entries);
-    w.u64(s.advertisements);
-    w.u64(s.subs_forwarded);
-    w.u64(s.subs_aggregated);
-    w.u64(s.events_forwarded);
-    w.u64(s.events_received);
-    w.u64(s.events_dropped);
-    w.u64(s.mesh_alternates);
-    w.u64(s.mesh_reroutes);
-    w.u64(s.mesh_duplicates_suppressed);
-    put_codec_stats(w, &s.json);
-    put_codec_stats(w, &s.binary);
-}
-
-fn get_federation_stats(r: &mut Reader<'_>) -> Result<FederationStatsSnapshot, WireError> {
-    Ok(FederationStatsSnapshot {
-        broker_id: r.u32()?,
-        peers: r.u64()?,
-        routing_entries: r.u64()?,
-        advertisements: r.u64()?,
-        subs_forwarded: r.u64()?,
-        subs_aggregated: r.u64()?,
-        events_forwarded: r.u64()?,
-        events_received: r.u64()?,
-        events_dropped: r.u64()?,
-        mesh_alternates: r.u64()?,
-        mesh_reroutes: r.u64()?,
-        mesh_duplicates_suppressed: r.u64()?,
-        json: get_codec_stats(r)?,
-        binary: get_codec_stats(r)?,
-    })
-}
-
-/// Request-enum tag of `UploadClicks`, shared with the uncompressed
-/// encode path.
-const UPLOAD_CLICKS_TAG: u8 = 4;
-
-fn put_request(w: &mut Writer, request: &Request) {
-    match request {
-        Request::Hello { version, client } => {
-            w.tag(0);
-            w.u64(u64::from(*version));
-            w.str(client);
-        }
-        Request::Subscribe { filter } => {
-            w.tag(1);
-            put_filter(w, filter);
-        }
-        Request::Unsubscribe { subscription } => {
-            w.tag(2);
-            w.u64(subscription.0);
-        }
-        Request::Publish { event } => {
-            w.tag(3);
-            put_event(w, event);
-        }
-        Request::UploadClicks { batch } => {
-            w.tag(UPLOAD_CLICKS_TAG);
-            put_batch(w, batch);
-        }
-        Request::AutoSubscribe { user, policy } => {
-            w.tag(9);
-            w.u64(u64::from(user.0));
-            match policy {
-                Some(policy) => {
-                    w.bool(true);
-                    put_policy(w, policy);
+            let mut referrer_vs_prev_ref = false;
+            if let Some(referrer) = &click.referrer {
+                flags |= CLICK_HAS_REFERRER;
+                referrer_vs_prev_ref =
+                    common_prefix(referrer, prev_ref) > common_prefix(referrer, prev_url);
+                if referrer_vs_prev_ref {
+                    flags |= CLICK_REF_VS_PREV_REFERRER;
                 }
-                None => w.bool(false),
             }
-        }
-        Request::AutoUnsubscribe { user } => {
-            w.tag(10);
-            w.u64(u64::from(user.0));
-        }
-        Request::Stats => w.tag(5),
-        Request::Ping => w.tag(6),
-        Request::Bye => w.tag(7),
-        Request::PeerHello {
-            version,
-            broker,
-            broker_id,
-        } => {
-            w.tag(8);
-            w.u64(u64::from(*version));
-            w.str(broker);
-            w.u64(u64::from(*broker_id));
+            w.tag(flags);
+            if user_differs {
+                w.u64(u64::from(click.user.0));
+            }
+            w.i64(click.day.wrapping_sub(prev_day) as i32 as i64);
+            w.i64(click.tick.wrapping_sub(prev_tick) as i64);
+            let url_prefix = common_prefix(&click.url, prev_url);
+            w.u64(url_prefix as u64);
+            w.str(&click.url[url_prefix..]);
+            if let Some(referrer) = &click.referrer {
+                let reference = if referrer_vs_prev_ref {
+                    prev_ref
+                } else {
+                    prev_url
+                };
+                let ref_prefix = common_prefix(referrer, reference);
+                w.u64(ref_prefix as u64);
+                w.str(&referrer[ref_prefix..]);
+                prev_ref = referrer;
+            }
+            prev_url = &click.url;
+            prev_day = click.day;
+            prev_tick = click.tick;
         }
     }
-}
 
-fn get_request(r: &mut Reader<'_>) -> Result<Request, WireError> {
-    Ok(match r.tag("Request")? {
-        0 => Request::Hello {
-            version: u8::try_from(r.u64()?)
-                .map_err(|_| WireError::Protocol("Hello version overflows u8".into()))?,
-            client: r.str()?,
-        },
-        1 => Request::Subscribe {
-            filter: get_filter(r)?,
-        },
-        2 => Request::Unsubscribe {
-            subscription: SubscriptionId(r.u64()?),
-        },
-        3 => Request::Publish {
-            event: get_event(r)?,
-        },
-        4 => Request::UploadClicks {
-            batch: get_batch(r)?,
-        },
-        5 => Request::Stats,
-        6 => Request::Ping,
-        7 => Request::Bye,
-        8 => Request::PeerHello {
-            version: u8::try_from(r.u64()?)
-                .map_err(|_| WireError::Protocol("PeerHello version overflows u8".into()))?,
-            broker: r.str()?,
-            broker_id: r.u32()?,
-        },
-        9 => Request::AutoSubscribe {
-            user: UserId(r.u32()?),
-            policy: if r.bool()? {
-                Some(get_policy(r)?)
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let user = UserId::get(r)?;
+        let n = r.u64()?;
+        let mut clicks: Vec<Click> = Vec::new();
+        let (mut prev_url, mut prev_ref) = (String::new(), String::new());
+        let (mut prev_day, mut prev_tick) = (0u32, 0u64);
+        let mut decoded_bytes = 0usize;
+        for _ in 0..n {
+            let flags = r.tag("Click flags")?;
+            if flags & !(CLICK_HAS_REFERRER | CLICK_USER_DIFFERS | CLICK_REF_VS_PREV_REFERRER) != 0
+            {
+                return Err(bad_tag("Click flags", flags));
+            }
+            let click_user = if flags & CLICK_USER_DIFFERS != 0 {
+                UserId::get(r)?
+            } else {
+                user
+            };
+            let day_delta = r.i64()?;
+            let day_delta = i32::try_from(day_delta)
+                .map_err(|_| WireError::Protocol("day delta overflows u32".into()))?;
+            let day = prev_day.wrapping_add(day_delta as u32);
+            let tick = prev_tick.wrapping_add(r.i64()? as u64);
+            let url = get_prefixed_str(r, &prev_url)?;
+            let referrer = if flags & CLICK_HAS_REFERRER != 0 {
+                let reference = if flags & CLICK_REF_VS_PREV_REFERRER != 0 {
+                    &prev_ref
+                } else {
+                    &prev_url
+                };
+                let referrer = get_prefixed_str(r, reference)?;
+                prev_ref.clone_from(&referrer);
+                Some(referrer)
             } else {
                 None
-            },
-        },
-        10 => Request::AutoUnsubscribe {
-            user: UserId(r.u32()?),
-        },
-        t => return Err(bad_tag("Request", t)),
-    })
-}
-
-fn put_response(w: &mut Writer, response: &Response) {
-    match response {
-        Response::Hello {
-            version,
-            server,
-            subscriber,
-        } => {
-            w.tag(0);
-            w.u64(u64::from(*version));
-            w.str(server);
-            w.u64(*subscriber);
+            };
+            decoded_bytes += url.len() + referrer.as_ref().map_or(0, String::len);
+            if decoded_bytes > MAX_DECODED_CLICK_BYTES {
+                return Err(WireError::Protocol(format!(
+                    "click batch expands past {MAX_DECODED_CLICK_BYTES} decoded bytes"
+                )));
+            }
+            prev_url.clone_from(&url);
+            prev_day = day;
+            prev_tick = tick;
+            clicks.push(Click {
+                user: click_user,
+                day,
+                tick,
+                url,
+                referrer,
+            });
         }
-        Response::Subscribed { subscription } => {
-            w.tag(1);
-            w.u64(subscription.0);
-        }
-        Response::Unsubscribed { filter } => {
-            w.tag(2);
-            put_filter(w, filter);
-        }
-        Response::Published {
-            id,
-            delivered,
-            dropped,
-        } => {
-            w.tag(3);
-            w.u64(id.0);
-            w.u64(*delivered);
-            w.u64(*dropped);
-        }
-        Response::ClicksAccepted { receipt } => {
-            w.tag(4);
-            put_receipt(w, receipt);
-        }
-        Response::Stats {
-            broker,
-            wire,
-            federation,
-        } => {
-            w.tag(5);
-            put_broker_stats(w, broker);
-            put_wire_stats(w, wire);
-            put_federation_stats(w, federation);
-        }
-        Response::Pong => w.tag(6),
-        Response::Bye => w.tag(7),
-        Response::PeerWelcome {
-            version,
-            broker,
-            broker_id,
-        } => {
-            w.tag(8);
-            w.u64(u64::from(*version));
-            w.str(broker);
-            w.u64(u64::from(*broker_id));
-        }
-        Response::Error { message } => {
-            w.tag(9);
-            w.str(message);
-        }
-        Response::AutoSubscribed { receipt } => {
-            w.tag(10);
-            put_autosub_receipt(w, receipt);
-        }
-        Response::AutoUnsubscribed { receipt } => {
-            w.tag(11);
-            put_autosub_receipt(w, receipt);
-        }
+        Ok(ClickBatch { user, clicks })
     }
-}
-
-fn get_response(r: &mut Reader<'_>) -> Result<Response, WireError> {
-    Ok(match r.tag("Response")? {
-        0 => Response::Hello {
-            version: u8::try_from(r.u64()?)
-                .map_err(|_| WireError::Protocol("Hello version overflows u8".into()))?,
-            server: r.str()?,
-            subscriber: r.u64()?,
-        },
-        1 => Response::Subscribed {
-            subscription: SubscriptionId(r.u64()?),
-        },
-        2 => Response::Unsubscribed {
-            filter: get_filter(r)?,
-        },
-        3 => Response::Published {
-            id: EventId(r.u64()?),
-            delivered: r.u64()?,
-            dropped: r.u64()?,
-        },
-        4 => Response::ClicksAccepted {
-            receipt: get_receipt(r)?,
-        },
-        5 => Response::Stats {
-            broker: get_broker_stats(r)?,
-            wire: get_wire_stats(r)?,
-            federation: get_federation_stats(r)?,
-        },
-        6 => Response::Pong,
-        7 => Response::Bye,
-        8 => Response::PeerWelcome {
-            version: u8::try_from(r.u64()?)
-                .map_err(|_| WireError::Protocol("PeerWelcome version overflows u8".into()))?,
-            broker: r.str()?,
-            broker_id: r.u32()?,
-        },
-        9 => Response::Error { message: r.str()? },
-        10 => Response::AutoSubscribed {
-            receipt: get_autosub_receipt(r)?,
-        },
-        11 => Response::AutoUnsubscribed {
-            receipt: get_autosub_receipt(r)?,
-        },
-        t => return Err(bad_tag("Response", t)),
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{Deliver, Request};
+    use crate::stats::{FederationStatsSnapshot, WireStatsSnapshot};
     use reef_pubsub::Op;
 
     fn both() -> [&'static dyn WireCodec; 2] {
@@ -1711,7 +1288,7 @@ mod tests {
     }
 
     #[test]
-    fn compressed_click_batches_beat_plain_v2_and_json() {
+    fn compressed_click_batches_beat_json() {
         use reef_attention::{Click, ClickBatch};
         // A realistic browsing batch: one site, sequential ticks, the
         // referrer chain following the clicks.
@@ -1729,23 +1306,13 @@ mod tests {
             clicks,
         });
         let compressed = BinaryCodec.encode_client(&frame).unwrap();
-        let plain = BinaryCodec.encode_client_uncompressed(&frame).unwrap();
         let json = JsonCodec.encode_client(&frame).unwrap();
         assert!(
-            compressed.wire_len() < plain.wire_len(),
-            "compressed {} must beat plain v2 {}",
+            compressed.wire_len() < json.wire_len(),
+            "compressed v2 {} must beat json {}",
             compressed.wire_len(),
-            plain.wire_len()
-        );
-        assert!(
-            plain.wire_len() < json.wire_len(),
-            "plain v2 {} must beat json {}",
-            plain.wire_len(),
             json.wire_len()
         );
-        // Both v2 layouts decode to the identical batch.
-        let back_plain = BinaryCodec.decode_client_uncompressed(&plain).unwrap();
-        assert_eq!(back_plain.request, frame.request);
         assert_eq!(
             BinaryCodec.decode_client(&compressed).unwrap().request,
             frame.request

@@ -100,6 +100,6 @@ pub use protocol::{
 };
 pub use server::{BrokerServer, BrokerServerBuilder};
 pub use stats::{
-    AutosubGauges, CodecStatsSnapshot, ConnectionStatsSnapshot, FederationStatsSnapshot,
+    AutosubGauges, CodecStatsSnapshot, ConnectionStatsSnapshot, Counters, FederationStatsSnapshot,
     LoopStatsSnapshot, PeerStatsSnapshot, WireStats, WireStatsSnapshot,
 };

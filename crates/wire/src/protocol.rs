@@ -20,6 +20,11 @@
 //! [`ClickBatch`]) are the workspace's own — the wire reuses their serde
 //! impls rather than inventing parallel DTOs.
 //!
+//! The v2 binary layout is declared here too: every type derives `Wire`
+//! (fields in declaration order), and the `#[wire(tag = N)]` on each
+//! enum variant is its tag byte. Tags are append-only; see
+//! [`crate::codec`] for the rules and the table.
+//!
 //! # Peer links
 //!
 //! Brokers federate over the same port clients connect to. A dialing
@@ -37,6 +42,7 @@ use reef_core::AutoSubMode;
 use reef_pubsub::{BrokerStatsSnapshot, Event, EventId, Filter, PublishedEvent, SubscriptionId};
 use reef_simweb::UserId;
 use serde::{Deserialize, Serialize};
+use serde_derive::Wire;
 
 use crate::stats::{FederationStatsSnapshot, WireStatsSnapshot};
 
@@ -46,7 +52,7 @@ use crate::stats::{FederationStatsSnapshot, WireStatsSnapshot};
 /// `None` in the request means "use the daemon's defaults" (the
 /// `reefd --autosub-*` flags); an explicit policy overrides them per
 /// enrollment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Wire)]
 pub struct AutoSubPolicy {
     /// Recommender deriving the filters.
     pub recommender: AutoSubMode,
@@ -72,7 +78,7 @@ impl Default for AutoSubPolicy {
 
 /// One filter the engine currently derives for a user, with the reason
 /// shown in receipts and [`FeedChange`] notices.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Wire)]
 pub struct AutoSubEntry {
     /// The derived filter.
     pub filter: Filter,
@@ -86,7 +92,7 @@ pub struct AutoSubEntry {
 /// [`Request::AutoUnsubscribe`]: the filters currently derived for the
 /// user (after enrollment: what is installed; after unenrollment: what
 /// was just retired).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Wire)]
 pub struct AutoSubReceipt {
     /// The enrolled user.
     pub user: UserId,
@@ -96,7 +102,7 @@ pub struct AutoSubReceipt {
 
 /// Unsolicited notice pushed when the engine installs or retires derived
 /// filters for a user enrolled on this connection.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Wire)]
 pub struct FeedChange {
     /// The user whose derived feed set changed.
     pub user: UserId,
@@ -107,10 +113,11 @@ pub struct FeedChange {
 }
 
 /// Client → server messages.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Wire)]
 pub enum Request {
     /// First message on every connection: announce the client's protocol
     /// version and a display name for diagnostics.
+    #[wire(tag = 0)]
     Hello {
         /// Protocol version the client speaks.
         version: u8,
@@ -118,21 +125,25 @@ pub enum Request {
         client: String,
     },
     /// Place a subscription owned by this connection.
+    #[wire(tag = 1)]
     Subscribe {
         /// The subscription's filter.
         filter: Filter,
     },
     /// Remove a subscription owned by this connection.
+    #[wire(tag = 2)]
     Unsubscribe {
         /// Id returned by a previous `Subscribed` response.
         subscription: SubscriptionId,
     },
     /// Publish an event into the broker.
+    #[wire(tag = 3)]
     Publish {
         /// The event payload.
         event: Event,
     },
     /// Upload a batch of attention data (the §3.1 extension → server path).
+    #[wire(tag = 4)]
     UploadClicks {
         /// The batch to ingest.
         batch: ClickBatch,
@@ -140,6 +151,7 @@ pub enum Request {
     /// Enroll a user in server-side automatic subscriptions: the engine
     /// derives filters from the user's uploaded clicks and installs them
     /// as subscriptions owned by this connection.
+    #[wire(tag = 9)]
     AutoSubscribe {
         /// The user whose clicks drive the derivation.
         user: UserId,
@@ -147,19 +159,24 @@ pub enum Request {
         policy: Option<AutoSubPolicy>,
     },
     /// Unenroll a user: every derived filter is retired from the broker.
+    #[wire(tag = 10)]
     AutoUnsubscribe {
         /// The user to unenroll.
         user: UserId,
     },
     /// Ask for broker + wire statistics.
+    #[wire(tag = 5)]
     Stats,
     /// Liveness probe.
+    #[wire(tag = 6)]
     Ping,
     /// Orderly goodbye; the server replies `Bye` and closes.
+    #[wire(tag = 7)]
     Bye,
     /// First frame of a broker-to-broker connection: the dialing broker
     /// announces itself and asks to upgrade the connection to a peer
     /// link carrying [`reef_pubsub::PeerMsg`] frames.
+    #[wire(tag = 8)]
     PeerHello {
         /// Protocol version the dialing broker speaks.
         version: u8,
@@ -176,9 +193,10 @@ pub enum Request {
 // but responses are transient stack values encoded straight onto the
 // wire — boxing would only add an allocation per reply.
 #[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Wire)]
 pub enum Response {
     /// Answer to `Hello`.
+    #[wire(tag = 0)]
     Hello {
         /// Protocol version the server speaks.
         version: u8,
@@ -188,16 +206,19 @@ pub enum Response {
         subscriber: u64,
     },
     /// Answer to `Subscribe`.
+    #[wire(tag = 1)]
     Subscribed {
         /// Id of the new subscription.
         subscription: SubscriptionId,
     },
     /// Answer to `Unsubscribe`.
+    #[wire(tag = 2)]
     Unsubscribed {
         /// The removed subscription's filter.
         filter: Filter,
     },
     /// Answer to `Publish`.
+    #[wire(tag = 3)]
     Published {
         /// Id the broker assigned to the event.
         id: EventId,
@@ -207,11 +228,13 @@ pub enum Response {
         dropped: u64,
     },
     /// Answer to `UploadClicks`.
+    #[wire(tag = 4)]
     ClicksAccepted {
         /// Ingestion receipt from the server's click store.
         receipt: UploadReceipt,
     },
     /// Answer to `Stats`.
+    #[wire(tag = 5)]
     Stats {
         /// Broker-side operation counters.
         broker: BrokerStatsSnapshot,
@@ -221,21 +244,26 @@ pub enum Response {
         federation: FederationStatsSnapshot,
     },
     /// Answer to `AutoSubscribe`: what the engine currently derives.
+    #[wire(tag = 10)]
     AutoSubscribed {
         /// Enrollment receipt listing the derived filters with reasons.
         receipt: AutoSubReceipt,
     },
     /// Answer to `AutoUnsubscribe`: what was just retired.
+    #[wire(tag = 11)]
     AutoUnsubscribed {
         /// Unenrollment receipt listing the retired filters.
         receipt: AutoSubReceipt,
     },
     /// Answer to `Ping`.
+    #[wire(tag = 6)]
     Pong,
     /// Answer to `Bye`; the server closes the connection after sending it.
+    #[wire(tag = 7)]
     Bye,
     /// Answer to `PeerHello`: the connection is now a peer link. After
     /// this reply both directions carry [`reef_pubsub::PeerMsg`] frames.
+    #[wire(tag = 8)]
     PeerWelcome {
         /// Protocol version the accepting broker speaks.
         version: u8,
@@ -245,6 +273,7 @@ pub enum Response {
         broker_id: u32,
     },
     /// The request failed; the connection stays usable.
+    #[wire(tag = 9)]
     Error {
         /// Human-readable failure description.
         message: String,
@@ -252,7 +281,7 @@ pub enum Response {
 }
 
 /// An asynchronous event delivery pushed by the server.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Wire)]
 pub struct Deliver {
     /// The matched event, with broker id and timestamp.
     pub event: PublishedEvent,
@@ -281,7 +310,7 @@ pub enum ServerMessage {
 /// uses a per-connection counter) and the server treats it as opaque.
 /// The v1 JSON codec drops it on encode and synthesizes `0` on decode —
 /// v1 pairing is by request order.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Wire)]
 pub struct ClientFrame {
     /// Client-assigned correlation id, echoed by the reply.
     pub corr: u64,
@@ -292,9 +321,10 @@ pub struct ClientFrame {
 /// One server → client frame: a correlated reply or an asynchronous
 /// delivery.
 #[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Wire)]
 pub enum ServerFrame {
     /// A reply to the request that carried `corr`.
+    #[wire(tag = 0)]
     Reply {
         /// Correlation id copied from the request's [`ClientFrame`].
         corr: u64,
@@ -302,10 +332,12 @@ pub enum ServerFrame {
         response: Response,
     },
     /// An asynchronous delivery (never correlated).
+    #[wire(tag = 1)]
     Deliver(Deliver),
     /// An asynchronous auto-subscription change notice (never
     /// correlated; only sent after an `AutoSubscribe` on the
     /// connection).
+    #[wire(tag = 2)]
     FeedChanged(FeedChange),
 }
 

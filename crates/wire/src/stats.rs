@@ -1,19 +1,199 @@
 //! Transport counters, kept per connection and aggregated per server.
+//!
+//! Each counter set is declared once, as its snapshot struct inside a
+//! `counters!` table. The table generates the lock-free live struct (one
+//! `AtomicU64` per counter), its `snapshot()`, the [`Counters`] visitor
+//! and a `Display` that prints `name=value` pairs in declaration order;
+//! `#[derive(Wire)]` on the snapshot gives its v2 layout. Adding a
+//! counter is one field line here plus the `record_*` call that feeds it.
 
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use parking_lot::Mutex;
+use serde::{Deserialize, Serialize};
+use serde_derive::Wire;
+
 use crate::frame::{PROTOCOL_V1_JSON, PROTOCOL_V2_BINARY};
 
-/// Frame and byte counters for one codec (one protocol version).
-#[derive(Debug, Default)]
-pub struct CodecStats {
-    frames_in: AtomicU64,
-    frames_out: AtomicU64,
-    bytes_in: AtomicU64,
-    bytes_out: AtomicU64,
+/// A stats snapshot walked counter by counter, in declaration order.
+pub trait Counters {
+    /// Call `visit(name, value)` for every counter under `path` (empty at
+    /// the top). Nested sets name their counters `json.frames_in`, lists
+    /// `loops.0.wakeups`.
+    fn visit(&self, path: &str, visit: &mut dyn FnMut(&str, u64));
+
+    /// Overwrite every counter, in the same order, with successive values
+    /// of `next` (a test fixture gives each counter a distinct value).
+    fn fill(&mut self, next: &mut dyn FnMut() -> u64);
+}
+
+impl Counters for u64 {
+    fn visit(&self, path: &str, visit: &mut dyn FnMut(&str, u64)) {
+        visit(path, *self);
+    }
+
+    fn fill(&mut self, next: &mut dyn FnMut() -> u64) {
+        *self = next();
+    }
+}
+
+impl Counters for u32 {
+    fn visit(&self, path: &str, visit: &mut dyn FnMut(&str, u64)) {
+        visit(path, u64::from(*self));
+    }
+
+    /// Keeps the low 32 bits of the next value.
+    fn fill(&mut self, next: &mut dyn FnMut() -> u64) {
+        *self = next() as u32;
+    }
+}
+
+impl<T: Counters> Counters for Vec<T> {
+    fn visit(&self, path: &str, visit: &mut dyn FnMut(&str, u64)) {
+        for (i, item) in self.iter().enumerate() {
+            item.visit(&join(path, &i.to_string()), visit);
+        }
+    }
+
+    fn fill(&mut self, next: &mut dyn FnMut() -> u64) {
+        for item in self {
+            item.fill(next);
+        }
+    }
+}
+
+/// The path of `name` inside `path`.
+fn join<'a>(path: &str, name: &'a str) -> Cow<'a, str> {
+    if path.is_empty() {
+        Cow::Borrowed(name)
+    } else {
+        Cow::Owned(format!("{path}.{name}"))
+    }
+}
+
+/// `name=value` for every counter of `set`, space-separated.
+fn write_counters(set: &dyn Counters, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    let mut out = Ok(());
+    let mut sep = "";
+    set.visit("", &mut |name, value| {
+        if out.is_ok() {
+            out = write!(f, "{sep}{name}={value}");
+            sep = " ";
+        }
+    });
+    out
+}
+
+/// The live side of one snapshot field: what `snapshot()` reads it with.
+trait Live {
+    type Snapshot;
+
+    fn read(&self) -> Self::Snapshot;
+}
+
+impl Live for AtomicU64 {
+    type Snapshot = u64;
+
+    fn read(&self) -> u64 {
+        self.load(Ordering::Relaxed)
+    }
+}
+
+impl Live for Mutex<Vec<Arc<LoopStats>>> {
+    type Snapshot = Vec<LoopStatsSnapshot>;
+
+    fn read(&self) -> Vec<LoopStatsSnapshot> {
+        self.lock().iter().map(|l| l.snapshot()).collect()
+    }
+}
+
+/// Declares one counter set: the snapshot struct as written, its
+/// [`Counters`] impl and `Display`, and, when a live struct is named
+/// first, that struct with a `snapshot()` reading every field. A field's
+/// live side is an `AtomicU64` unless `= Type` names another [`Live`].
+macro_rules! counters {
+    (
+        $(#[$live_meta:meta])*
+        $live_vis:vis struct $live:ident;
+        $(#[$meta:meta])*
+        pub struct $snap:ident {
+            $($(#[$field_meta:meta])* pub $field:ident: $ty:ty $(= $live_ty:ty)?,)*
+        }
+    ) => {
+        $(#[$live_meta])*
+        #[derive(Debug, Default)]
+        $live_vis struct $live {
+            $($field: counters!(@live $($live_ty)?),)*
+        }
+
+        impl $live {
+            /// Point-in-time copy of every counter.
+            $live_vis fn snapshot(&self) -> $snap {
+                $snap { $($field: Live::read(&self.$field),)* }
+            }
+        }
+
+        impl Live for $live {
+            type Snapshot = $snap;
+
+            fn read(&self) -> $snap {
+                self.snapshot()
+            }
+        }
+
+        counters! {
+            $(#[$meta])*
+            pub struct $snap { $($(#[$field_meta])* pub $field: $ty,)* }
+        }
+    };
+    (@live) => { AtomicU64 };
+    (@live $ty:ty) => { $ty };
+    (
+        $(#[$meta:meta])*
+        pub struct $snap:ident {
+            $($(#[$field_meta:meta])* pub $field:ident: $ty:ty,)*
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $snap { $($(#[$field_meta])* pub $field: $ty,)* }
+
+        impl Counters for $snap {
+            fn visit(&self, path: &str, visit: &mut dyn FnMut(&str, u64)) {
+                $(self.$field.visit(&join(path, stringify!($field)), visit);)*
+            }
+
+            fn fill(&mut self, next: &mut dyn FnMut() -> u64) {
+                $(self.$field.fill(next);)*
+            }
+        }
+
+        impl fmt::Display for $snap {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                write_counters(self, f)
+            }
+        }
+    };
+}
+
+counters! {
+    /// Frame and byte counters for one codec (one protocol version).
+    pub struct CodecStats;
+
+    /// Point-in-time copy of [`CodecStats`]: the traffic one codec carried.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize, Wire)]
+    pub struct CodecStatsSnapshot {
+        /// Frames read under this codec.
+        pub frames_in: u64,
+        /// Frames written under this codec.
+        pub frames_out: u64,
+        /// Bytes read under this codec (headers included).
+        pub bytes_in: u64,
+        /// Bytes written under this codec (headers included).
+        pub bytes_out: u64,
+    }
 }
 
 impl CodecStats {
@@ -26,29 +206,6 @@ impl CodecStats {
         self.frames_out.fetch_add(1, Ordering::Relaxed);
         self.bytes_out.fetch_add(bytes as u64, Ordering::Relaxed);
     }
-
-    /// Point-in-time copy of the codec's counters.
-    pub fn snapshot(&self) -> CodecStatsSnapshot {
-        CodecStatsSnapshot {
-            frames_in: self.frames_in.load(Ordering::Relaxed),
-            frames_out: self.frames_out.load(Ordering::Relaxed),
-            bytes_in: self.bytes_in.load(Ordering::Relaxed),
-            bytes_out: self.bytes_out.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Point-in-time copy of [`CodecStats`]: the traffic one codec carried.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct CodecStatsSnapshot {
-    /// Frames read under this codec.
-    pub frames_in: u64,
-    /// Frames written under this codec.
-    pub frames_out: u64,
-    /// Bytes read under this codec (headers included).
-    pub bytes_in: u64,
-    /// Bytes written under this codec (headers included).
-    pub bytes_out: u64,
 }
 
 impl CodecStatsSnapshot {
@@ -59,52 +216,84 @@ impl CodecStatsSnapshot {
     }
 }
 
-impl std::fmt::Display for CodecStatsSnapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "frames={}in/{}out bytes={}in/{}out",
-            self.frames_in, self.frames_out, self.bytes_in, self.bytes_out,
-        )
-    }
-}
+counters! {
+    /// Lock-free transport counters. The server keeps one aggregate instance
+    /// plus one per live connection; every record call updates both. Frame
+    /// and byte totals are additionally broken down per codec so the JSON
+    /// vs binary trade is measurable from `Response::Stats`, and the
+    /// aggregate carries the per-shard event-loop counters the event loop
+    /// registers when its shards spawn.
+    pub struct WireStats;
 
-/// Lock-free transport counters. The server keeps one aggregate instance
-/// plus one per live connection; every record call updates both. Frame
-/// and byte totals are additionally broken down per codec so the JSON
-/// vs binary trade is measurable from `Response::Stats`.
-#[derive(Debug, Default)]
-pub struct WireStats {
-    connections_opened: AtomicU64,
-    connections_closed: AtomicU64,
-    frames_in: AtomicU64,
-    frames_out: AtomicU64,
-    bytes_in: AtomicU64,
-    bytes_out: AtomicU64,
-    requests: AtomicU64,
-    deliveries: AtomicU64,
-    delivery_drops: AtomicU64,
-    errors: AtomicU64,
-    loop_wakeups: AtomicU64,
-    loop_read_events: AtomicU64,
-    loop_write_events: AtomicU64,
-    writes_coalesced: AtomicU64,
-    wal_bytes: AtomicU64,
-    wal_segments: AtomicU64,
-    wal_snapshots: AtomicU64,
-    recovered_clicks: AtomicU64,
-    wal_truncated_bytes: AtomicU64,
-    autosub_users: AtomicU64,
-    autosub_active: AtomicU64,
-    autosub_derived: AtomicU64,
-    autosub_retired: AtomicU64,
-    autosub_last_refresh_us: AtomicU64,
-    matcher_swaps: AtomicU64,
-    json: CodecStats,
-    binary: CodecStats,
-    /// Per-shard event-loop counters, registered by the event loop when
-    /// its shards spawn. Empty on per-connection / per-link instances.
-    loops: Mutex<Vec<Arc<LoopStats>>>,
+    /// Point-in-time copy of [`WireStats`], also used inside
+    /// [`crate::protocol::Response::Stats`]. (Not `Copy` since the per-shard
+    /// breakdown joined: `loops` owns a heap allocation.)
+    #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize, Wire)]
+    pub struct WireStatsSnapshot {
+        /// Connections accepted since the server started.
+        pub connections_opened: u64,
+        /// Connections that have finished.
+        pub connections_closed: u64,
+        /// Frames read off sockets.
+        pub frames_in: u64,
+        /// Frames written to sockets.
+        pub frames_out: u64,
+        /// Total bytes read (headers included).
+        pub bytes_in: u64,
+        /// Total bytes written (headers included).
+        pub bytes_out: u64,
+        /// Requests handled.
+        pub requests: u64,
+        /// Deliveries pushed.
+        pub deliveries: u64,
+        /// Deliveries lost on the wire path (socket write failures/timeouts
+        /// and full peer-link queues).
+        pub delivery_drops: u64,
+        /// Errors returned or suffered.
+        pub errors: u64,
+        /// Event-loop wakeups.
+        pub loop_wakeups: u64,
+        /// Read-readiness events the event loop handled.
+        pub loop_read_events: u64,
+        /// Write-readiness events the event loop handled.
+        pub loop_write_events: u64,
+        /// Socket flushes that carried more than one frame (delivery
+        /// coalescing).
+        pub writes_coalesced: u64,
+        /// Bytes currently held across the click store's live WAL segments
+        /// (zero without `--data-dir`).
+        pub wal_bytes: u64,
+        /// Live WAL segment files of the click store.
+        pub wal_segments: u64,
+        /// Click-store snapshots written since the daemon started.
+        pub wal_snapshots: u64,
+        /// Clicks recovered from disk when the daemon started.
+        pub recovered_clicks: u64,
+        /// Bytes discarded at startup as a torn or corrupt WAL tail.
+        pub wal_truncated_bytes: u64,
+        /// Users currently enrolled in automatic subscriptions.
+        pub autosub_users: u64,
+        /// Derived filters currently installed as broker subscriptions.
+        pub autosub_active: u64,
+        /// Filters the auto-subscription engine installed since start.
+        pub autosub_derived: u64,
+        /// Filters the auto-subscription engine retired since start.
+        pub autosub_retired: u64,
+        /// Duration of the engine's last refresh pass that re-derived an
+        /// enrolment, in microseconds.
+        pub autosub_last_refresh_us: u64,
+        /// Matcher snapshots the broker published (one per subscribe,
+        /// unsubscribe, deregistration of a subscriber with subscriptions, or
+        /// notifier change; the read-mostly index's swap-on-write counter).
+        pub matcher_swaps: u64,
+        /// The subset of frame/byte traffic carried by the v1 JSON codec.
+        pub json: CodecStatsSnapshot = CodecStats,
+        /// The subset of frame/byte traffic carried by the v2 binary codec.
+        pub binary: CodecStatsSnapshot = CodecStats,
+        /// Per-shard event-loop counters (empty on per-connection
+        /// snapshots).
+        pub loops: Vec<LoopStatsSnapshot> = Mutex<Vec<Arc<LoopStats>>>,
+    }
 }
 
 impl WireStats {
@@ -231,61 +420,39 @@ impl WireStats {
     pub(crate) fn register_loop(&self, stats: Arc<LoopStats>) {
         self.loops.lock().push(stats);
     }
-
-    /// Point-in-time copy of all counters.
-    pub fn snapshot(&self) -> WireStatsSnapshot {
-        WireStatsSnapshot {
-            connections_opened: self.connections_opened.load(Ordering::Relaxed),
-            connections_closed: self.connections_closed.load(Ordering::Relaxed),
-            frames_in: self.frames_in.load(Ordering::Relaxed),
-            frames_out: self.frames_out.load(Ordering::Relaxed),
-            bytes_in: self.bytes_in.load(Ordering::Relaxed),
-            bytes_out: self.bytes_out.load(Ordering::Relaxed),
-            requests: self.requests.load(Ordering::Relaxed),
-            deliveries: self.deliveries.load(Ordering::Relaxed),
-            delivery_drops: self.delivery_drops.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            loop_wakeups: self.loop_wakeups.load(Ordering::Relaxed),
-            loop_read_events: self.loop_read_events.load(Ordering::Relaxed),
-            loop_write_events: self.loop_write_events.load(Ordering::Relaxed),
-            writes_coalesced: self.writes_coalesced.load(Ordering::Relaxed),
-            wal_bytes: self.wal_bytes.load(Ordering::Relaxed),
-            wal_segments: self.wal_segments.load(Ordering::Relaxed),
-            wal_snapshots: self.wal_snapshots.load(Ordering::Relaxed),
-            recovered_clicks: self.recovered_clicks.load(Ordering::Relaxed),
-            wal_truncated_bytes: self.wal_truncated_bytes.load(Ordering::Relaxed),
-            autosub_users: self.autosub_users.load(Ordering::Relaxed),
-            autosub_active: self.autosub_active.load(Ordering::Relaxed),
-            autosub_derived: self.autosub_derived.load(Ordering::Relaxed),
-            autosub_retired: self.autosub_retired.load(Ordering::Relaxed),
-            autosub_last_refresh_us: self.autosub_last_refresh_us.load(Ordering::Relaxed),
-            matcher_swaps: self.matcher_swaps.load(Ordering::Relaxed),
-            json: self.json.snapshot(),
-            binary: self.binary.snapshot(),
-            loops: self.loops.lock().iter().map(|l| l.snapshot()).collect(),
-        }
-    }
 }
 
-/// Counters one event-loop shard owns: its wakeups, readiness events,
-/// coalesced writes, and a live-connection gauge. The shard records into
-/// these *and* the server aggregate, so totals stay comparable with the
-/// single-loop numbers of older builds.
-#[derive(Debug, Default)]
-pub(crate) struct LoopStats {
-    loop_id: u64,
-    wakeups: AtomicU64,
-    read_events: AtomicU64,
-    write_events: AtomicU64,
-    writes_coalesced: AtomicU64,
-    connections: AtomicU64,
+counters! {
+    /// Counters one event-loop shard owns: its wakeups, readiness events,
+    /// coalesced writes, and a live-connection gauge. The shard records into
+    /// these *and* the server aggregate, so totals stay comparable with the
+    /// single-loop numbers of older builds.
+    pub(crate) struct LoopStats;
+
+    /// Point-in-time copy of one event-loop shard's counters
+    /// ([`WireStatsSnapshot::loops`]).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize, Wire)]
+    pub struct LoopStatsSnapshot {
+        /// Which shard (0-based; federation peer links are pinned to 0).
+        pub loop_id: u64,
+        /// `epoll_wait` returns that reported readiness on this shard.
+        pub wakeups: u64,
+        /// Read-readiness events this shard handled.
+        pub read_events: u64,
+        /// Write-readiness events this shard handled.
+        pub write_events: u64,
+        /// Socket flushes on this shard that carried more than one frame.
+        pub writes_coalesced: u64,
+        /// Connections currently owned by this shard.
+        pub connections: u64,
+    }
 }
 
 impl LoopStats {
     /// A zeroed counter set for shard `loop_id`.
     pub(crate) fn new(loop_id: u64) -> Self {
         LoopStats {
-            loop_id,
+            loop_id: AtomicU64::new(loop_id),
             ..Default::default()
         }
     }
@@ -319,35 +486,6 @@ impl LoopStats {
     pub(crate) fn conn_removed(&self) {
         self.connections.fetch_sub(1, Ordering::Relaxed);
     }
-
-    fn snapshot(&self) -> LoopStatsSnapshot {
-        LoopStatsSnapshot {
-            loop_id: self.loop_id,
-            wakeups: self.wakeups.load(Ordering::Relaxed),
-            read_events: self.read_events.load(Ordering::Relaxed),
-            write_events: self.write_events.load(Ordering::Relaxed),
-            writes_coalesced: self.writes_coalesced.load(Ordering::Relaxed),
-            connections: self.connections.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Point-in-time copy of one event-loop shard's counters
-/// ([`WireStatsSnapshot::loops`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct LoopStatsSnapshot {
-    /// Which shard (0-based; federation peer links are pinned to 0).
-    pub loop_id: u64,
-    /// `epoll_wait` returns that reported readiness on this shard.
-    pub wakeups: u64,
-    /// Read-readiness events this shard handled.
-    pub read_events: u64,
-    /// Write-readiness events this shard handled.
-    pub write_events: u64,
-    /// Socket flushes on this shard that carried more than one frame.
-    pub writes_coalesced: u64,
-    /// Connections currently owned by this shard.
-    pub connections: u64,
 }
 
 /// Gauge values published by the auto-subscription engine after each
@@ -365,134 +503,6 @@ pub struct AutosubGauges {
     /// Wall-clock duration of the last refresh pass that re-derived an
     /// enrolment, in microseconds.
     pub last_refresh_us: u64,
-}
-
-/// Point-in-time copy of [`WireStats`], also used inside
-/// [`crate::protocol::Response::Stats`]. (Not `Copy` since the per-shard
-/// breakdown joined: `loops` owns a heap allocation.)
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct WireStatsSnapshot {
-    /// Connections accepted since the server started.
-    pub connections_opened: u64,
-    /// Connections that have finished.
-    pub connections_closed: u64,
-    /// Frames read off sockets.
-    pub frames_in: u64,
-    /// Frames written to sockets.
-    pub frames_out: u64,
-    /// Total bytes read (headers included).
-    pub bytes_in: u64,
-    /// Total bytes written (headers included).
-    pub bytes_out: u64,
-    /// Requests handled.
-    pub requests: u64,
-    /// Deliveries pushed.
-    pub deliveries: u64,
-    /// Deliveries lost on the wire path (socket write failures/timeouts
-    /// and full peer-link queues).
-    pub delivery_drops: u64,
-    /// Errors returned or suffered.
-    pub errors: u64,
-    /// Event-loop wakeups.
-    pub loop_wakeups: u64,
-    /// Read-readiness events the event loop handled.
-    pub loop_read_events: u64,
-    /// Write-readiness events the event loop handled.
-    pub loop_write_events: u64,
-    /// Socket flushes that carried more than one frame (delivery
-    /// coalescing).
-    pub writes_coalesced: u64,
-    /// Bytes currently held across the click store's live WAL segments
-    /// (zero without `--data-dir`).
-    pub wal_bytes: u64,
-    /// Live WAL segment files of the click store.
-    pub wal_segments: u64,
-    /// Click-store snapshots written since the daemon started.
-    pub wal_snapshots: u64,
-    /// Clicks recovered from disk when the daemon started.
-    pub recovered_clicks: u64,
-    /// Bytes discarded at startup as a torn or corrupt WAL tail.
-    pub wal_truncated_bytes: u64,
-    /// Users currently enrolled in automatic subscriptions.
-    pub autosub_users: u64,
-    /// Derived filters currently installed as broker subscriptions.
-    pub autosub_active: u64,
-    /// Filters the auto-subscription engine installed since start.
-    pub autosub_derived: u64,
-    /// Filters the auto-subscription engine retired since start.
-    pub autosub_retired: u64,
-    /// Duration of the engine's last refresh pass that re-derived an
-    /// enrolment, in microseconds.
-    pub autosub_last_refresh_us: u64,
-    /// Matcher snapshots the broker published (one per subscribe,
-    /// unsubscribe, deregistration of a subscriber with subscriptions, or
-    /// notifier change; the read-mostly index's swap-on-write counter).
-    pub matcher_swaps: u64,
-    /// The subset of frame/byte traffic carried by the v1 JSON codec.
-    pub json: CodecStatsSnapshot,
-    /// The subset of frame/byte traffic carried by the v2 binary codec.
-    pub binary: CodecStatsSnapshot,
-    /// Per-shard event-loop counters (empty on per-connection
-    /// snapshots).
-    pub loops: Vec<LoopStatsSnapshot>,
-}
-
-impl std::fmt::Display for WireStatsSnapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "conns={}/{} frames={}in/{}out bytes={}in/{}out (json {}in/{}out, binary {}in/{}out) requests={} deliveries={} drops={} errors={} loop={}wake/{}r/{}w/{}coal matcher_swaps={} wal={}B/{}seg/{}snap recovered={}clicks/{}torn-B autosub={}users/{}active/{}+/{}-/{}us",
-            self.connections_opened,
-            self.connections_closed,
-            self.frames_in,
-            self.frames_out,
-            self.bytes_in,
-            self.bytes_out,
-            self.json.bytes_in,
-            self.json.bytes_out,
-            self.binary.bytes_in,
-            self.binary.bytes_out,
-            self.requests,
-            self.deliveries,
-            self.delivery_drops,
-            self.errors,
-            self.loop_wakeups,
-            self.loop_read_events,
-            self.loop_write_events,
-            self.writes_coalesced,
-            self.matcher_swaps,
-            self.wal_bytes,
-            self.wal_segments,
-            self.wal_snapshots,
-            self.recovered_clicks,
-            self.wal_truncated_bytes,
-            self.autosub_users,
-            self.autosub_active,
-            self.autosub_derived,
-            self.autosub_retired,
-            self.autosub_last_refresh_us,
-        )?;
-        if !self.loops.is_empty() {
-            f.write_str(" shards=[")?;
-            for (i, shard) in self.loops.iter().enumerate() {
-                if i > 0 {
-                    f.write_str(" ")?;
-                }
-                write!(
-                    f,
-                    "{}:{}conns/{}wake/{}r/{}w/{}coal",
-                    shard.loop_id,
-                    shard.connections,
-                    shard.wakeups,
-                    shard.read_events,
-                    shard.write_events,
-                    shard.writes_coalesced,
-                )?;
-            }
-            f.write_str("]")?;
-        }
-        Ok(())
-    }
 }
 
 /// Per-connection stats snapshot, labelled with who the connection is.
@@ -514,65 +524,45 @@ pub struct ConnectionStatsSnapshot {
     pub wire: WireStatsSnapshot,
 }
 
-/// Point-in-time view of a broker's federation state: peer links and the
-/// sans-io routing core's table sizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct FederationStatsSnapshot {
-    /// This broker's federation-wide id (namespaces its subscription ids).
-    pub broker_id: u32,
-    /// Live peer links.
-    pub peers: u64,
-    /// Routing-table entries in the sans-io core (local wire
-    /// subscriptions plus covering-pruned peer advertisements).
-    pub routing_entries: u64,
-    /// Advertisements currently held toward peers.
-    pub advertisements: u64,
-    /// Subscription advertisements sent to peers.
-    pub subs_forwarded: u64,
-    /// Local subscriptions whose filter the broker's index already held,
-    /// so they joined its slot and its advertisement instead of being
-    /// forwarded again.
-    pub subs_aggregated: u64,
-    /// Events forwarded to peers.
-    pub events_forwarded: u64,
-    /// Events received from peers.
-    pub events_received: u64,
-    /// Events lost because a peer link's bounded queue was full.
-    pub events_dropped: u64,
-    /// Failover routes held beyond each subscription's fast path
-    /// (mesh routing; 0 on tree federations).
-    pub mesh_alternates: u64,
-    /// Times a dead fast path was replaced by a surviving alternate
-    /// (mesh routing; 0 on tree federations).
-    pub mesh_reroutes: u64,
-    /// Duplicate event copies dropped by the mesh seen-cache
-    /// (mesh routing; 0 on tree federations).
-    pub mesh_duplicates_suppressed: u64,
-    /// Peer-link frame/byte traffic carried by the v1 JSON codec.
-    pub json: CodecStatsSnapshot,
-    /// Peer-link frame/byte traffic carried by the v2 binary codec.
-    pub binary: CodecStatsSnapshot,
-}
-
-impl std::fmt::Display for FederationStatsSnapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "peers={} routing={} ads={} subs_fwd={} subs_agg={} events={}out/{}in drops={} alts={} reroutes={} dups={} json[{}] binary[{}]",
-            self.peers,
-            self.routing_entries,
-            self.advertisements,
-            self.subs_forwarded,
-            self.subs_aggregated,
-            self.events_forwarded,
-            self.events_received,
-            self.events_dropped,
-            self.mesh_alternates,
-            self.mesh_reroutes,
-            self.mesh_duplicates_suppressed,
-            self.json,
-            self.binary,
-        )
+counters! {
+    /// Point-in-time view of a broker's federation state: peer links and the
+    /// sans-io routing core's table sizes.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize, Wire)]
+    pub struct FederationStatsSnapshot {
+        /// This broker's federation-wide id (namespaces its subscription ids).
+        pub broker_id: u32,
+        /// Live peer links.
+        pub peers: u64,
+        /// Routing-table entries in the sans-io core (local wire
+        /// subscriptions plus covering-pruned peer advertisements).
+        pub routing_entries: u64,
+        /// Advertisements currently held toward peers.
+        pub advertisements: u64,
+        /// Subscription advertisements sent to peers.
+        pub subs_forwarded: u64,
+        /// Local subscriptions whose filter the broker's index already held,
+        /// so they joined its slot and its advertisement instead of being
+        /// forwarded again.
+        pub subs_aggregated: u64,
+        /// Events forwarded to peers.
+        pub events_forwarded: u64,
+        /// Events received from peers.
+        pub events_received: u64,
+        /// Events lost because a peer link's bounded queue was full.
+        pub events_dropped: u64,
+        /// Failover routes held beyond each subscription's fast path
+        /// (mesh routing; 0 on tree federations).
+        pub mesh_alternates: u64,
+        /// Times a dead fast path was replaced by a surviving alternate
+        /// (mesh routing; 0 on tree federations).
+        pub mesh_reroutes: u64,
+        /// Duplicate event copies dropped by the mesh seen-cache
+        /// (mesh routing; 0 on tree federations).
+        pub mesh_duplicates_suppressed: u64,
+        /// Peer-link frame/byte traffic carried by the v1 JSON codec.
+        pub json: CodecStatsSnapshot,
+        /// Peer-link frame/byte traffic carried by the v2 binary codec.
+        pub binary: CodecStatsSnapshot,
     }
 }
 

@@ -22,9 +22,9 @@ use reef_pubsub::{
 use reef_simweb::UserId;
 use reef_wire::codec::BinaryCodec;
 use reef_wire::{
-    AutoSubEntry, AutoSubPolicy, AutoSubReceipt, ClientFrame, CodecKind, CodecStatsSnapshot,
-    Deliver, FederationStatsSnapshot, FeedChange, Frame, LoopStatsSnapshot, Request, Response,
-    ServerFrame, WireCodec, WireStatsSnapshot,
+    AutoSubEntry, AutoSubPolicy, AutoSubReceipt, ClientFrame, CodecKind, Counters, Deliver,
+    FederationStatsSnapshot, FeedChange, Frame, LoopStatsSnapshot, Request, Response, ServerFrame,
+    WireCodec, WireStatsSnapshot,
 };
 
 /// A fresh scratch directory unique to this process and call.
@@ -229,89 +229,13 @@ fn sample_stats() -> Response {
         subscribes: next(),
         unsubscribes: next(),
     };
-    let wire = WireStatsSnapshot {
-        connections_opened: next(),
-        connections_closed: next(),
-        frames_in: next(),
-        frames_out: next(),
-        bytes_in: next(),
-        bytes_out: next(),
-        requests: next(),
-        deliveries: next(),
-        delivery_drops: next(),
-        errors: next(),
-        loop_wakeups: next(),
-        loop_read_events: next(),
-        loop_write_events: next(),
-        writes_coalesced: next(),
-        wal_bytes: next(),
-        wal_segments: next(),
-        wal_snapshots: next(),
-        recovered_clicks: next(),
-        wal_truncated_bytes: next(),
-        autosub_users: next(),
-        autosub_active: next(),
-        autosub_derived: next(),
-        autosub_retired: next(),
-        autosub_last_refresh_us: next(),
-        matcher_swaps: next(),
-        json: CodecStatsSnapshot {
-            frames_in: next(),
-            frames_out: next(),
-            bytes_in: next(),
-            bytes_out: next(),
-        },
-        binary: CodecStatsSnapshot {
-            frames_in: next(),
-            frames_out: next(),
-            bytes_in: next(),
-            bytes_out: next(),
-        },
-        loops: vec![
-            LoopStatsSnapshot {
-                loop_id: next(),
-                wakeups: next(),
-                read_events: next(),
-                write_events: next(),
-                writes_coalesced: next(),
-                connections: next(),
-            },
-            LoopStatsSnapshot {
-                loop_id: next(),
-                wakeups: next(),
-                read_events: next(),
-                write_events: next(),
-                writes_coalesced: next(),
-                connections: next(),
-            },
-        ],
+    let mut wire = WireStatsSnapshot {
+        loops: vec![LoopStatsSnapshot::default(); 2],
+        ..Default::default()
     };
-    let federation = FederationStatsSnapshot {
-        broker_id: next() as u32,
-        peers: next(),
-        routing_entries: next(),
-        advertisements: next(),
-        subs_forwarded: next(),
-        subs_aggregated: next(),
-        events_forwarded: next(),
-        events_received: next(),
-        events_dropped: next(),
-        mesh_alternates: next(),
-        mesh_reroutes: next(),
-        mesh_duplicates_suppressed: next(),
-        json: CodecStatsSnapshot {
-            frames_in: next(),
-            frames_out: next(),
-            bytes_in: next(),
-            bytes_out: next(),
-        },
-        binary: CodecStatsSnapshot {
-            frames_in: next(),
-            frames_out: next(),
-            bytes_in: next(),
-            bytes_out: next(),
-        },
-    };
+    wire.fill(&mut next);
+    let mut federation = FederationStatsSnapshot::default();
+    federation.fill(&mut next);
     Response::Stats {
         broker,
         wire,
@@ -480,29 +404,22 @@ pub fn codec_payloads() -> Vec<Vec<u8>> {
     payloads
 }
 
-/// Payload seeds for the v2 click-upload target: compressed and
-/// uncompressed encodings of the sample batches.
+/// Payload seeds for the v2 click-upload target: the compressed
+/// encoding of each sample batch.
 pub fn click_upload_payloads() -> Vec<Vec<u8>> {
-    let mut payloads = Vec::new();
-    for batch in sample_click_batches() {
-        let cf = ClientFrame {
-            corr: 1,
-            request: Request::UploadClicks { batch },
-        };
-        payloads.push(
+    sample_click_batches()
+        .into_iter()
+        .map(|batch| {
+            let cf = ClientFrame {
+                corr: 1,
+                request: Request::UploadClicks { batch },
+            };
             BinaryCodec
                 .encode_client(&cf)
-                .expect("encode compressed")
-                .payload,
-        );
-        payloads.push(
-            BinaryCodec
-                .encode_client_uncompressed(&cf)
-                .expect("encode uncompressed")
-                .payload,
-        );
-    }
-    payloads
+                .expect("encode upload")
+                .payload
+        })
+        .collect()
 }
 
 /// Byte-stream seeds for the frame-decoder target: concatenations of

@@ -302,9 +302,9 @@ mod codec_equivalence {
         BrokerStatsSnapshot, EventId, GlobalSubId, Op, PeerMsg, Predicate, SubscriptionId,
     };
     use reef::wire::{
-        AutoSubEntry, AutoSubPolicy, AutoSubReceipt, ClientFrame, CodecKind, CodecStatsSnapshot,
-        Deliver, FederationStatsSnapshot, FeedChange, LoopStatsSnapshot, Request, Response,
-        ServerFrame, WireStatsSnapshot,
+        AutoSubEntry, AutoSubPolicy, AutoSubReceipt, ClientFrame, CodecKind, Counters, Deliver,
+        FederationStatsSnapshot, FeedChange, LoopStatsSnapshot, Request, Response, ServerFrame,
+        WireStatsSnapshot,
     };
 
     const BOTH: [CodecKind; 2] = [CodecKind::Json, CodecKind::Binary];
@@ -448,21 +448,12 @@ mod codec_equivalence {
         ]
     }
 
-    /// Derive full stats snapshots from two seeds: every field gets a
+    /// Derive full stats snapshots from one seed: every field gets a
     /// distinct mixed value, which exercises all varint widths without a
     /// 20-arity tuple strategy.
     fn mixed(seed: u64, lane: u64) -> u64 {
         seed.wrapping_mul(0x9e3779b97f4a7c15)
             .wrapping_add(lane.wrapping_mul(0xd1342543de82ef95))
-    }
-
-    fn codec_stats(seed: u64, lane: u64) -> CodecStatsSnapshot {
-        CodecStatsSnapshot {
-            frames_in: mixed(seed, lane),
-            frames_out: mixed(seed, lane + 1),
-            bytes_in: mixed(seed, lane + 2),
-            bytes_out: mixed(seed, lane + 3),
-        }
     }
 
     fn arb_response() -> impl Strategy<Value = Response> {
@@ -496,69 +487,32 @@ mod codec_equivalence {
                     },
                 }
             }),
-            (any::<u64>(), any::<u32>()).prop_map(|(seed, broker_id)| Response::Stats {
-                broker: BrokerStatsSnapshot {
-                    events_published: mixed(seed, 0),
-                    deliveries: mixed(seed, 1),
-                    drops: mixed(seed, 2),
-                    subscribes: mixed(seed, 3),
-                    unsubscribes: mixed(seed, 4),
-                },
-                wire: WireStatsSnapshot {
-                    connections_opened: mixed(seed, 5),
-                    connections_closed: mixed(seed, 6),
-                    frames_in: mixed(seed, 7),
-                    frames_out: mixed(seed, 8),
-                    bytes_in: mixed(seed, 9),
-                    bytes_out: mixed(seed, 10),
-                    requests: mixed(seed, 11),
-                    deliveries: mixed(seed, 12),
-                    delivery_drops: mixed(seed, 13),
-                    errors: mixed(seed, 14),
-                    loop_wakeups: mixed(seed, 39),
-                    loop_read_events: mixed(seed, 40),
-                    loop_write_events: mixed(seed, 41),
-                    writes_coalesced: mixed(seed, 42),
-                    wal_bytes: mixed(seed, 43),
-                    wal_segments: mixed(seed, 44),
-                    wal_snapshots: mixed(seed, 45),
-                    recovered_clicks: mixed(seed, 46),
-                    wal_truncated_bytes: mixed(seed, 47),
-                    autosub_users: mixed(seed, 48),
-                    autosub_active: mixed(seed, 49),
-                    autosub_derived: mixed(seed, 50),
-                    autosub_retired: mixed(seed, 51),
-                    autosub_last_refresh_us: mixed(seed, 52),
-                    matcher_swaps: mixed(seed, 56),
-                    json: codec_stats(seed, 15),
-                    binary: codec_stats(seed, 19),
-                    loops: (0..(seed % 3))
-                        .map(|i| LoopStatsSnapshot {
-                            loop_id: i,
-                            wakeups: mixed(seed, 57 + i),
-                            read_events: mixed(seed, 60 + i),
-                            write_events: mixed(seed, 63 + i),
-                            writes_coalesced: mixed(seed, 66 + i),
-                            connections: mixed(seed, 69 + i),
-                        })
-                        .collect(),
-                },
-                federation: FederationStatsSnapshot {
-                    broker_id,
-                    peers: mixed(seed, 23),
-                    routing_entries: mixed(seed, 24),
-                    advertisements: mixed(seed, 25),
-                    subs_forwarded: mixed(seed, 26),
-                    subs_aggregated: mixed(seed, 27),
-                    events_forwarded: mixed(seed, 28),
-                    events_received: mixed(seed, 29),
-                    events_dropped: mixed(seed, 30),
-                    mesh_alternates: mixed(seed, 53),
-                    mesh_reroutes: mixed(seed, 54),
-                    mesh_duplicates_suppressed: mixed(seed, 55),
-                    json: codec_stats(seed, 31),
-                    binary: codec_stats(seed, 35),
-                },
+            (any::<u64>(), any::<u32>()).prop_map(|(seed, broker_id)| {
+                let mut lane = 0;
+                let mut next = || {
+                    lane += 1;
+                    mixed(seed, lane)
+                };
+                let broker = BrokerStatsSnapshot {
+                    events_published: next(),
+                    deliveries: next(),
+                    drops: next(),
+                    subscribes: next(),
+                    unsubscribes: next(),
+                };
+                let mut wire = WireStatsSnapshot {
+                    loops: vec![LoopStatsSnapshot::default(); (seed % 3) as usize],
+                    ..Default::default()
+                };
+                wire.fill(&mut next);
+                let mut federation = FederationStatsSnapshot::default();
+                federation.fill(&mut next);
+                federation.broker_id = broker_id;
+                Response::Stats {
+                    broker,
+                    wire,
+                    federation,
+                }
             }),
             arb_receipt().prop_map(|receipt| Response::AutoSubscribed { receipt }),
             arb_receipt().prop_map(|receipt| Response::AutoUnsubscribed { receipt }),
