@@ -556,7 +556,9 @@ impl Broker {
         let notifier = &snap.notifier;
         let mut delivered = 0usize;
         let mut dropped = 0usize;
-        let mut touched: HashSet<SubscriberId> = HashSet::new();
+        // Each subscriber that received something, listed once for the
+        // notifier: pushed per delivery, sorted and deduplicated once.
+        let mut touched: Vec<SubscriberId> = Vec::new();
         // One subscriber may hold several matching subscriptions; deliver
         // one copy per matching *subscription*, as real brokers do (the
         // frontend can dedup if it wants to).
@@ -572,7 +574,7 @@ impl Broker {
                     if self.overflow == OverflowPolicy::Error {
                         self.stats.record_delivery(delivered as u64);
                         self.stats.record_drop(dropped as u64);
-                        Self::notify_all(notifier, &touched);
+                        Self::notify_all(notifier, touched);
                         return Err(BrokerError::QueueFull {
                             subscriber: *owner,
                             capacity: self.queue_capacity.unwrap_or(0),
@@ -587,12 +589,12 @@ impl Broker {
                 }
             }
             if notifier.is_some() {
-                touched.insert(*owner);
+                touched.push(*owner);
             }
         }
         self.stats.record_delivery(delivered as u64);
         self.stats.record_drop(dropped as u64);
-        Self::notify_all(notifier, &touched);
+        Self::notify_all(notifier, touched);
         Ok(PublishOutcome {
             id,
             published_at,
@@ -604,11 +606,12 @@ impl Broker {
     /// Fire the delivery notifier once for the whole publish, listing
     /// each subscriber that received something at most once. Batched so a
     /// shard-aware notifier can coalesce the wakeups per event loop.
-    fn notify_all(notifier: &Option<Arc<dyn DeliveryNotifier>>, touched: &HashSet<SubscriberId>) {
+    fn notify_all(notifier: &Option<Arc<dyn DeliveryNotifier>>, mut touched: Vec<SubscriberId>) {
         if let Some(notifier) = notifier {
             if !touched.is_empty() {
-                let subscribers: Vec<SubscriberId> = touched.iter().copied().collect();
-                notifier.notify_batch(&subscribers);
+                touched.sort_unstable();
+                touched.dedup();
+                notifier.notify_batch(&touched);
             }
         }
     }
@@ -681,17 +684,12 @@ impl Broker {
     /// overflow policy. Called without the broker lock held: under
     /// [`OverflowPolicy::Block`] this may sleep up to the block timeout.
     fn offer(&self, queue: &QueueHandle, event: Arc<PublishedEvent>) -> Offer {
-        // Clone the endpoints out of a momentary read lock rather than
-        // holding it across the send: a Block-policy offer may sleep,
-        // and deregister (which empties the slot under its write lock)
-        // must never wait on an offer in flight.
-        let Some((sender, evictor)) = queue
-            .slot
-            .endpoints
-            .read()
-            .as_ref()
-            .map(|e| (e.sender.clone(), e.evictor.clone()))
-        else {
+        // Send under the slot's read guard: deregister empties the slot
+        // under its write lock, so it waits at most for a non-blocking
+        // send. The one offer that may sleep (Block) clones the sender
+        // and lets the guard go first, so deregister never waits on it.
+        let endpoints = queue.slot.endpoints.read();
+        let Some(QueueEndpoints { sender, evictor }) = endpoints.as_ref() else {
             return Offer::DroppedGone;
         };
         match sender.try_send(event) {
@@ -706,11 +704,15 @@ impl Broker {
                         Err(_) => Offer::DroppedFull,
                     }
                 }
-                OverflowPolicy::Block => match sender.send_timeout(event, self.block_timeout) {
-                    Ok(()) => Offer::Delivered,
-                    Err(channel::SendTimeoutError::Timeout(_)) => Offer::DroppedFull,
-                    Err(channel::SendTimeoutError::Disconnected(_)) => Offer::DroppedGone,
-                },
+                OverflowPolicy::Block => {
+                    let sender = sender.clone();
+                    drop(endpoints);
+                    match sender.send_timeout(event, self.block_timeout) {
+                        Ok(()) => Offer::Delivered,
+                        Err(channel::SendTimeoutError::Timeout(_)) => Offer::DroppedFull,
+                        Err(channel::SendTimeoutError::Disconnected(_)) => Offer::DroppedGone,
+                    }
+                }
             },
             Err(TrySendError::Disconnected(_)) => Offer::DroppedGone,
         }

@@ -23,7 +23,19 @@
 //!
 //! The broker reaches the shards through [`ShardSet`], the shard-aware
 //! delivery notifier: a publish's fan-out is grouped by target shard and
-//! costs **one wake per shard**, not one per subscriber.
+//! costs **at most one wake per shard**, not one per subscriber. A shard
+//! never wakes itself: a publish its own loop thread runs (a client's
+//! `Publish` read on that shard, or a forwarded event on shard 0) only
+//! adds its subscribers to the shard's dirty set, and the loop drains
+//! that set as the last step of every pass, before it parks. Only
+//! publishes from other threads — another shard, the auto-subscription
+//! runtime, embedding code — write the eventfd, once per publish and
+//! shard. The wire counter `loop_wakeups` therefore reads about one per
+//! publish on a one-shard daemon, not two.
+//!
+//! The shard's tables are keyed by ids this process mints sequentially
+//! (connection tokens, subscriber ids), so their lookups, several per
+//! delivery, hash with `IdHasher` (one multiply) instead of SipHash.
 //!
 //! # Outbound buffers and backpressure
 //!
@@ -67,7 +79,9 @@ use parking_lot::Mutex;
 use reef_pubsub::{
     DeliveryNotifier, NodeId, PeerMsg, SubscriberHandle, SubscriberId, SubscriptionId,
 };
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
@@ -99,6 +113,43 @@ const OUTBUF_HIGH_WATER: usize = 64 * 1024;
 /// write-timeout sweeps stay prompt even on an idle daemon.
 const LOOP_PARK_MS: i32 = 50;
 
+/// Hasher for ids this process mints sequentially — connection tokens
+/// and subscriber ids. Nobody outside the daemon picks them, so there is
+/// no collision flood to resist, and a Fibonacci multiply spreads
+/// consecutive ids over both the low bits (the bucket) and the high bits
+/// (the table's tag byte) at a fraction of SipHash's cost.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for byte in bytes {
+            self.write_u64(u64::from(*byte));
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = (self.0 ^ id).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+/// A map keyed by a sequential id, hashed by [`IdHasher`].
+type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// A set of sequential ids, hashed by [`IdHasher`].
+type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
+
+thread_local! {
+    /// The shard whose loop runs on this thread (its [`LoopShared`]'s
+    /// address), 0 on every other thread: how a notifier tells a publish
+    /// run by the shard itself from one that must wake it.
+    static CURRENT_SHARD: Cell<usize> = const { Cell::new(0) };
+}
+
 /// A peer connection in flight between shards: a client socket that sent
 /// `PeerHello` on a non-zero shard moves to shard 0 with every byte of
 /// in-progress state, so the peer stream is never reordered.
@@ -122,8 +173,9 @@ pub(crate) struct LoopShared {
     /// clears it right after draining the eventfd.
     wake_pending: AtomicBool,
     /// Subscribers on this shard whose broker queues received deliveries
-    /// since the shard last drained them.
-    dirty: Mutex<HashSet<SubscriberId>>,
+    /// since the shard last drained them, each listed once however many
+    /// publishes reach it before the drain.
+    dirty: Mutex<IdSet<SubscriberId>>,
     /// Accepted client sockets handed over by the accept loop.
     handoff: Mutex<Vec<(TcpStream, SocketAddr)>>,
     /// Dialed peer sockets waiting to be registered (shard 0 only).
@@ -139,6 +191,16 @@ impl LoopShared {
     fn wake_once(&self) {
         if !self.wake_pending.swap(true, Ordering::SeqCst) {
             self.wakeup.wake();
+        }
+    }
+
+    /// Add `subscribers` to the dirty set and wake the shard — unless
+    /// this is the shard's own loop thread, which drains the set before
+    /// it next parks.
+    fn mark_dirty(&self, subscribers: impl IntoIterator<Item = SubscriberId>) {
+        self.dirty.lock().extend(subscribers);
+        if CURRENT_SHARD.get() != self as *const LoopShared as usize {
+            self.wake_once();
         }
     }
 }
@@ -164,7 +226,7 @@ pub(crate) struct ShardSet {
     /// Which shard serves each live wire subscriber — the routing table
     /// of the shard-aware delivery notifier. Written by the shard that
     /// registers/closes the connection, read on every publish fan-out.
-    by_subscriber: Mutex<HashMap<SubscriberId, usize>>,
+    by_subscriber: Mutex<IdMap<SubscriberId, usize>>,
 }
 
 impl std::fmt::Debug for ShardSet {
@@ -183,9 +245,7 @@ impl DeliveryNotifier for ShardSet {
         let Some(&shard) = self.by_subscriber.lock().get(&subscriber) else {
             return;
         };
-        let shard = &self.shards[shard];
-        shard.dirty.lock().insert(subscriber);
-        shard.wake_once();
+        self.shards[shard].mark_dirty([subscriber]);
     }
 
     fn notify_batch(&self, subscribers: &[SubscriberId]) {
@@ -201,12 +261,9 @@ impl DeliveryNotifier for ShardSet {
             }
         }
         for (idx, batch) in per_shard.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
+            if !batch.is_empty() {
+                self.shards[idx].mark_dirty(batch);
             }
-            let shard = &self.shards[idx];
-            shard.dirty.lock().extend(batch);
-            shard.wake_once();
         }
     }
 }
@@ -334,7 +391,7 @@ pub(crate) fn spawn(
             loop_id,
             wakeup: EventFd::new()?,
             wake_pending: AtomicBool::new(false),
-            dirty: Mutex::new(HashSet::new()),
+            dirty: Mutex::new(IdSet::default()),
             handoff: Mutex::new(Vec::new()),
             adopted: Mutex::new(Vec::new()),
             migrated: Mutex::new(Vec::new()),
@@ -344,7 +401,7 @@ pub(crate) fn spawn(
     let set = Arc::new(ShardSet {
         shards: shards.clone(),
         accept_wake: EventFd::new()?,
-        by_subscriber: Mutex::new(HashMap::new()),
+        by_subscriber: Mutex::new(IdMap::default()),
     });
     core.broker
         .set_delivery_notifier(Arc::clone(&set) as Arc<dyn DeliveryNotifier>);
@@ -359,11 +416,13 @@ pub(crate) fn spawn(
             set: Arc::clone(&set),
             shared: Arc::clone(shard),
             epoll,
-            conns: HashMap::new(),
-            by_subscriber: HashMap::new(),
+            conns: IdMap::default(),
+            by_subscriber: IdMap::default(),
             by_node: HashMap::new(),
             next_token: TOKEN_FIRST_CONN,
             deliver_cache: None,
+            draining: IdSet::default(),
+            read_buf: vec![0; READ_CHUNK].into_boxed_slice(),
         };
         threads.push(
             std::thread::Builder::new()
@@ -470,8 +529,8 @@ struct EventLoop {
     set: Arc<ShardSet>,
     shared: Arc<LoopShared>,
     epoll: Epoll,
-    conns: HashMap<u64, LoopConn>,
-    by_subscriber: HashMap<SubscriberId, u64>,
+    conns: IdMap<u64, LoopConn>,
+    by_subscriber: IdMap<SubscriberId, u64>,
     by_node: HashMap<NodeId, u64>,
     next_token: u64,
     /// Last `Deliver` frame encoded, keyed by event identity and codec
@@ -480,6 +539,12 @@ struct EventLoop {
     /// into one encode plus N-1 clones of the bytes. Holding the `Arc`
     /// pins the event so pointer identity cannot be recycled under us.
     deliver_cache: Option<(Arc<reef_pubsub::PublishedEvent>, u8, Frame)>,
+    /// The dirty set being drained, swapped with the shared one so both
+    /// keep their capacity.
+    draining: IdSet<SubscriberId>,
+    /// Every socket read of this shard lands here before the decoder
+    /// copies it out: allocated (and zeroed) once, not per readiness.
+    read_buf: Box<[u8]>,
 }
 
 impl EventLoop {
@@ -487,6 +552,7 @@ impl EventLoop {
         // Shard 0 alone runs federation duties: peer links are pinned
         // there so sharding cannot reorder the peer message streams.
         let primary = self.shared.loop_id == 0;
+        CURRENT_SHARD.set(Arc::as_ptr(&self.shared) as usize);
         let mut events = vec![EpollEvent::default(); 1024];
         loop {
             if self.core.shutdown.load(Ordering::SeqCst) {
@@ -527,13 +593,15 @@ impl EventLoop {
                 self.adopt_dialed_peers();
                 self.adopt_migrated_peers();
             }
-            self.drain_dirty_subscribers();
             self.push_feed_notices();
             if primary {
                 self.pump_all_peer_queues();
                 self.core.federation.tick();
             }
             self.sweep_stalled_writers();
+            // Last before parking: every publish this pass ran on this
+            // thread marked its subscribers dirty without waking the shard.
+            self.drain_dirty_subscribers();
         }
         // Orderly teardown: deregister every client like a normal
         // disconnect would, so a broker outliving the server is clean.
@@ -636,7 +704,6 @@ impl EventLoop {
     }
 
     fn read_ready(&mut self, token: u64) {
-        let mut scratch = [0u8; READ_CHUNK];
         // Per-readiness read budget: one endless sender must not pin the
         // shard inside this function and starve every other connection,
         // the delivery pumps and the stall sweep. Level-triggered epoll
@@ -646,7 +713,7 @@ impl EventLoop {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
-            match conn.stream.read(&mut scratch) {
+            match conn.stream.read(&mut self.read_buf) {
                 Ok(0) => {
                     self.close_conn(token);
                     return;
@@ -658,7 +725,7 @@ impl EventLoop {
                     // buffering them without bound while the error reply
                     // waits to flush.
                     if !conn.close_after_flush {
-                        conn.decoder.extend(&scratch[..n]);
+                        conn.decoder.extend(&self.read_buf[..n]);
                         // Frames are executed as soon as they are
                         // complete, so one endless sender cannot buffer
                         // unboundedly.
@@ -667,6 +734,10 @@ impl EventLoop {
                         }
                     }
                     budget = budget.saturating_sub(n);
+                    // Read on past a short read, to `EAGAIN`: frames that
+                    // arrived while these executed join this pass and its
+                    // drain's batch, which is worth more than the one
+                    // `read` a stop at the short read would save.
                     if budget == 0 {
                         break;
                     }
@@ -1195,19 +1266,15 @@ impl EventLoop {
     /// Drain the broker queues of every subscriber the notifier flagged
     /// onto this shard.
     fn drain_dirty_subscribers(&mut self) {
-        let dirty: Vec<SubscriberId> = {
-            let mut set = self.shared.dirty.lock();
-            if set.is_empty() {
-                return;
-            }
-            set.drain().collect()
-        };
-        for subscriber in dirty {
+        let mut dirty = std::mem::take(&mut self.draining);
+        std::mem::swap(&mut *self.shared.dirty.lock(), &mut dirty);
+        for subscriber in dirty.drain() {
             // An id without a token closed between notify and drain.
             if let Some(&token) = self.by_subscriber.get(&subscriber) {
                 self.pump_deliveries(token);
             }
         }
+        self.draining = dirty;
     }
 
     /// Encode queued deliveries for one connection into its outbound
@@ -1215,20 +1282,21 @@ impl EventLoop {
     /// socket accepts — the coalescing path.
     fn pump_deliveries(&mut self, token: u64) {
         loop {
-            let mut batched = 0usize;
+            let Some(conn) = self.conns.get_mut(&token) else {
+                return;
+            };
+            let ConnRole::Client {
+                shared,
+                inbox,
+                hungry,
+                ..
+            } = &mut conn.role
+            else {
+                return;
+            };
+            let codec = shared.codec();
+            let (mut frames, mut bytes) = (0usize, 0usize);
             loop {
-                let Some(conn) = self.conns.get_mut(&token) else {
-                    return;
-                };
-                let ConnRole::Client {
-                    shared,
-                    inbox,
-                    hungry,
-                    ..
-                } = &mut conn.role
-                else {
-                    return;
-                };
                 if conn.out.pending() >= OUTBUF_HIGH_WATER {
                     // Watermark: leave the rest on the bounded broker
                     // queue and come back when the socket drains.
@@ -1239,7 +1307,6 @@ impl EventLoop {
                     *hungry = false;
                     break;
                 };
-                let codec = shared.codec();
                 // Fan-out reuse: every subscriber of this shard gets the
                 // same event, so encode it once per (event, codec) and
                 // replay the bytes for the rest of the shard.
@@ -1251,7 +1318,7 @@ impl EventLoop {
                 if !hit {
                     match codec.encode_deliver(&event) {
                         Ok(frame) => {
-                            self.deliver_cache = Some((Arc::clone(&event), codec.version(), frame));
+                            self.deliver_cache = Some((event, codec.version(), frame));
                         }
                         Err(_) => {
                             self.deliver_cache = None;
@@ -1264,20 +1331,24 @@ impl EventLoop {
                 let Some((_, _, frame)) = &self.deliver_cache else {
                     unreachable!("deliver cache filled above");
                 };
-                let written = conn.out.push_frame(frame);
-                conn.buffered_deliveries += 1;
-                shared.stats.record_frame_out(frame.version, written);
-                self.core.stats.record_frame_out(frame.version, written);
-                shared.stats.record_delivery();
-                self.core.stats.record_delivery();
-                batched += 1;
+                bytes += conn.out.push_frame(frame);
+                frames += 1;
             }
-            if batched > 1 {
+            if frames == 0 {
+                return;
+            }
+            // Counted once per batch, before the write that lets the
+            // client see the deliveries.
+            conn.buffered_deliveries += frames;
+            shared
+                .stats
+                .record_deliveries(codec.version(), frames, bytes);
+            self.core
+                .stats
+                .record_deliveries(codec.version(), frames, bytes);
+            if frames > 1 {
                 self.core.stats.record_write_coalesced();
                 self.shared.stats.record_write_coalesced();
-            }
-            if batched == 0 {
-                return;
             }
             self.write_out(token);
             // Another round only when the socket drained the buffer and

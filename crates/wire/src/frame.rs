@@ -48,7 +48,7 @@
 
 use crate::error::WireError;
 use serde::{Deserialize, Serialize};
-use std::io::{Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 
 /// Frame version byte of the JSON codec (protocol v1), which is also the
 /// version this build's [`Frame::encode`]/[`Frame::decode`] speak.
@@ -103,14 +103,27 @@ impl Frame {
     }
 
     /// Write the frame to `w`. Returns the number of bytes written.
+    ///
+    /// Header and payload go out as one vectored write, so on a socket
+    /// (which runs with `TCP_NODELAY`) a frame leaves as one segment and
+    /// reaches the receiver as one readiness event, not three.
     pub fn write_to(&self, w: &mut impl Write) -> Result<usize, WireError> {
         let body_len = 1 + self.payload.len();
         if body_len > MAX_FRAME_LEN {
             return Err(WireError::FrameTooLarge(body_len));
         }
-        w.write_all(&(body_len as u32).to_be_bytes())?;
-        w.write_all(&[self.version])?;
-        w.write_all(&self.payload)?;
+        let len = (body_len as u32).to_be_bytes();
+        let header = [len[0], len[1], len[2], len[3], self.version];
+        let mut slices = [IoSlice::new(&header), IoSlice::new(&self.payload)];
+        let mut rest = &mut slices[..];
+        while !rest.is_empty() {
+            match w.write_vectored(rest) {
+                Ok(0) => return Err(std::io::Error::from(ErrorKind::WriteZero).into()),
+                Ok(n) => IoSlice::advance_slices(&mut rest, n),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
         w.flush()?;
         Ok(4 + body_len)
     }

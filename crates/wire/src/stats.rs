@@ -202,9 +202,9 @@ impl CodecStats {
         self.bytes_in.fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
-    fn record_out(&self, bytes: usize) {
-        self.frames_out.fetch_add(1, Ordering::Relaxed);
-        self.bytes_out.fetch_add(bytes as u64, Ordering::Relaxed);
+    fn record_out(&self, frames: u64, bytes: u64) {
+        self.frames_out.fetch_add(frames, Ordering::Relaxed);
+        self.bytes_out.fetch_add(bytes, Ordering::Relaxed);
     }
 }
 
@@ -327,23 +327,29 @@ impl WireStats {
     /// Count one written frame of `bytes` total wire bytes under
     /// protocol `version`.
     pub fn record_frame_out(&self, version: u8, bytes: usize) {
-        self.frames_out.fetch_add(1, Ordering::Relaxed);
-        self.bytes_out.fetch_add(bytes as u64, Ordering::Relaxed);
+        self.record_frames_out(version, 1, bytes as u64);
+    }
+
+    fn record_frames_out(&self, version: u8, frames: u64, bytes: u64) {
+        self.frames_out.fetch_add(frames, Ordering::Relaxed);
+        self.bytes_out.fetch_add(bytes, Ordering::Relaxed);
         match version {
-            PROTOCOL_V1_JSON => self.json.record_out(bytes),
-            PROTOCOL_V2_BINARY => self.binary.record_out(bytes),
+            PROTOCOL_V1_JSON => self.json.record_out(frames, bytes),
+            PROTOCOL_V2_BINARY => self.binary.record_out(frames, bytes),
             _ => {}
         }
+    }
+
+    /// Count `frames` pushed deliveries, `bytes` wire bytes in all,
+    /// written under protocol `version`: one batch of the fan-out path.
+    pub fn record_deliveries(&self, version: u8, frames: usize, bytes: usize) {
+        self.record_frames_out(version, frames as u64, bytes as u64);
+        self.deliveries.fetch_add(frames as u64, Ordering::Relaxed);
     }
 
     /// Count one handled request.
     pub fn record_request(&self) {
         self.requests.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one pushed delivery.
-    pub fn record_delivery(&self) {
-        self.deliveries.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count one delivery lost on the wire path (write failure or

@@ -472,6 +472,67 @@ fn abrupt_disconnect_cleans_up() {
     server.shutdown();
 }
 
+/// A publish run by the shard's own loop thread lists its subscribers
+/// without writing the shard's eventfd, so on a one-shard server each
+/// awaited publish costs one loop wakeup — the readiness of its
+/// `Publish` frame — not a second one for the self-inflicted wake.
+#[test]
+fn one_loop_wakeup_per_publish() {
+    assert_loop_wakeups_per_publish(1);
+}
+
+/// With more shards, a publish wakes the shard that read it and each
+/// other shard holding one of its subscribers once (connections go to
+/// shards by fd, so the subscribers may sit on one shard or on both):
+/// at most one wakeup per shard and publish.
+#[test]
+fn one_loop_wakeup_per_publish_and_shard() {
+    assert_loop_wakeups_per_publish(2);
+}
+
+/// Publish 200 awaited events to 8 subscribers on a `shards`-shard
+/// server and check that they cost at most `shards` loop wakeups each.
+fn assert_loop_wakeups_per_publish(shards: usize) {
+    const SUBSCRIBERS: u64 = 8;
+    const PUBLISHES: u64 = 200;
+    /// Wakeups the window may see besides the publishes.
+    const SLACK: u64 = 10;
+    let server = BrokerServer::builder()
+        .loop_threads(shards)
+        .bind("127.0.0.1:0")
+        .expect("bind");
+    let subscribers: Vec<Client> = (0..SUBSCRIBERS)
+        .map(|i| {
+            let client =
+                Client::connect_as(server.local_addr(), &format!("sub-{i}")).expect("connect");
+            client.subscribe(Filter::topic("wake")).expect("subscribe");
+            client
+        })
+        .collect();
+    let publisher = Client::connect_as(server.local_addr(), "publisher").expect("connect");
+
+    let before = server.stats().loop_wakeups;
+    for i in 0..PUBLISHES {
+        let outcome = publisher
+            .publish(Event::topical("wake", &i.to_string()))
+            .expect("publish");
+        assert_eq!(outcome.delivered, SUBSCRIBERS);
+        for subscriber in &subscribers {
+            subscriber.recv_delivery(WAIT).expect("delivery");
+        }
+        // Let the loops park before the next publish arrives, so a
+        // second wake could not hide in the next publish's readiness.
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let wakeups = server.stats().loop_wakeups - before;
+    let ceiling = shards as u64 * PUBLISHES + SLACK;
+    assert!(
+        wakeups <= ceiling,
+        "{wakeups} loop wakeups for {PUBLISHES} publishes on {shards} shard(s), ceiling {ceiling}"
+    );
+    server.shutdown();
+}
+
 // --------------------------------------------------------------------------
 // Slow-consumer eviction: the event loop's own
 // outbound buffers make a stalled subscriber deterministic without OS
