@@ -45,11 +45,6 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
-
-/// Default upper bound on how long a publish waits for queue space under
-/// [`OverflowPolicy::Block`] before giving the event up as dropped.
-pub const DEFAULT_BLOCK_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Observer of successful deliveries, registered with
 /// [`Broker::set_delivery_notifier`].
@@ -108,7 +103,9 @@ impl fmt::Display for SubscriberId {
     }
 }
 
-/// What to do when a bounded delivery queue is full.
+/// What to do when a bounded delivery queue is full. Either way a publish
+/// never waits and never fails because one subscriber is slow: the loss
+/// is counted and the publisher goes on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OverflowPolicy {
     /// Drop the new event for that subscriber and count it in the stats
@@ -121,27 +118,26 @@ pub enum OverflowPolicy {
     /// subscriber that silently drops its [`SubscriberHandle`] is not
     /// detected until it deregisters.
     DropOldest,
-    /// Block the publisher until space frees up, bounded by the broker's
-    /// block timeout ([`BrokerBuilder::block_timeout`]); on timeout the
-    /// event is dropped and counted. This is real backpressure: one slow
-    /// subscriber throttles publishers.
-    Block,
-    /// Abort the publish with [`BrokerError::QueueFull`]. Deliveries already
-    /// made to other subscribers are not rolled back.
-    Error,
 }
 
 impl OverflowPolicy {
     /// Parse the CLI spelling used by `reefd --overflow`
-    /// (`drop-new` | `drop-old` | `block` | `error`).
+    /// (`drop-new` | `drop-old`), the inverse of `Display`.
     pub fn parse(s: &str) -> Option<OverflowPolicy> {
         match s {
             "drop-new" => Some(OverflowPolicy::DropAndCount),
             "drop-old" => Some(OverflowPolicy::DropOldest),
-            "block" => Some(OverflowPolicy::Block),
-            "error" => Some(OverflowPolicy::Error),
             _ => None,
         }
+    }
+}
+
+impl fmt::Display for OverflowPolicy {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            OverflowPolicy::DropAndCount => "drop-new",
+            OverflowPolicy::DropOldest => "drop-old",
+        })
     }
 }
 
@@ -270,7 +266,6 @@ pub struct Broker {
     schema: Option<Schema>,
     queue_capacity: Option<usize>,
     overflow: OverflowPolicy,
-    block_timeout: Duration,
     stats: BrokerStats,
     /// The published read-mostly index. Hot paths clone the `Arc` out of
     /// a momentary read lock; writers (already serialized by `inner`'s
@@ -514,10 +509,8 @@ impl Broker {
     ///
     /// # Errors
     ///
-    /// * [`BrokerError::Schema`] if the broker has a schema and the event
-    ///   fails validation.
-    /// * [`BrokerError::QueueFull`] under [`OverflowPolicy::Error`] when a
-    ///   bounded queue overflows.
+    /// [`BrokerError::Schema`] if the broker has a schema and the event
+    /// fails validation.
     pub fn publish(&self, event: Event) -> Result<PublishOutcome, BrokerError> {
         if let Some(schema) = &self.schema {
             schema.validate_event(&event)?;
@@ -525,32 +518,23 @@ impl Broker {
         let id = EventId(self.next_event.fetch_add(1, Ordering::Relaxed));
         let published_at = self.clock.fetch_add(1, Ordering::Relaxed);
         self.stats.record_publish();
-        self.publish_remote(PublishedEvent {
+        Ok(self.publish_remote(PublishedEvent {
             id,
             published_at,
             event,
-        })
+        }))
     }
 
     /// Deliver an event published at another broker: the same match and
     /// fan-out as [`Broker::publish`], keeping the origin's event id and
     /// timestamp, without schema validation or a publish count.
-    ///
-    /// # Errors
-    ///
-    /// [`BrokerError::QueueFull`] under [`OverflowPolicy::Error`] when a
-    /// bounded queue overflows.
-    pub fn publish_remote(
-        &self,
-        event: impl Into<Arc<PublishedEvent>>,
-    ) -> Result<PublishOutcome, BrokerError> {
+    pub fn publish_remote(&self, event: impl Into<Arc<PublishedEvent>>) -> PublishOutcome {
         let published = event.into();
         let (id, published_at) = (published.id, published.published_at);
         // Matching runs against the published snapshot — an immutable
         // `Arc` cloned out of a momentary read lock — so a publish storm
         // never contends with subscribe/unsubscribe churn on the master
-        // write lock, and an offer sleeping under OverflowPolicy::Block
-        // stalls nobody but its own publisher.
+        // write lock.
         let snap = self.snapshot.read().clone();
         let targets = snap.targets(&published.event);
         let notifier = &snap.notifier;
@@ -569,21 +553,9 @@ impl Broker {
                     delivered += 1;
                     dropped += 1;
                 }
-                Offer::DroppedFull => {
-                    dropped += 1;
-                    if self.overflow == OverflowPolicy::Error {
-                        self.stats.record_delivery(delivered as u64);
-                        self.stats.record_drop(dropped as u64);
-                        Self::notify_all(notifier, touched);
-                        return Err(BrokerError::QueueFull {
-                            subscriber: *owner,
-                            capacity: self.queue_capacity.unwrap_or(0),
-                        });
-                    }
-                    continue;
-                }
-                // Receiver handle dropped: treat like an implicit deregister.
-                Offer::DroppedGone => {
+                // Queue full, or the receiver handle dropped (an implicit
+                // deregister).
+                Offer::DroppedFull | Offer::DroppedGone => {
                     dropped += 1;
                     continue;
                 }
@@ -595,12 +567,12 @@ impl Broker {
         self.stats.record_delivery(delivered as u64);
         self.stats.record_drop(dropped as u64);
         Self::notify_all(notifier, touched);
-        Ok(PublishOutcome {
+        PublishOutcome {
             id,
             published_at,
             delivered,
             dropped,
-        })
+        }
     }
 
     /// Fire the delivery notifier once for the whole publish, listing
@@ -626,9 +598,7 @@ impl Broker {
     ///
     /// # Errors
     ///
-    /// * [`BrokerError::UnknownSubscription`] if `sub` does not exist.
-    /// * [`BrokerError::QueueFull`] under [`OverflowPolicy::Error`] when
-    ///   the owner's queue overflows.
+    /// [`BrokerError::UnknownSubscription`] if `sub` does not exist.
     ///
     /// Accepts either an owned [`PublishedEvent`] or an
     /// `Arc<PublishedEvent>`; a caller offering one event to several
@@ -663,17 +633,7 @@ impl Broker {
                 notify(self);
                 Ok(true)
             }
-            Offer::DroppedFull => {
-                self.stats.record_drop(1);
-                if self.overflow == OverflowPolicy::Error {
-                    return Err(BrokerError::QueueFull {
-                        subscriber: owner,
-                        capacity: self.queue_capacity.unwrap_or(0),
-                    });
-                }
-                Ok(false)
-            }
-            Offer::DroppedGone => {
+            Offer::DroppedFull | Offer::DroppedGone => {
                 self.stats.record_drop(1);
                 Ok(false)
             }
@@ -681,13 +641,11 @@ impl Broker {
     }
 
     /// Offer one event to one subscriber queue under the broker's
-    /// overflow policy. Called without the broker lock held: under
-    /// [`OverflowPolicy::Block`] this may sleep up to the block timeout.
+    /// overflow policy. Never waits: called without the broker lock held.
     fn offer(&self, queue: &QueueHandle, event: Arc<PublishedEvent>) -> Offer {
         // Send under the slot's read guard: deregister empties the slot
         // under its write lock, so it waits at most for a non-blocking
-        // send. The one offer that may sleep (Block) clones the sender
-        // and lets the guard go first, so deregister never waits on it.
+        // send.
         let endpoints = queue.slot.endpoints.read();
         let Some(QueueEndpoints { sender, evictor }) = endpoints.as_ref() else {
             return Offer::DroppedGone;
@@ -695,22 +653,13 @@ impl Broker {
         match sender.try_send(event) {
             Ok(()) => Offer::Delivered,
             Err(TrySendError::Full(event)) => match self.overflow {
-                OverflowPolicy::DropAndCount | OverflowPolicy::Error => Offer::DroppedFull,
+                OverflowPolicy::DropAndCount => Offer::DroppedFull,
                 OverflowPolicy::DropOldest => {
                     let evicted = evictor.as_ref().is_some_and(|rx| rx.try_recv().is_ok());
                     match sender.try_send(event) {
                         Ok(()) if evicted => Offer::DeliveredEvicting,
                         Ok(()) => Offer::Delivered,
                         Err(_) => Offer::DroppedFull,
-                    }
-                }
-                OverflowPolicy::Block => {
-                    let sender = sender.clone();
-                    drop(endpoints);
-                    match sender.send_timeout(event, self.block_timeout) {
-                        Ok(()) => Offer::Delivered,
-                        Err(channel::SendTimeoutError::Timeout(_)) => Offer::DroppedFull,
-                        Err(channel::SendTimeoutError::Disconnected(_)) => Offer::DroppedGone,
                     }
                 }
             },
@@ -758,7 +707,6 @@ pub struct BrokerBuilder {
     schema: Option<Schema>,
     queue_capacity: Option<usize>,
     overflow: OverflowPolicy,
-    block_timeout: Option<Duration>,
 }
 
 impl fmt::Debug for BrokerBuilder {
@@ -790,13 +738,6 @@ impl BrokerBuilder {
         self
     }
 
-    /// Bound how long a publish may block on a full queue under
-    /// [`OverflowPolicy::Block`] (default [`DEFAULT_BLOCK_TIMEOUT`]).
-    pub fn block_timeout(mut self, timeout: Duration) -> Self {
-        self.block_timeout = Some(timeout);
-        self
-    }
-
     /// Build the broker.
     pub fn build(self) -> Broker {
         Broker {
@@ -808,7 +749,6 @@ impl BrokerBuilder {
             schema: self.schema,
             queue_capacity: self.queue_capacity,
             overflow: self.overflow,
-            block_timeout: self.block_timeout.unwrap_or(DEFAULT_BLOCK_TIMEOUT),
             stats: BrokerStats::default(),
             snapshot: RwLock::new(Arc::new(IndexSnapshot::default())),
             snapshot_swaps: AtomicU64::new(0),
@@ -877,6 +817,7 @@ mod tests {
     use super::*;
     use crate::filter::Op;
     use crate::schema::stock_quote_schema;
+    use std::time::Duration;
 
     #[test]
     fn publish_delivers_to_matching_subscriber_only() {
@@ -993,21 +934,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_queue_error_policy() {
-        let broker = Broker::builder()
-            .queue_capacity(1)
-            .overflow(OverflowPolicy::Error)
-            .build();
-        let (a, _ha) = broker.register();
-        broker.subscribe(a, Filter::new()).unwrap();
-        broker.publish(Event::new()).unwrap();
-        assert!(matches!(
-            broker.publish(Event::new()),
-            Err(BrokerError::QueueFull { .. })
-        ));
-    }
-
-    #[test]
     fn drop_oldest_policy_keeps_newest_events() {
         let broker = Broker::builder()
             .queue_capacity(2)
@@ -1029,33 +955,6 @@ mod tests {
         let stats = broker.stats();
         assert_eq!(stats.deliveries, 5, "every publish was enqueued");
         assert_eq!(stats.drops, 3, "three evictions counted as drops");
-    }
-
-    #[test]
-    fn block_policy_waits_for_space_then_drops() {
-        let broker = Broker::builder()
-            .queue_capacity(1)
-            .overflow(OverflowPolicy::Block)
-            .block_timeout(Duration::from_millis(50))
-            .build();
-        let (a, ha) = broker.register();
-        broker.subscribe(a, Filter::new()).unwrap();
-        broker.publish(Event::new()).unwrap();
-        // Queue full, nobody draining: the publish blocks for the timeout
-        // and then counts a drop.
-        let out = broker.publish(Event::new()).unwrap();
-        assert_eq!(out.dropped, 1);
-        // With a draining consumer the publish goes through.
-        let drainer = {
-            let rx = ha.clone();
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(10));
-                rx.drain().len()
-            })
-        };
-        let out = broker.publish(Event::new()).unwrap();
-        assert_eq!(out.delivered, 1);
-        drainer.join().unwrap();
     }
 
     #[test]
@@ -1098,8 +997,6 @@ mod tests {
             OverflowPolicy::parse("drop-old"),
             Some(OverflowPolicy::DropOldest)
         );
-        assert_eq!(OverflowPolicy::parse("block"), Some(OverflowPolicy::Block));
-        assert_eq!(OverflowPolicy::parse("error"), Some(OverflowPolicy::Error));
         assert_eq!(OverflowPolicy::parse("yolo"), None);
     }
 

@@ -90,13 +90,6 @@ pub enum BrokerError {
     UnknownSubscription(crate::matcher::SubscriptionId),
     /// The event or filter failed schema validation.
     Schema(SchemaError),
-    /// The subscriber's delivery queue overflowed and the event was dropped.
-    QueueFull {
-        /// Subscriber whose queue overflowed.
-        subscriber: crate::broker::SubscriberId,
-        /// Capacity at the time of overflow.
-        capacity: usize,
-    },
 }
 
 impl fmt::Display for BrokerError {
@@ -105,13 +98,6 @@ impl fmt::Display for BrokerError {
             BrokerError::UnknownSubscriber(id) => write!(f, "unknown subscriber {id}"),
             BrokerError::UnknownSubscription(id) => write!(f, "unknown subscription {id}"),
             BrokerError::Schema(e) => write!(f, "schema validation failed: {e}"),
-            BrokerError::QueueFull {
-                subscriber,
-                capacity,
-            } => write!(
-                f,
-                "delivery queue of subscriber {subscriber} is full (capacity {capacity})"
-            ),
         }
     }
 }

@@ -58,7 +58,7 @@ pub mod value;
 
 pub use broker::{
     Broker, BrokerBuilder, DeliveryNotifier, InterestEdge, InterestObserver, OverflowPolicy,
-    PublishOutcome, SubscriberHandle, SubscriberId, DEFAULT_BLOCK_TIMEOUT,
+    PublishOutcome, SubscriberHandle, SubscriberId,
 };
 pub use clock::{Clock, ManualClock, SystemClock};
 pub use error::{BrokerError, SchemaError};

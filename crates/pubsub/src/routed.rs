@@ -179,7 +179,7 @@ impl RoutedBroker {
             out.local
         };
         if let Some(event) = local {
-            let _ = self.broker.publish_remote(event);
+            self.broker.publish_remote(event);
         }
     }
 }

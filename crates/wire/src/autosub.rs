@@ -110,6 +110,11 @@ impl AutosubOptions {
         self.refresh_interval
     }
 
+    /// The policy applied to enrollments that carry none.
+    pub fn policy(&self) -> &AutoSubPolicy {
+        &self.default_policy
+    }
+
     /// Clock the engine's decay math reads "now" from. Defaults to
     /// [`SystemClock`]; deterministic tests inject a
     /// [`reef_pubsub::ManualClock`] so interest decay is a pure function

@@ -45,16 +45,11 @@
 //! one syscall (counted as `writes_coalesced`). The buffer is bounded by
 //! a high watermark: when a consumer stops reading, the buffer fills,
 //! the shard stops draining that subscriber's broker queue, the bounded
-//! queue fills, and the broker's `--overflow` policy (drop-new /
-//! drop-old / block / error) applies. A connection — client or peer —
-//! whose pending bytes make no progress for `--write-timeout-ms` is
-//! evicted by its shard's sweep.
-//!
-//! One semantic caveat, documented in the README: under
-//! `--overflow block` a publish executed on a shard cannot be overtaken
-//! by that same shard's drain, so a full queue always waits out the
-//! block timeout before dropping — the bound holds, the early-wake path
-//! does not exist.
+//! queue fills, and the broker's `--overflow` policy (drop-new or
+//! drop-old) counts the loss. Neither policy waits, so a publish run on
+//! a shard never stalls that shard's other connections. A connection —
+//! client or peer — whose pending bytes make no progress for
+//! `--write-timeout-ms` is evicted by its shard's sweep.
 //!
 //! # Federation on shard 0
 //!

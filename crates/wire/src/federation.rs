@@ -39,7 +39,7 @@
 //!
 //! Each peer link negotiates its codec like any other connection: the
 //! dialing broker's `PeerHello` frame carries its configured codec's
-//! version byte ([`FederationConfig::codec`], default binary), the
+//! version byte ([`crate::BrokerServerBuilder::codec`]), the
 //! acceptor adopts it, and every `PeerMsg` frame on the link uses it
 //! from then on. Per-codec frame/byte counters aggregate across links
 //! into [`FederationStatsSnapshot`].
@@ -96,63 +96,28 @@ const REDIAL_CAP: Duration = Duration::from_secs(5);
 /// waits out a full backoff period.
 const REDIAL_SLICE: Duration = Duration::from_millis(25);
 
-/// Tunables for a broker's federation layer.
-#[derive(Debug, Clone)]
-pub struct FederationConfig {
-    /// Broker name announced to peers.
-    pub name: String,
-    /// Enable covering-based advertisement pruning (default `true`).
-    pub covering: bool,
-    /// Bound on each peer link's outgoing event queue (default 1024).
-    pub peer_queue_capacity: usize,
-    /// Codec used when dialing peers (default binary). Accepted peers
-    /// negotiate their own codec per link.
-    pub codec: CodecKind,
-    /// Re-dial dead dialed links with capped exponential backoff
-    /// (default `false`).
-    pub peer_retry: bool,
-    /// Route in mesh (path-vector) mode: the overlay may contain cycles
-    /// and redundant links, advertisements carry broker-id paths, and
-    /// duplicate events are suppressed by a bounded seen-cache. All
-    /// federated brokers must agree on this flag. Default `false`
-    /// (tree).
-    pub mesh: bool,
-    /// Interval between periodic full re-advertisements in mesh mode,
-    /// so routing tables converge after arbitrary churn even if a peer
-    /// missed a diff. `Duration::ZERO` disables the refresh. Ignored in
-    /// tree mode. Default 5 s.
-    pub route_refresh: Duration,
-    /// Keepalive deadline on peer links: a link idle for a third of
-    /// this is pinged, and one silent past the full deadline is
-    /// declared dead and torn down (failover then promotes alternate
-    /// routes in mesh mode). `None` disables keepalive. Default 10 s.
-    pub peer_timeout: Option<Duration>,
-    /// Clock driving keepalive and refresh timers. Defaults to
-    /// [`SystemClock`]; deterministic tests inject a
-    /// [`reef_pubsub::ManualClock`] and advance virtual time explicitly.
-    pub clock: Arc<dyn Clock>,
-    /// Largest frame accepted off a peer link before the connection is
-    /// torn down (default [`crate::frame::MAX_FRAME_LEN`]). Checked
-    /// against the length prefix *before* any buffer is reserved, so a
-    /// hostile length cannot force a huge allocation.
-    pub max_frame: usize,
-}
+/// Bound on each peer link's outgoing event queue.
+const PEER_QUEUE_CAPACITY: usize = 1024;
 
-impl Default for FederationConfig {
-    fn default() -> Self {
-        FederationConfig {
-            name: "reefd".to_owned(),
-            covering: true,
-            peer_queue_capacity: 1024,
-            codec: CodecKind::default(),
-            peer_retry: false,
-            mesh: false,
-            route_refresh: Duration::from_secs(5),
-            peer_timeout: Some(Duration::from_secs(10)),
-            clock: SystemClock::shared(),
-            max_frame: crate::frame::MAX_FRAME_LEN,
-        }
-    }
+/// Interval between periodic full re-advertisements in mesh mode, so
+/// routing tables converge after arbitrary churn even if a peer missed a
+/// diff.
+const ROUTE_REFRESH: Duration = Duration::from_secs(5);
+
+/// The federation's view of the server options, filled by
+/// [`crate::BrokerServerBuilder`]; each field is documented at its
+/// setter there.
+#[derive(Debug, Clone)]
+pub(crate) struct FederationConfig {
+    pub(crate) name: String,
+    pub(crate) covering: bool,
+    pub(crate) codec: CodecKind,
+    pub(crate) peer_retry: bool,
+    pub(crate) mesh: bool,
+    pub(crate) peer_timeout: Option<Duration>,
+    /// Largest frame accepted off a peer link, checked against the
+    /// length prefix before any buffer is reserved.
+    pub(crate) max_frame: usize,
 }
 
 /// Hook the server's event loop registers with
@@ -205,7 +170,6 @@ impl PeerLink {
 /// Registry of live peer links.
 pub(crate) struct Links {
     map: Mutex<HashMap<NodeId, Arc<PeerLink>>>,
-    event_cap: usize,
     subs_forwarded: AtomicU64,
     pub(crate) events_forwarded: AtomicU64,
     pub(crate) events_dropped: AtomicU64,
@@ -231,7 +195,7 @@ impl Links {
         };
         match msg {
             PeerMsg::EventFwd { .. } => {
-                if link.queued_events.load(Ordering::Relaxed) >= self.event_cap {
+                if link.queued_events.load(Ordering::Relaxed) >= PEER_QUEUE_CAPACITY {
                     self.events_dropped.fetch_add(1, Ordering::Relaxed);
                     link.stats.record_delivery_drop();
                     return;
@@ -287,7 +251,8 @@ pub struct Federation {
     /// Redial threads of dead dialed links (`peer_retry`).
     threads: Mutex<Vec<JoinHandle<()>>>,
     config: FederationConfig,
-    /// Milliseconds (on `config.clock`) of the last mesh route refresh.
+    clock: SystemClock,
+    /// Milliseconds (on `clock`) of the last mesh route refresh.
     last_refresh: AtomicU64,
 }
 
@@ -310,10 +275,13 @@ impl Federation {
     /// [`crate::BrokerServer`] that owns it registers a hook and drives
     /// every peer link. It must be torn down with
     /// [`Federation::shutdown`], which also stops any redial thread.
-    pub fn start(broker: Arc<Broker>, broker_id: u32, config: FederationConfig) -> Arc<Federation> {
+    pub(crate) fn start(
+        broker: Arc<Broker>,
+        broker_id: u32,
+        config: FederationConfig,
+    ) -> Arc<Federation> {
         let links = Arc::new(Links {
             map: Mutex::new(HashMap::new()),
-            event_cap: config.peer_queue_capacity.max(1),
             subs_forwarded: AtomicU64::new(0),
             events_forwarded: AtomicU64::new(0),
             events_dropped: AtomicU64::new(0),
@@ -342,6 +310,7 @@ impl Federation {
             shutdown: AtomicBool::new(false),
             threads: Mutex::new(Vec::new()),
             config,
+            clock: SystemClock::new(),
             last_refresh: AtomicU64::new(0),
         })
     }
@@ -557,9 +526,9 @@ impl Federation {
         self.routed.handle(from, msg);
     }
 
-    /// Milliseconds on the federation's injected clock.
+    /// Milliseconds since the federation started.
     fn now_ms(&self) -> u64 {
-        self.config.clock.now_ms()
+        self.clock.now_ms()
     }
 
     /// Periodic maintenance, called by the event loop's shard 0 on every
@@ -600,13 +569,9 @@ impl Federation {
         if !self.config.mesh {
             return;
         }
-        let interval = self.config.route_refresh.as_millis() as u64;
-        if interval == 0 {
-            return;
-        }
         let now = self.now_ms();
         let last = self.last_refresh.load(Ordering::Relaxed);
-        if now.saturating_sub(last) < interval {
+        if now.saturating_sub(last) < ROUTE_REFRESH.as_millis() as u64 {
             return;
         }
         if self
@@ -631,7 +596,7 @@ impl Federation {
 
     /// Tear down a dead peer link: forget its advertisements and
     /// re-advertise to the remaining peers. When the link was dialed and
-    /// [`FederationConfig::peer_retry`] is on, a redial loop with capped
+    /// [`crate::BrokerServerBuilder::peer_retry`] is on, a redial loop with capped
     /// exponential backoff takes over (re-running the full `PeerHello`
     /// handshake, codec negotiation included, on success).
     pub fn peer_disconnected(self: &Arc<Self>, node: NodeId) {

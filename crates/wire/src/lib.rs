@@ -90,7 +90,7 @@ pub use client::{
 };
 pub use codec::{CodecKind, WireCodec};
 pub use error::WireError;
-pub use federation::{Federation, FederationConfig, LOCAL_NODE};
+pub use federation::{Federation, LOCAL_NODE};
 pub use frame::{
     Frame, FrameDecoder, MAX_FRAME_LEN, PROTOCOL_V1_JSON, PROTOCOL_V2_BINARY, PROTOCOL_VERSION,
 };

@@ -23,13 +23,14 @@
 //! # Backpressure
 //!
 //! The delivery path is bounded end to end: the broker's per-subscriber
-//! queues can be capped ([`BrokerServerBuilder::queue_capacity`]) with a
-//! selectable overflow policy, each connection's outbound buffer stops
-//! filling at a high watermark, and a connection whose pending output
-//! makes no progress for the write timeout
-//! ([`BrokerServerBuilder::write_timeout`]) is evicted. Deliveries lost
-//! to a dead or evicted socket are counted per connection and in the
-//! aggregate [`WireStats`].
+//! queues can be capped, dropping the new or the oldest event when full
+//! (set on the [`reef_pubsub::BrokerBuilder`] handed to
+//! [`BrokerServerBuilder::broker`]; a publish never waits on a slow
+//! subscriber), each connection's outbound buffer stops filling at a high
+//! watermark, and a connection whose pending output makes no progress
+//! for the write timeout ([`BrokerServerBuilder::write_timeout`]) is
+//! evicted. Deliveries lost to a full queue or to a dead or evicted
+//! socket are counted per connection and in the aggregate [`WireStats`].
 //!
 //! Shutdown is cooperative: [`BrokerServer::shutdown`] raises a flag,
 //! wakes every loop through its eventfd, joins the loops (which close
@@ -45,10 +46,10 @@ use crate::stats::{
     WireStatsSnapshot,
 };
 use parking_lot::Mutex;
-use reef_attention::{DurableClickStore, PersistConfig};
-use reef_pubsub::{
-    Broker, Clock, NodeId, OverflowPolicy, SubscriberId, SubscriptionId, SystemClock,
+use reef_attention::{
+    DurableClickStore, PersistConfig, DEFAULT_SEGMENT_BYTES, DEFAULT_SNAPSHOT_EVERY,
 };
+use reef_pubsub::{Broker, NodeId, SubscriberId, SubscriptionId};
 use std::collections::HashSet;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::PathBuf;
@@ -57,66 +58,70 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Default stall bound on client and peer output.
-const DEFAULT_WRITE_TIMEOUT: Duration = Duration::from_secs(5);
-
 /// How often and how long startup retries dialing a configured peer that
 /// is not accepting connections yet.
 const PEER_DIAL_ATTEMPTS: u32 = 25;
 const PEER_DIAL_DELAY: Duration = Duration::from_millis(100);
 
-/// Configures and builds a [`BrokerServer`].
-#[derive(Debug, Default)]
+/// Configures and builds a [`BrokerServer`]: the one declaration of a
+/// server's options. Its [`Default`] impl is the only place each default
+/// is written; `reefd --help` prints them from there, through the
+/// `get_*` accessors.
+#[derive(Debug)]
 pub struct BrokerServerBuilder {
-    broker: Option<Arc<Broker>>,
-    name: Option<String>,
-    queue_capacity: Option<usize>,
-    overflow: Option<OverflowPolicy>,
+    broker: Arc<Broker>,
+    name: String,
     peers: Vec<String>,
-    covering: Option<bool>,
-    peer_queue_capacity: Option<usize>,
-    write_timeout: Option<Duration>,
-    codec: Option<CodecKind>,
-    peer_retry: Option<bool>,
-    mesh: Option<bool>,
-    route_refresh: Option<Duration>,
-    peer_timeout: Option<Option<Duration>>,
+    covering: bool,
+    write_timeout: Duration,
+    codec: CodecKind,
+    peer_retry: bool,
+    mesh: bool,
+    peer_timeout: Option<Duration>,
+    /// `None`: one loop per available core, counted at bind time.
     loop_threads: Option<usize>,
+    /// `None`: an in-memory click store.
     data_dir: Option<PathBuf>,
-    wal_segment_bytes: Option<u64>,
-    snapshot_every: Option<u64>,
-    autosub: Option<AutosubOptions>,
-    max_frame_bytes: Option<usize>,
-    clock: Option<Arc<dyn Clock>>,
+    wal_segment_bytes: u64,
+    snapshot_every: u64,
+    autosub: AutosubOptions,
+    max_frame_bytes: usize,
+}
+
+impl Default for BrokerServerBuilder {
+    fn default() -> Self {
+        BrokerServerBuilder {
+            broker: Arc::default(),
+            name: "reefd".to_owned(),
+            peers: Vec::new(),
+            covering: true,
+            write_timeout: Duration::from_secs(5),
+            codec: CodecKind::default(),
+            peer_retry: false,
+            mesh: false,
+            peer_timeout: Some(Duration::from_secs(10)),
+            loop_threads: None,
+            data_dir: None,
+            wal_segment_bytes: DEFAULT_SEGMENT_BYTES,
+            snapshot_every: DEFAULT_SNAPSHOT_EVERY,
+            autosub: AutosubOptions::default(),
+            max_frame_bytes: crate::frame::MAX_FRAME_LEN,
+        }
+    }
 }
 
 impl BrokerServerBuilder {
-    /// Serve an existing (possibly schema-validating, bounded-queue)
-    /// broker instead of a fresh default one. Overrides
-    /// [`BrokerServerBuilder::queue_capacity`] and
-    /// [`BrokerServerBuilder::overflow`].
+    /// Serve an existing broker instead of a fresh default one: this is
+    /// how a server gets a schema or bounded delivery queues
+    /// ([`reef_pubsub::BrokerBuilder`]).
     pub fn broker(mut self, broker: Arc<Broker>) -> Self {
-        self.broker = Some(broker);
+        self.broker = broker;
         self
     }
 
     /// Server name reported in `Hello` responses and peer handshakes.
     pub fn name(mut self, name: impl Into<String>) -> Self {
-        self.name = Some(name.into());
-        self
-    }
-
-    /// Bound each subscriber's delivery queue to `capacity` events
-    /// (ignored when an explicit broker is supplied).
-    pub fn queue_capacity(mut self, capacity: usize) -> Self {
-        self.queue_capacity = Some(capacity);
-        self
-    }
-
-    /// Policy applied when a bounded delivery queue overflows (ignored
-    /// when an explicit broker is supplied).
-    pub fn overflow(mut self, policy: OverflowPolicy) -> Self {
-        self.overflow = Some(policy);
+        self.name = name.into();
         self
     }
 
@@ -130,28 +135,22 @@ impl BrokerServerBuilder {
     /// Enable or disable covering-based advertisement pruning toward
     /// peers (default on).
     pub fn covering(mut self, covering: bool) -> Self {
-        self.covering = Some(covering);
-        self
-    }
-
-    /// Bound each peer link's outgoing event queue (default 1024).
-    pub fn peer_queue_capacity(mut self, capacity: usize) -> Self {
-        self.peer_queue_capacity = Some(capacity);
+        self.covering = covering;
         self
     }
 
     /// Evict a client or peer connection whose pending output made no
-    /// progress for this long (default 5 s).
+    /// progress for this long.
     pub fn write_timeout(mut self, timeout: Duration) -> Self {
-        self.write_timeout = Some(timeout);
+        self.write_timeout = timeout;
         self
     }
 
-    /// Codec spoken when *dialing* peers (default binary/v2). Inbound
-    /// connections — clients and peers alike — always negotiate their
-    /// own codec via the first frame's version byte.
+    /// Codec spoken when *dialing* peers. Inbound connections — clients
+    /// and peers alike — always negotiate their own codec via the first
+    /// frame's version byte.
     pub fn codec(mut self, codec: CodecKind) -> Self {
-        self.codec = Some(codec);
+        self.codec = codec;
         self
     }
 
@@ -159,36 +158,28 @@ impl BrokerServerBuilder {
     /// (default off). The `PeerHello` handshake — codec negotiation
     /// included — is re-run on every reconnect.
     pub fn peer_retry(mut self, retry: bool) -> Self {
-        self.peer_retry = Some(retry);
+        self.peer_retry = retry;
         self
     }
 
     /// Route in mesh (path-vector) mode instead of tree mode (default
     /// off). A mesh overlay may contain cycles and redundant links:
     /// advertisements carry broker-id paths, duplicate events are
-    /// suppressed by a bounded seen-cache, and a dead link fails over
-    /// to the best surviving alternate path. Every federated broker
-    /// must agree on this flag; covering-based pruning is disabled in
-    /// mesh mode.
+    /// suppressed by a bounded seen-cache, a dead link fails over to the
+    /// best surviving alternate path, and the full route set is
+    /// re-advertised every 5 s. Every federated broker must agree on
+    /// this flag; covering-based pruning is disabled in mesh mode.
     pub fn mesh(mut self, mesh: bool) -> Self {
-        self.mesh = Some(mesh);
+        self.mesh = mesh;
         self
     }
 
-    /// Interval between periodic full route re-advertisements in mesh
-    /// mode (default 5 s); `Duration::ZERO` disables the refresh.
-    /// Ignored in tree mode.
-    pub fn route_refresh(mut self, interval: Duration) -> Self {
-        self.route_refresh = Some(interval);
-        self
-    }
-
-    /// Keepalive deadline on peer links (default 10 s): an idle link is
-    /// pinged at a third of this, and one silent past the full deadline
-    /// is torn down (mesh mode then promotes alternate routes). `None`
-    /// disables keepalive.
+    /// Keepalive deadline on peer links: an idle link is pinged at a
+    /// third of this, and one silent past the full deadline is torn down
+    /// (mesh mode then promotes alternate routes). `None` disables
+    /// keepalive.
     pub fn peer_timeout(mut self, timeout: Option<Duration>) -> Self {
-        self.peer_timeout = Some(timeout);
+        self.peer_timeout = timeout;
         self
     }
 
@@ -210,23 +201,23 @@ impl BrokerServerBuilder {
         self
     }
 
-    /// Rotate WAL segments past this many bytes (default 8 MiB; only
-    /// meaningful with [`BrokerServerBuilder::data_dir`]).
+    /// Rotate WAL segments past this many bytes (only meaningful with
+    /// [`BrokerServerBuilder::data_dir`]).
     pub fn wal_segment_bytes(mut self, bytes: u64) -> Self {
-        self.wal_segment_bytes = Some(bytes);
+        self.wal_segment_bytes = bytes;
         self
     }
 
     /// Snapshot + compact the click store every `batches` ingested
-    /// upload batches; `0` disables snapshots (default 256; only
-    /// meaningful with [`BrokerServerBuilder::data_dir`]).
+    /// upload batches; `0` disables snapshots (only meaningful with
+    /// [`BrokerServerBuilder::data_dir`]).
     ///
     /// The snapshot is written synchronously inside the triggering
     /// upload request, so at very large store sizes a low cadence
     /// briefly stalls request handling; see ROADMAP for the
     /// background-snapshot follow-on.
     pub fn snapshot_every(mut self, batches: u64) -> Self {
-        self.snapshot_every = Some(batches);
+        self.snapshot_every = batches;
         self
     }
 
@@ -234,26 +225,67 @@ impl BrokerServerBuilder {
     /// with [`AutosubOptions::default`]). The `reefd` binary flips the
     /// default off and re-enables it with `--autosub`.
     pub fn autosub(mut self, options: AutosubOptions) -> Self {
-        self.autosub = Some(options);
+        self.autosub = options;
         self
     }
 
     /// Largest frame accepted from any connection — client or peer —
-    /// before the connection is dropped (default 16 MiB, the protocol
-    /// ceiling). The length prefix is checked against this cap *before*
-    /// any buffer is reserved, so a hostile 4 GiB length costs nothing.
-    /// Values above the protocol ceiling are clamped to it.
+    /// before the connection is dropped (default: the protocol ceiling,
+    /// [`crate::frame::MAX_FRAME_LEN`]). The length prefix is checked
+    /// against this cap *before* any buffer is reserved, so a hostile
+    /// 4 GiB length costs nothing. Values above the protocol ceiling are
+    /// clamped to it.
     pub fn max_frame_bytes(mut self, bytes: usize) -> Self {
-        self.max_frame_bytes = Some(bytes);
+        self.max_frame_bytes = bytes.min(crate::frame::MAX_FRAME_LEN);
         self
     }
 
-    /// Clock driving peer keepalive, mesh route refresh and autosub
-    /// decay (default: wall time). Deterministic tests inject a
-    /// [`reef_pubsub::ManualClock`] and advance virtual time explicitly.
-    pub fn clock(mut self, clock: Arc<dyn Clock>) -> Self {
-        self.clock = Some(clock);
-        self
+    /// The server name.
+    pub fn get_name(&self) -> &str {
+        &self.name
+    }
+
+    /// The stall bound on client and peer output.
+    pub fn get_write_timeout(&self) -> Duration {
+        self.write_timeout
+    }
+
+    /// The codec spoken when dialing peers.
+    pub fn get_codec(&self) -> CodecKind {
+        self.codec
+    }
+
+    /// The keepalive deadline on peer links.
+    pub fn get_peer_timeout(&self) -> Option<Duration> {
+        self.peer_timeout
+    }
+
+    /// The WAL segment size.
+    pub fn get_wal_segment_bytes(&self) -> u64 {
+        self.wal_segment_bytes
+    }
+
+    /// The snapshot cadence in upload batches.
+    pub fn get_snapshot_every(&self) -> u64 {
+        self.snapshot_every
+    }
+
+    /// The largest frame accepted from any connection.
+    pub fn get_max_frame_bytes(&self) -> usize {
+        self.max_frame_bytes
+    }
+
+    /// The federation's view of these options.
+    pub(crate) fn federation_config(&self) -> FederationConfig {
+        FederationConfig {
+            name: self.name.clone(),
+            covering: self.covering,
+            codec: self.codec,
+            peer_retry: self.peer_retry,
+            mesh: self.mesh,
+            peer_timeout: self.peer_timeout,
+            max_frame: self.max_frame_bytes,
+        }
     }
 
     /// Bind `addr` and start serving.
@@ -264,52 +296,76 @@ impl BrokerServerBuilder {
     /// peer stays unreachable; [`WireError::Protocol`] on a target without
     /// epoll (anything but Linux).
     pub fn bind(self, addr: impl ToSocketAddrs) -> Result<BrokerServer, WireError> {
-        let broker = match self.broker {
-            Some(broker) => broker,
-            None => {
-                let mut builder = Broker::builder();
-                if let Some(capacity) = self.queue_capacity {
-                    builder = builder.queue_capacity(capacity);
-                }
-                builder = builder.overflow(self.overflow.unwrap_or_default());
-                Arc::new(builder.build())
-            }
-        };
-        let clicks = match self.data_dir {
-            Some(dir) => {
-                let mut cfg = PersistConfig::new(dir);
-                if let Some(bytes) = self.wal_segment_bytes {
-                    cfg.segment_bytes = bytes;
-                }
-                if let Some(batches) = self.snapshot_every {
-                    cfg.snapshot_every = batches;
-                }
-                DurableClickStore::open(cfg)?
-            }
+        let clicks = match &self.data_dir {
+            Some(dir) => DurableClickStore::open(PersistConfig {
+                dir: dir.clone(),
+                segment_bytes: self.wal_segment_bytes,
+                snapshot_every: self.snapshot_every,
+            })?,
             None => DurableClickStore::in_memory(),
         };
-        BrokerServer::start(
-            addr,
-            broker,
-            clicks,
-            self.name
-                .unwrap_or_else(|| format!("reefd/{}", env!("CARGO_PKG_VERSION"))),
-            self.peers,
-            self.covering.unwrap_or(true),
-            self.peer_queue_capacity.unwrap_or(1024),
-            self.write_timeout.unwrap_or(DEFAULT_WRITE_TIMEOUT),
-            self.codec.unwrap_or_default(),
-            self.peer_retry.unwrap_or(false),
-            self.mesh.unwrap_or(false),
-            self.route_refresh.unwrap_or(Duration::from_secs(5)),
-            self.peer_timeout.unwrap_or(Some(Duration::from_secs(10))),
-            self.loop_threads,
-            self.autosub.unwrap_or_default(),
-            self.max_frame_bytes
-                .unwrap_or(crate::frame::MAX_FRAME_LEN)
-                .min(crate::frame::MAX_FRAME_LEN),
-            self.clock.unwrap_or_else(SystemClock::shared),
-        )
+        if !cfg!(target_os = "linux") {
+            return Err(WireError::Protocol(
+                "the epoll event loop requires Linux".into(),
+            ));
+        }
+        let listener = TcpListener::bind(addr)?;
+        let local_addr = listener.local_addr()?;
+        let broker_id = crate::federation::mint_broker_id(&self.name, local_addr.port() as u64);
+        // Namespace event ids like subscription ids, so events forwarded
+        // between federated daemons never collide on `EventId`. A
+        // pre-used broker keeps its counter (the rebase only applies to
+        // a fresh one).
+        self.broker.namespace_event_ids((broker_id as u64) << 32);
+        let federation = Federation::start(
+            Arc::clone(&self.broker),
+            broker_id,
+            self.federation_config(),
+        );
+        let stats = WireStats::new();
+        // Surface what recovery found (clicks restored, torn bytes
+        // truncated) from the first stats snapshot on.
+        stats.record_persist(&clicks.persist_stats());
+        let core = Arc::new(ServerCore {
+            broker: self.broker,
+            federation,
+            clicks: Arc::new(Mutex::new(clicks)),
+            connections: Mutex::new(Vec::new()),
+            stats,
+            shutdown: AtomicBool::new(false),
+            name: self.name,
+            write_timeout: self.write_timeout,
+            autosub: AutosubRuntime::new(self.autosub),
+            max_frame: self.max_frame_bytes,
+        });
+        let mut server = BrokerServer {
+            core: Arc::clone(&core),
+            local_addr,
+            main_threads: Vec::new(),
+            loop_control: None,
+            autosub_thread: spawn_autosub_refresh(&core),
+        };
+        #[cfg(target_os = "linux")]
+        {
+            let shards = self.loop_threads.unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1)
+            });
+            let (threads, control) = crate::event_loop::spawn(listener, core, shards)?;
+            server.main_threads = threads;
+            server.loop_control = Some(control);
+        }
+        #[cfg(not(target_os = "linux"))]
+        let _ = listener;
+        for peer in &self.peers {
+            server.core.federation.connect_peer_with_retry(
+                peer,
+                PEER_DIAL_ATTEMPTS,
+                PEER_DIAL_DELAY,
+            )?;
+        }
+        Ok(server)
     }
 }
 
@@ -559,7 +615,11 @@ impl ServerCore {
     /// request semantics and the autosub runtime's passes by hand.
     pub(crate) fn detached(broker: Arc<Broker>, autosub: AutosubOptions) -> ServerCore {
         ServerCore {
-            federation: Federation::start(Arc::clone(&broker), 1, FederationConfig::default()),
+            federation: Federation::start(
+                Arc::clone(&broker),
+                1,
+                BrokerServerBuilder::default().federation_config(),
+            ),
             broker,
             clicks: Arc::new(Mutex::new(DurableClickStore::in_memory())),
             connections: Mutex::new(Vec::new()),
@@ -598,101 +658,6 @@ impl BrokerServer {
     /// Start configuring a server.
     pub fn builder() -> BrokerServerBuilder {
         BrokerServerBuilder::default()
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn start(
-        addr: impl ToSocketAddrs,
-        broker: Arc<Broker>,
-        clicks: DurableClickStore,
-        name: String,
-        peers: Vec<String>,
-        covering: bool,
-        peer_queue_capacity: usize,
-        write_timeout: Duration,
-        codec: CodecKind,
-        peer_retry: bool,
-        mesh: bool,
-        route_refresh: Duration,
-        peer_timeout: Option<Duration>,
-        loop_threads: Option<usize>,
-        autosub: AutosubOptions,
-        max_frame: usize,
-        clock: Arc<dyn Clock>,
-    ) -> Result<BrokerServer, WireError> {
-        if !cfg!(target_os = "linux") {
-            return Err(WireError::Protocol(
-                "the epoll event loop requires Linux".into(),
-            ));
-        }
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let broker_id = crate::federation::mint_broker_id(&name, local_addr.port() as u64);
-        // Namespace event ids like subscription ids, so events forwarded
-        // between federated daemons never collide on `EventId`. A
-        // pre-used broker keeps its counter (the rebase only applies to
-        // a fresh one).
-        broker.namespace_event_ids((broker_id as u64) << 32);
-        let federation = Federation::start(
-            Arc::clone(&broker),
-            broker_id,
-            FederationConfig {
-                name: name.clone(),
-                covering,
-                peer_queue_capacity,
-                codec,
-                peer_retry,
-                mesh,
-                route_refresh,
-                peer_timeout,
-                clock: Arc::clone(&clock),
-                max_frame,
-            },
-        );
-        let stats = WireStats::new();
-        // Surface what recovery found (clicks restored, torn bytes
-        // truncated) from the first stats snapshot on.
-        stats.record_persist(&clicks.persist_stats());
-        let core = Arc::new(ServerCore {
-            broker,
-            federation,
-            clicks: Arc::new(Mutex::new(clicks)),
-            connections: Mutex::new(Vec::new()),
-            stats,
-            shutdown: AtomicBool::new(false),
-            name,
-            write_timeout,
-            autosub: AutosubRuntime::new(autosub),
-            max_frame,
-        });
-        let mut server = BrokerServer {
-            core: Arc::clone(&core),
-            local_addr,
-            main_threads: Vec::new(),
-            loop_control: None,
-            autosub_thread: spawn_autosub_refresh(&core),
-        };
-        #[cfg(target_os = "linux")]
-        {
-            let shards = loop_threads.unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            });
-            let (threads, control) = crate::event_loop::spawn(listener, core, shards)?;
-            server.main_threads = threads;
-            server.loop_control = Some(control);
-        }
-        #[cfg(not(target_os = "linux"))]
-        let _ = (listener, loop_threads);
-        for peer in &peers {
-            server.core.federation.connect_peer_with_retry(
-                peer,
-                PEER_DIAL_ATTEMPTS,
-                PEER_DIAL_DELAY,
-            )?;
-        }
-        Ok(server)
     }
 
     /// The address the server is listening on.

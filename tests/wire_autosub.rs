@@ -4,12 +4,13 @@
 //! behalf — the paper's central loop (§2) running inside `reefd`.
 
 use reef::attention::{Click, ClickBatch};
-use reef::pubsub::{Event, Filter};
+use reef::pubsub::{Broker, Event, Filter};
 use reef::simweb::UserId;
 use reef::wire::{
     AutoSubPolicy, AutosubOptions, BrokerServer, Client, ClientFrame, CodecKind, Frame, Request,
     WireError,
 };
+use std::sync::Arc;
 use std::time::Duration;
 
 const WAIT: Duration = Duration::from_secs(5);
@@ -242,7 +243,7 @@ fn disabled_daemon_refuses_autosubscribe() {
 fn shard_eviction_retires_auto_subscriptions() {
     let server = BrokerServer::builder()
         .loop_threads(4)
-        .queue_capacity(8)
+        .broker(Arc::new(Broker::builder().queue_capacity(8).build()))
         .write_timeout(Duration::from_millis(50))
         .autosub(AutosubOptions::default().refresh_interval(Duration::from_secs(3600)))
         .bind("127.0.0.1:0")

@@ -3,8 +3,9 @@
 //! subscriptions (with covering pruning) and events between each other —
 //! the socket-backed counterpart of the simulated `reef_sim::Cluster`.
 
-use reef::pubsub::{Event, Filter, NodeId, Op, TOPIC_ATTR};
+use reef::pubsub::{Broker, Event, Filter, NodeId, Op, TOPIC_ATTR};
 use reef::wire::{BrokerServer, Client, CodecKind};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const WAIT: Duration = Duration::from_secs(10);
@@ -680,7 +681,7 @@ fn keepalive_holds_an_idle_peer_link_open() {
 fn stats_request_reports_federation_and_backpressure() {
     let a = BrokerServer::builder()
         .name("stats-a")
-        .queue_capacity(1)
+        .broker(Arc::new(Broker::builder().queue_capacity(1).build()))
         .bind("127.0.0.1:0")
         .expect("bind a");
     let b = BrokerServer::builder()
